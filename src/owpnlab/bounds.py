@@ -31,13 +31,18 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import ChannelParams, RateSplit, derive_constants
-from .riccati import crb_argument
+import numpy as np
+
+from .model import ChannelParams, RateSplit, _coherence, _point
+from .riccati import _phase_rate_upper
 
 EULER_MASCHERONI = 0.57721566490153286061
 
-_LOG_2PI_OVER_E = math.log(2.0 * math.pi / math.e)
 _LOG_PHASE_CONST = math.log(2.0 * math.pi) - (1.0 + EULER_MASCHERONI)  # ln(2pi/e^{1+g})
+_HALF_LOG_E_OVER_PI = 0.5 * math.log(math.e / math.pi)
+_LOG2 = math.log(2.0)
+_E_SQ = math.e**2
+_PI_SQ = math.pi**2
 
 
 class BoundKind(str, Enum):
@@ -57,57 +62,88 @@ class BoundResult:
     note: str = ""
 
 
+# Array kernels: each takes broadcast float arrays (P, L, sigma2) and returns
+# (total, amplitude, phase); the public functions evaluate them at one point.
+
+def _upper_outer(
+    p: np.ndarray, big_l: np.ndarray, s2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    branch_power = np.log(p + 2.0)
+    sigma_zero = s2 == 0.0
+    amplitude = np.where(sigma_zero, branch_power, 0.5 * np.log(p + 1.0))
+    phase = np.where(sigma_zero, 0.0, _phase_rate_upper(p, big_l, s2))
+    return np.minimum(branch_power, amplitude + phase), amplitude, phase
+
+
+def _lower_partially_coherent(
+    p: np.ndarray, big_l: np.ndarray, s2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    q = p + 2.0
+    amplitude = 0.5 * np.log(
+        (_E_SQ * (q * q) + 8.0 * math.pi * (big_l - 1.0))
+        / (8.0 * math.pi * math.e * (big_l + p))
+    )
+    # separated logs: p*L can underflow for subnormal p; log(0) = -inf
+    # clamps the phase to 0 at P == 0
+    with np.errstate(divide="ignore"):
+        phase = 0.5 * np.maximum(
+            _LOG_PHASE_CONST
+            + np.log(p)
+            + np.log(big_l)
+            - np.log(s2 * p + _PI_SQ * big_l * big_l),
+            0.0,
+        )
+    return np.maximum(amplitude + phase, 0.0), amplitude, phase
+
+
+def _lower_coherent_combining(
+    p: np.ndarray, big_l: np.ndarray, s2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    _, _, phi, one_minus_kappa, one_minus_phi = _coherence(s2, big_l)
+    # P^2 (1 - phi^2) from the cancellation-free 1 - phi, multiplied so that
+    # 1 - phi == 0 gives 0 for any finite P
+    amplitude = np.maximum(
+        np.maximum(np.log(phi * phi / 3.0) + np.log(p / 2.0 + 1.0), 0.0)
+        + _HALF_LOG_E_OVER_PI
+        - 0.5 * np.log(2.0 * (1.0 + p * phi) + p * (p * (one_minus_phi * (1.0 + phi)))),
+        0.0,
+    )
+    denom = (
+        2.0 * s2 * p
+        + _PI_SQ * one_minus_kappa * big_l * p
+        + 6.0 * _PI_SQ * big_l / (phi * np.sqrt(phi))
+    )
+    # separated logs: 2*L*p can underflow for subnormal p
+    with np.errstate(divide="ignore"):
+        phase = 0.5 * _LOG_PHASE_CONST + 0.5 * (
+            _LOG2 + np.log(big_l) + np.log(p) - np.log(denom)
+        )
+    phase = np.where(p == 0.0, 0.0, phase)
+    return np.maximum(amplitude + phase, 0.0), amplitude, phase
+
+
+def _at_point(kernel, kind: BoundKind, params: ChannelParams, note: str = "") -> BoundResult:
+    point = _point(params.avg_power, params.oversampling, params.freq_noise_var)
+    total, amplitude, phase = (float(v[0]) for v in kernel(*point))
+    return BoundResult(kind, params, RateSplit(amplitude, phase), total, note)
+
+
 def upper_outer(params: ChannelParams) -> BoundResult:
     """Capacity outer bound; the min of a power-only branch and an
     amplitude+phase branch whose phase summand comes from the stationary
-    posterior Fisher information.
+    posterior Fisher information (:func:`owpnlab.riccati.phase_rate_upper`).
 
     At sigma2 == 0 the phase summand diverges, so the power-only branch
     ln(P+2) is returned with the note "sigma-zero-limit".
     """
-    p = params.avg_power
-    branch_power = math.log(p + 2.0)
-    if params.freq_noise_var == 0.0:
-        return BoundResult(
-            BoundKind.UPPER_OUTER,
-            params,
-            RateSplit(branch_power, 0.0),
-            branch_power,
-            note="sigma-zero-limit",
-        )
-    amplitude = 0.5 * math.log(p + 1.0)
-    arg = crb_argument(p / params.oversampling, params.oversampling / params.freq_noise_var)
-    if arg > 0.0:
-        phase = max(0.5 * _LOG_2PI_OVER_E + 0.5 * math.log(arg), 0.0)
-    else:
-        phase = 0.0
-    total = min(branch_power, amplitude + phase)
-    return BoundResult(BoundKind.UPPER_OUTER, params, RateSplit(amplitude, phase), total)
+    note = "sigma-zero-limit" if params.freq_noise_var == 0.0 else ""
+    return _at_point(_upper_outer, BoundKind.UPPER_OUTER, params, note)
 
 
 def lower_partially_coherent(params: ChannelParams) -> BoundResult:
     """Achievable-rate lower bound for norm-based amplitude detection plus
     two-sample phase detection, under CN(0, P/L) inputs."""
-    p = params.avg_power
-    big_l = params.oversampling
-    s2 = params.freq_noise_var
-    amplitude = 0.5 * math.log(
-        (math.e**2 * (p + 2.0) ** 2 + 8.0 * math.pi * (big_l - 1.0))
-        / (8.0 * math.pi * math.e * (big_l + p))
-    )
-    if p == 0.0:
-        phase = 0.0
-    else:
-        # separated logs: p*L can underflow for subnormal p
-        phase = 0.5 * max(
-            _LOG_PHASE_CONST
-            + math.log(p)
-            + math.log(big_l)
-            - math.log(s2 * p + math.pi**2 * big_l * big_l),
-            0.0,
-        )
-    split = RateSplit(amplitude, phase)
-    return BoundResult(BoundKind.LOWER_PARTIALLY_COHERENT, params, split, split.clamped_total)
+    return _at_point(_lower_partially_coherent, BoundKind.LOWER_PARTIALLY_COHERENT, params)
 
 
 def lower_coherent_combining(params: ChannelParams) -> BoundResult:
@@ -117,32 +153,10 @@ def lower_coherent_combining(params: ChannelParams) -> BoundResult:
     The phase term carries no clamp of its own and goes to -inf as
     sigma2 -> inf (coherent combining is destroyed); only the total is
     clamped.  P == 0 degenerates the phase statistic, so the phase term is
-    reported as 0 there.
+    reported as 0 there.  1 - kappa and 1 - phi come from
+    :func:`owpnlab.model.derive_constants`'s kernel without cancellation.
     """
-    p = params.avg_power
-    big_l = params.oversampling
-    s2 = params.freq_noise_var
-    _, kappa, phi = derive_constants(params)
-    amplitude = max(
-        max(math.log(phi * phi / 3.0) + math.log(p / 2.0 + 1.0), 0.0)
-        + 0.5 * math.log(math.e / math.pi)
-        - 0.5 * math.log(2.0 * (1.0 + p * phi) + p * p * (1.0 - phi * phi)),
-        0.0,
-    )
-    if p == 0.0:
-        phase = 0.0
-    else:
-        denom = (
-            2.0 * s2 * p
-            + math.pi**2 * (1.0 - kappa) * big_l * p
-            + 6.0 * math.pi**2 * big_l * phi**-1.5
-        )
-        # separated logs: 2*L*p can underflow for subnormal p
-        phase = 0.5 * _LOG_PHASE_CONST + 0.5 * (
-            math.log(2.0) + math.log(big_l) + math.log(p) - math.log(denom)
-        )
-    split = RateSplit(amplitude, phase)
-    return BoundResult(BoundKind.LOWER_COHERENT_COMBINING, params, split, split.clamped_total)
+    return _at_point(_lower_coherent_combining, BoundKind.LOWER_COHERENT_COMBINING, params)
 
 
 def entropy_chi2_lower(k: int) -> float:

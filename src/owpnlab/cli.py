@@ -18,9 +18,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import bounds as bounds_mod
 from . import gdof as gdof_mod
@@ -49,6 +51,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # Read any argument that starts with '-' and a digit as a value, so that
+        # axis lists such as `--beta -2,-1,0` parse (argparse's own pattern
+        # accepts only a single negative number).  No option looks like one.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message: str) -> None:  # noqa: A003 - argparse hook
         raise UsageError(message)
 
@@ -61,8 +70,11 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def parse_axis(text: str, name: str, integer: bool = False) -> list:
-    """Parse one axis spec: 'v1,v2,...' or 'log:start:stop:n'."""
+def parse_axis(text: str, name: str, integer: bool = False, nonnegative: bool = False) -> list:
+    """Parse one axis spec: 'v1,v2,...' or 'log:start:stop:n'.
+
+    Every value must be finite; `nonnegative` also requires >= 0, and an
+    integer axis holds integers >= 1."""
     text = text.strip()
     if text.startswith("log:"):
         parts = text.split(":")
@@ -72,10 +84,12 @@ def parse_axis(text: str, name: str, integer: bool = False) -> list:
             start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
         except ValueError as exc:
             raise UsageError(f"axis {name}: bad log range {text!r}") from exc
-        if start <= 0.0 or stop <= 0.0:
-            raise UsageError(f"axis {name}: log range requires positive endpoints")
+        if not (0.0 < start < math.inf and 0.0 < stop < math.inf):
+            raise UsageError(f"axis {name}: log range requires finite positive endpoints")
         if count < 1:
             raise UsageError(f"axis {name}: log range needs n >= 1")
+        if count > GRID_CAP:
+            raise UsageError(f"axis {name}: log range n exceeds the cap {GRID_CAP}")
         if count == 1:
             values = [start]
         else:
@@ -88,6 +102,10 @@ def parse_axis(text: str, name: str, integer: bool = False) -> list:
             raise UsageError(f"axis {name}: bad value list {text!r}") from exc
     if not values:
         raise UsageError(f"axis {name}: empty")
+    for v in values:
+        if not math.isfinite(v) or (nonnegative and v < 0.0):
+            bound = "finite and >= 0" if nonnegative else "finite"
+            raise UsageError(f"axis {name}: values must be {bound}, got {v}")
     if integer:
         out = []
         for v in values:
@@ -99,7 +117,7 @@ def parse_axis(text: str, name: str, integer: bool = False) -> list:
     return sorted(values)
 
 
-def _write_rows(out_path: str | None, header: list[str], rows: list[list[str]]) -> None:
+def _write_rows(out_path: str | None, header: list[str], rows) -> None:
     text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
     if out_path is None:
         sys.stdout.write(text)
@@ -110,6 +128,8 @@ def _write_rows(out_path: str | None, header: list[str], rows: list[list[str]]) 
 
 def _map_rows(fn, tasks: list, threads: int) -> list:
     if threads > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * threads))))
     return [fn(t) for t in tasks]
@@ -117,19 +137,6 @@ def _map_rows(fn, tasks: list, threads: int) -> list:
 
 # ---------------------------------------------------------------------------
 # grid workers (module level so they pickle for the process pool)
-
-def _bounds_task(task: tuple[float, int, float]) -> tuple[float, ...]:
-    p, big_l, s2 = task
-    params = ChannelParams(p, big_l, s2)
-    up = bounds_mod.upper_outer(params)
-    pc = bounds_mod.lower_partially_coherent(params)
-    cc = bounds_mod.lower_coherent_combining(params)
-    return (
-        up.total, up.rate_split.amplitude_rate, up.rate_split.phase_rate,
-        pc.total, pc.rate_split.amplitude_rate, pc.rate_split.phase_rate,
-        cc.total, cc.rate_split.amplitude_rate, cc.rate_split.phase_rate,
-    )
-
 
 def _gdof_task(task: tuple[float, float]) -> tuple:
     point = GdofPoint(*task)
@@ -154,22 +161,47 @@ def _regime_task(task: tuple[float, int, float]) -> tuple[str, float]:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _grid(axes: list[list]) -> list[tuple]:
-    total = 1
-    for axis in axes:
-        total *= len(axis)
+def _check_grid_size(axes: list[list]) -> None:
+    total = math.prod(len(axis) for axis in axes)
     if total > GRID_CAP:
         raise UsageError(f"grid size {total} exceeds the cap {GRID_CAP}")
+
+
+def _grid(axes: list[list]) -> list[tuple]:
+    _check_grid_size(axes)
     return list(itertools.product(*axes))
 
 
+_BOUNDS_KERNELS = (
+    bounds_mod._upper_outer,
+    bounds_mod._lower_partially_coherent,
+    bounds_mod._lower_coherent_combining,
+)
+
+
 def cmd_bounds(args) -> int:
-    ps = parse_axis(args.P, "P")
+    ps = parse_axis(args.P, "P", nonnegative=True)
     ls = parse_axis(args.L, "L", integer=True)
-    s2s = parse_axis(args.sigma2, "sigma2")
+    s2s = parse_axis(args.sigma2, "sigma2", nonnegative=True)
     units = Units(args.units)
-    tasks = _grid([ps, ls, s2s])
-    values = _map_rows(_bounds_task, tasks, args.threads)
+    _check_grid_size([ps, ls, s2s])
+    # one row per grid point, P slowest and sigma2 fastest, as itertools.product
+    grid = [g.ravel() for g in np.meshgrid(ps, np.array(ls, dtype=float), s2s, indexing="ij")]
+    columns = []
+    with np.errstate(all="ignore"):  # overflow shows as nan, rejected below
+        for kernel in _BOUNDS_KERNELS:
+            columns.extend(kernel(*grid))  # total, amplitude, phase
+    undefined = np.flatnonzero(np.isnan(columns).any(axis=0))
+    if undefined.size:
+        p, big_l, s2 = (g[undefined[0]] for g in grid)
+        raise UsageError(
+            f"bounds overflow the float range at P={_fmt(p)}, L={int(big_l)}, sigma2={_fmt(s2)}"
+        )
+    cells = [[format(v, ".17g") for v in convert_rate(c, units).tolist()] for c in columns]
+    keys = [
+        ",".join(key)
+        for key in itertools.product(*([_fmt(v) for v in axis] for axis in (ps, ls, s2s)))
+    ]
     header = [
         "P", "L", "sigma2",
         "upper_total", "upper_amp", "upper_phase",
@@ -177,16 +209,12 @@ def cmd_bounds(args) -> int:
         "cc_total", "cc_amp", "cc_phase",
         "units",
     ]
-    rows = []
-    for (p, big_l, s2), vals in zip(tasks, values):
-        converted = [convert_rate(v, units) for v in vals]
-        rows.append([_fmt(p), _fmt(big_l), _fmt(s2)] + [_fmt(v) for v in converted] + [units.value])
-    _write_rows(args.out, header, rows)
+    _write_rows(args.out, header, zip(keys, *cells, itertools.repeat(units.value)))
     return EXIT_OK
 
 
 def cmd_gdof(args) -> int:
-    alphas = parse_axis(args.alpha, "alpha")
+    alphas = parse_axis(args.alpha, "alpha", nonnegative=True)
     betas = parse_axis(args.beta, "beta")
     tasks = _grid([alphas, betas])
     values = _map_rows(_gdof_task, tasks, args.threads)
@@ -207,9 +235,9 @@ def cmd_gdof(args) -> int:
 
 
 def cmd_regimes(args) -> int:
-    ps = parse_axis(args.P, "P")
+    ps = parse_axis(args.P, "P", nonnegative=True)
     ls = parse_axis(args.L, "L", integer=True)
-    s2s = parse_axis(args.sigma2, "sigma2")
+    s2s = parse_axis(args.sigma2, "sigma2", nonnegative=True)
     units = Units(args.units)
     tasks = _grid([ps, ls, s2s])
     values = _map_rows(_regime_task, tasks, args.threads)
@@ -225,6 +253,12 @@ def cmd_regimes(args) -> int:
 def cmd_riccati(args) -> int:
     x = float(args.x)
     ratio = float(args.ratio)
+    if not 0.0 <= x < math.inf:
+        raise UsageError(f"--x must be finite and >= 0, got {x}")
+    if not 0.0 < ratio < math.inf:
+        raise UsageError(f"--ratio must be finite and > 0, got {ratio}")
+    if not math.isfinite(x * x + 4.0 * ratio * x + ratio * ratio):
+        raise UsageError("--x and --ratio too large: x^2 + 4 x ratio + ratio^2 overflows")
     closed = riccati.riccati_fixed_point(x, ratio)
     lines = [f"x (input second moment)  : {_fmt(x)}", f"r (L / sigma2)           : {_fmt(ratio)}"]
     state = riccati.FisherState(0.0, x, ratio)
@@ -249,11 +283,11 @@ def cmd_riccati(args) -> int:
         lines.append(f"  {i:4d}  {_fmt(j)}")
     lines.append(f"converged after {steps} steps: J = {_fmt(state.J)}")
     lines.append(f"closed-form fixed point     : {_fmt(closed)}")
-    if x > 0.0:
+    if riccati.crb_argument(x, ratio) > 0.0:
         crb = riccati.posterior_crb_entropy_lower(x, ratio)
         lines.append(f"posterior-CRB entropy bound : {_fmt(crb)} nats")
-    else:
-        lines.append("posterior-CRB entropy bound : undefined at x = 0")
+    else:  # x == 0, or x * ratio underflows
+        lines.append(f"posterior-CRB entropy bound : undefined at x = {_fmt(x)}")
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -467,6 +501,8 @@ def _fill_defaults(args: argparse.Namespace) -> None:
             raise UsageError(f"missing required axis --{axis}")
     if hasattr(args, "threads") and args.threads < 1:
         raise UsageError("--threads must be >= 1")
+    if hasattr(args, "seed") and args.seed < 0:
+        raise UsageError("--seed must be >= 0")
 
 
 def main(argv: list[str] | None = None) -> int:

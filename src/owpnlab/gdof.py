@@ -15,9 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .model import ChannelParams, GdofPoint
+
+if TYPE_CHECKING:
+    from .bounds import BoundResult
 
 _TIE_TOL = 1e-12
 _MAX_OVERSAMPLING = 2**62
@@ -248,7 +251,7 @@ def channel_at_power(point: GdofPoint, avg_power: float) -> ChannelParams:
 
 
 def empirical_prelog(
-    bound_fn: Callable[[ChannelParams], "BoundTotal"],
+    bound_fn: Callable[[ChannelParams], BoundResult | float],
     point: GdofPoint,
     power_lo: float,
     power_hi: float,

@@ -51,8 +51,7 @@ class MiEstimate:
 
 def _plugin_mi(ix: np.ndarray, iy: np.ndarray, n_bins: int) -> MiEstimate:
     n = ix.size
-    joint = np.zeros((n_bins, n_bins), dtype=np.int64)
-    np.add.at(joint, (ix, iy), 1)
+    joint = np.bincount(ix * n_bins + iy, minlength=n_bins * n_bins).reshape(n_bins, n_bins)
     row = joint.sum(axis=1)
     col = joint.sum(axis=0)
     nz = joint > 0

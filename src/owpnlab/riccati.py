@@ -23,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelParams
+from .model import ChannelParams, _point
 from .sim import _blocked_sum
 
 LOG_2PI = math.log(2.0 * math.pi)
 LOG_2PIE = math.log(2.0 * math.pi * math.e)
+_LOG_2PI_OVER_E = math.log(2.0 * math.pi / math.e)
 
 
 @dataclass(frozen=True)
@@ -95,14 +96,16 @@ def iterate_fixed_point(
     )
 
 
+def _crb_argument(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    # array kernel of crb_argument
+    with np.errstate(invalid="ignore"):  # 0/0 at x == 0
+        return np.where(x == 0.0, 0.0, 2.0 * r * x / (np.sqrt(x * x + 4.0 * r * x) + x))
+
+
 def crb_argument(x_mean_sq: float, l_over_sigma2: float) -> float:
     """The stationary prediction-error scale J* - x = sqrt(x^2 + 4rx)/2 - x/2,
     evaluated in the cancellation-free form 2rx / (sqrt(x^2 + 4rx) + x)."""
-    x = x_mean_sq
-    r = l_over_sigma2
-    if x == 0.0:
-        return 0.0
-    return 2.0 * r * x / (math.sqrt(x * x + 4.0 * r * x) + x)
+    return float(_crb_argument(*_point(x_mean_sq, l_over_sigma2))[0])
 
 
 def posterior_crb_entropy_lower(x_mean_sq: float, l_over_sigma2: float) -> float:
@@ -120,6 +123,14 @@ def posterior_crb_entropy_lower(x_mean_sq: float, l_over_sigma2: float) -> float
     return 0.5 * LOG_2PIE - 0.5 * math.log(crb_argument(x_mean_sq, l_over_sigma2))
 
 
+def _phase_rate_upper(p: np.ndarray, big_l: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    # array kernel of phase_rate_upper; log(0) = -inf clamps to 0 at P == 0,
+    # and sigma2 == 0 gives nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        arg = _crb_argument(p / big_l, big_l / s2)
+        return np.maximum(0.5 * _LOG_2PI_OVER_E + 0.5 * np.log(arg), 0.0)
+
+
 def phase_rate_upper(params: ChannelParams) -> float:
     """Upper bound on the phase-modulation rate in nats:
 
@@ -130,11 +141,8 @@ def phase_rate_upper(params: ChannelParams) -> float:
     """
     if params.freq_noise_var <= 0.0:
         raise ValueError("phase_rate_upper needs sigma2 > 0 (the argument diverges at 0)")
-    p = params.avg_power
-    if p == 0.0:
-        return 0.0
-    arg = crb_argument(p / params.oversampling, params.oversampling / params.freq_noise_var)
-    return max(0.5 * math.log(2.0 * math.pi / math.e) + 0.5 * math.log(arg), 0.0)
+    point = _point(params.avg_power, params.oversampling, params.freq_noise_var)
+    return float(_phase_rate_upper(*point)[0])
 
 
 def immse_entropy_quadrature(

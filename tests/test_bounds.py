@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import digamma, gammaln
 
 import _oracles
+from owpnlab import bounds
 from owpnlab.bounds import (
     BoundKind,
     EULER_MASCHERONI,
@@ -17,7 +18,8 @@ from owpnlab.bounds import (
     lower_partially_coherent,
     upper_outer,
 )
-from owpnlab.model import ChannelParams, derive_constants
+from owpnlab.model import ChannelParams, _coherence, derive_constants
+from owpnlab.riccati import _phase_rate_upper, phase_rate_upper
 from owpnlab.sim import estimate_F_moments, substream
 
 FOUR_LN2 = 4.0 * math.log(2.0)
@@ -59,9 +61,9 @@ class TestUpperOuter:
         assert res.total == pytest.approx(math.log(7.0), rel=1e-15)
 
     def test_matches_oracle_on_grid(self):
-        for p in (0.5, 2.0, 30.0, 1e6):
-            for big_l in (1, 3, 64):
-                for s2 in (1e-4, 0.3, 9.0):
+        for p in (0.5, 2.0, 30.0, 1e6, 1e12):
+            for big_l in (1, 3, 64, 10**6):
+                for s2 in (1e-6, 1e-4, 0.3, 9.0):
                     res = upper_outer(ChannelParams(p, big_l, s2))
                     _, _, total = _oracles.upper_outer(p, big_l, s2)
                     assert res.total == pytest.approx(total, rel=1e-12, abs=1e-12)
@@ -92,9 +94,9 @@ class TestLowerPartiallyCoherent:
         assert slope == pytest.approx(0.75, abs=0.02)
 
     def test_matches_oracle_on_grid(self):
-        for p in (1e-3, 1.0, 250.0, 1e9):
-            for big_l in (1, 7, 128):
-                for s2 in (0.0, 1e-3, 2.0, 50.0):
+        for p in (1e-3, 1.0, 250.0, 1e9, 1e12):
+            for big_l in (1, 7, 128, 10**6):
+                for s2 in (0.0, 1e-6, 1e-3, 2.0, 50.0):
                     res = lower_partially_coherent(ChannelParams(p, big_l, s2))
                     amp, phase, total = _oracles.lower_pc(p, big_l, s2)
                     assert res.rate_split.amplitude_rate == pytest.approx(amp, rel=1e-12, abs=1e-12)
@@ -133,9 +135,9 @@ class TestLowerCoherentCombining:
         assert slope == pytest.approx(1.0, abs=0.02)
 
     def test_matches_oracle_on_grid(self):
-        for p in (1e-2, 3.0, 1e4):
-            for big_l in (1, 2, 16):
-                for s2 in (0.0, 0.2, FOUR_LN2, 30.0):
+        for p in (1e-2, 3.0, 1e4, 1e8, 1e12):
+            for big_l in (1, 2, 16, 1000, 10**6):
+                for s2 in (0.0, 1e-6, 1e-3, 0.2, 0.999, 1.001, FOUR_LN2, 30.0):
                     res = lower_coherent_combining(ChannelParams(p, big_l, s2))
                     amp, phase, total = _oracles.lower_cc(p, big_l, s2)
                     assert res.rate_split.amplitude_rate == pytest.approx(amp, rel=1e-12, abs=1e-12)
@@ -181,6 +183,40 @@ class TestSandwichAndShape:
         for fn in (lower_partially_coherent, lower_coherent_combining):
             low = fn(params).total
             assert math.isfinite(low) and 0.0 <= low <= upper + 1e-9
+
+
+class TestArrayKernels:
+    # a grid mixing P == 0, subnormal P, sigma2 == 0, L == 1, and both sides
+    # of the series/closed-form switch at sigma2 = 1
+    P_AXIS = [0.0, 5e-324, 1e-3, 1.0, 37.5, 1e6, 1e12]
+    L_AXIS = [1, 2, 3, 16, 1000, 10**6]
+    S2_AXIS = [0.0, 1e-6, 1e-3, 0.4, 1.0, 1.0000001, 4.0, 100.0]
+
+    def grid(self):
+        mesh = np.meshgrid(self.P_AXIS, np.array(self.L_AXIS, dtype=float), self.S2_AXIS,
+                           indexing="ij")
+        return [g.ravel() for g in mesh]
+
+    def test_bounds_equal_scalar_wrappers_bit_for_bit(self):
+        p, big_l, s2 = self.grid()
+        for kernel, fn in ((bounds._upper_outer, upper_outer),
+                           (bounds._lower_partially_coherent, lower_partially_coherent),
+                           (bounds._lower_coherent_combining, lower_coherent_combining)):
+            totals, amps, phases = kernel(p, big_l, s2)
+            for i in range(p.size):
+                res = fn(ChannelParams(float(p[i]), int(big_l[i]), float(s2[i])))
+                got = (res.total, res.rate_split.amplitude_rate, res.rate_split.phase_rate)
+                assert got == (totals[i], amps[i], phases[i]), (fn.__name__, p[i], big_l[i], s2[i])
+
+    def test_constants_equal_scalar_wrappers_bit_for_bit(self):
+        p, big_l, s2 = self.grid()
+        xi, kappa, phi, _, _ = _coherence(s2, big_l)
+        rate = _phase_rate_upper(p, big_l, s2)
+        for i in range(p.size):
+            params = ChannelParams(float(p[i]), int(big_l[i]), float(s2[i]))
+            assert tuple(derive_constants(params)) == (xi[i], kappa[i], phi[i])
+            if s2[i] > 0.0:
+                assert phase_rate_upper(params) == rate[i]
 
 
 class TestEntropyInequalities:

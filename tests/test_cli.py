@@ -1,6 +1,10 @@
+import contextlib
+import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from owpnlab.cli import (
     EXIT_IO,
@@ -105,6 +109,15 @@ class TestGdofCommand:
         assert open_row["d_exact"] == ""
         assert open_row["regime_of_exactness"] == ""
 
+    def test_readme_negative_beta_list(self, tmp_path):
+        # the README's example: a comma list starting with '-' is a value
+        out = tmp_path / "gdof.csv"
+        assert main(["gdof", "--alpha", "log:0.01:3:50", "--beta", "-2,-1,0,1,2",
+                     "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out)
+        assert len(rows) == 250
+        assert sorted({float(r["beta"]) for r in rows}) == [-2.0, -1.0, 0.0, 1.0, 2.0]
+
     def test_awgn_row(self, tmp_path):
         out = tmp_path / "g.csv"
         main(["gdof", "--alpha", "0", "--beta", "-2", "--out", str(out)])
@@ -199,7 +212,85 @@ class TestConfigAndErrors:
         assert main(["bounds", "--P", "1", "--L", "1", "--sigma2", "1",
                      "--out", str(missing)]) == EXIT_IO
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--P", "nan", "--L", "1", "--sigma2", "1"],
+        ["bounds", "--P", "inf", "--L", "1", "--sigma2", "1"],
+        ["bounds", "--P", "1", "--L", "1", "--sigma2", "-1"],
+        ["bounds", "--P", "1", "--L", "inf", "--sigma2", "1"],
+        ["bounds", "--P", "log:1:inf:3", "--L", "1", "--sigma2", "1"],
+        ["regimes", "--P", "nan", "--L", "1", "--sigma2", "1"],
+        ["gdof", "--alpha", "-1", "--beta", "0"],
+        ["gdof", "--alpha", "0", "--beta", "nan"],
+        ["riccati", "--x", "-1", "--ratio", "1"],
+        ["riccati", "--x", "nan", "--ratio", "1"],
+        ["riccati", "--x", "1", "--ratio", "0"],
+        ["riccati", "--x", "1", "--ratio", "1e200"],
+        ["verify", "--seed", "-1", "--samples", "10000"],
+    ])
+    def test_out_of_domain_is_usage_error(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("owpnlab: ") and err.count("\n") == 1
+
+    def test_log_range_count_capped_before_generation(self):
+        assert main(["bounds", "--P", "log:1:10:99999999999", "--L", "1",
+                     "--sigma2", "1"]) == EXIT_USAGE
+
     def test_grid_cap(self):
         assert main(["bounds", "--P", "log:1:10:500", "--L",
                      ",".join(str(i) for i in range(1, 200)),
                      "--sigma2", "log:0.1:10:200"]) == EXIT_USAGE
+
+
+# Any argv over the five subcommands exits with a documented code and never
+# raises.  One flag of a valid argv gets a drawn value or is left out.  Grids
+# stay at most 3 x 3 x 3 and verify is always given fewer than 10000 samples,
+# so no example starts a Monte Carlo run.
+_VALUES = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "-2,-1,0", "1e308", "5e-324", "0"]),
+    st.sampled_from([
+        "", ",", "abc", "1.5", "log:1:10:3", "log:0:1:2", "log:1:inf:2", "log:1:10",
+        "log:1:10:0", "log:1e-300:1e300:3", "log:1:10:99999999999",
+    ]),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=3)
+    .map(lambda vs: ",".join(repr(v) for v in vs)),
+    st.integers(min_value=-5, max_value=10**6).map(str),
+    st.none(),
+)
+
+
+def _command(name, flags, extra=()):
+    """A valid argv for one subcommand, `flags` mapping each flag to a valid
+    value, with one flag given a drawn value or left out."""
+    def build(choice):
+        target, drawn = choice
+        argv = [name, *extra]
+        for flag, valid in flags.items():
+            value = drawn if flag == target else valid
+            if value is not None:
+                argv += [flag, value]
+        return argv
+
+    return st.tuples(st.sampled_from(list(flags)), _VALUES).map(build)
+
+
+_GRID = {"--P": "0,1,1e3", "--L": "1,4", "--sigma2": "0,0.5", "--units": "bits",
+         "--seed": "3"}
+_ARGV = st.one_of(
+    _command("bounds", _GRID),
+    _command("regimes", _GRID, ("--threads", "1")),
+    _command("gdof", {"--alpha": "0,0.5", "--beta": "-1,0", "--units": "nats"},
+             ("--threads", "1")),
+    _command("riccati", {"--x": "1", "--ratio": "2"}, ("--max-iter", "50")),
+    _command("verify", {"--seed": "1", "--units": "bits", "--tolerance-scale": "0"},
+             ("--samples", "9999")),
+    _command("bogus", {"--P": "1"}),
+)
+
+
+@given(_ARGV)
+@settings(max_examples=300, deadline=None)
+def test_any_argv_exits_with_documented_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, EXIT_IO)

@@ -1,16 +1,20 @@
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owpnlab.model import (
+    _ONE_MINUS_PHI_COEFFS,
     ChannelParams,
     GdofPoint,
     McEstimate,
     RateSplit,
     Units,
+    _coherence,
     convert_rate,
     derive_constants,
     per_symbol_power,
@@ -36,6 +40,32 @@ def direct_kappa(big_l: int, sigma2: float) -> float:
         return 1.0
     xi = math.exp(-sigma2 / (2.0 * big_l))
     return math.fsum(xi**d for d in range(big_l)) / big_l
+
+
+def bernoulli(m: int) -> Fraction:
+    # B_m as an exact rational (B_1 = -1/2; it never enters the table)
+    values = [Fraction(1)]
+    for n in range(1, m + 1):
+        values.append(-sum(math.comb(n + 1, k) * values[k] for k in range(n)) / (n + 1))
+    return values[m]
+
+
+def one_minus_phi_row(j: int) -> list[Fraction]:
+    """Exact coefficients of h^j in 1 - phi, in powers of 1/L^2.
+
+    c_j(L) = (2/L^(j+2)) sum_{d=1}^{L-1} (L-d) d^j; Faulhaber's formula for
+    the power sums gives c_j(L)/j! = 2/(j+2)!
+    + sum_{k=2}^{j} 2 B_k (1-k) / (k! (j+2-k)!) L^-k - 2 B_{j+1} / j! L^-(j+1),
+    where only even k carry a nonzero B_k."""
+    coeffs = [Fraction(2, math.factorial(j + 2))]
+    for k in range(2, j + 2, 2):
+        c = Fraction(0)
+        if k <= j:
+            c += 2 * bernoulli(k) * (1 - k) / (math.factorial(k) * math.factorial(j + 2 - k))
+        if k == j + 1:
+            c -= 2 * bernoulli(j + 1) / math.factorial(j)
+        coeffs.append(c)
+    return [c if j % 2 else -c for c in coeffs]
 
 
 class TestChannelParams:
@@ -104,13 +134,47 @@ class TestDeriveConstants:
 
     def test_series_closed_form_agree_at_switch(self):
         # the hybrid switches at sigma2/2 = 1/2; both paths must agree nearby
-        from owpnlab.model import _phi_closed, _phi_series
+        from owpnlab.model import _one_minus_phi_series, _phi_closed
 
         for big_l in (2, 9, 128, 10**6):
             for half in (0.2, 0.45, 0.5, 0.55, 0.9):
                 closed = _phi_closed(half, big_l)
-                series = _phi_series(half, big_l)
+                series = 1.0 - _one_minus_phi_series(half, big_l)
                 assert series == pytest.approx(closed, rel=5e-13)
+
+    def test_phi_table_is_exact(self):
+        # each entry is its rational rounded once to float
+        for j, row in enumerate(_ONE_MINUS_PHI_COEFFS, start=1):
+            assert row == tuple(float(c) for c in one_minus_phi_row(j)), j
+
+    def test_phi_table_rows_match_power_sums(self):
+        # the Faulhaber rows against c_j(L)/j! summed directly, in exact rationals
+        for j in range(1, len(_ONE_MINUS_PHI_COEFFS) + 1):
+            for big_l in (2, 3, 5, 16):
+                c_j = Fraction(2 * sum((big_l - d) * d**j for d in range(1, big_l)),
+                               big_l ** (j + 2) * math.factorial(j))
+                poly = sum(c * Fraction(1, big_l**2) ** m
+                           for m, c in enumerate(one_minus_phi_row(j)))
+                assert poly == (c_j if j % 2 else -c_j), (j, big_l)
+
+    @pytest.mark.parametrize("big_l", [1, 2, 3, 16, 1000, 10**6, 10**9])
+    def test_one_minus_constants_keep_relative_accuracy(self, big_l):
+        # 1 - kappa and 1 - phi against 50-digit values, also where kappa and
+        # phi round to 1
+        s2s = [1e-9, 1e-6, 1e-3, 0.3, 0.999, 1.0, 1.001, 3.0, 40.0]
+        _, kappa, phi, om_kappa, om_phi = _coherence(np.array(s2s), np.full(len(s2s), float(big_l)))
+        for i, s2 in enumerate(s2s):
+            if big_l == 1:
+                assert (kappa[i], phi[i], om_kappa[i], om_phi[i]) == (1.0, 1.0, 0.0, 0.0)
+                continue
+            with mp.workdps(60):
+                xi = mp.exp(-mp.mpf(s2) / (2 * big_l))
+                ref_kappa = 1 - (1 - xi**big_l) / (big_l * (1 - xi))
+                ref_phi = 1 - (
+                    big_l - 2 * xi * (big_l * (xi - 1) - xi**big_l + 1) / (1 - xi) ** 2
+                ) / big_l**2
+                assert abs(om_kappa[i] - ref_kappa) <= 1e-14 * ref_kappa, s2
+                assert abs(om_phi[i] - ref_phi) <= 1e-14 * ref_phi, s2
 
     def test_huge_oversampling(self):
         # closed forms must stay accurate for GDoF-scale L
