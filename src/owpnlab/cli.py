@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -126,12 +127,21 @@ def _write_rows(out_path: str | None, header: list[str], rows) -> None:
             fh.write(text)
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _map_rows(fn, tasks: list, threads: int) -> list:
-    if threads > 1 and len(tasks) > 1:
+    # never more workers than tasks or usable CPUs: each worker is a process
+    workers = min(threads, len(tasks), _available_cpus())
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * threads))))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     return [fn(t) for t in tasks]
 
 
@@ -261,27 +271,25 @@ def cmd_riccati(args) -> int:
         raise UsageError("--x and --ratio too large: x^2 + 4 x ratio + ratio^2 overflows")
     closed = riccati.riccati_fixed_point(x, ratio)
     lines = [f"x (input second moment)  : {_fmt(x)}", f"r (L / sigma2)           : {_fmt(ratio)}"]
-    state = riccati.FisherState(0.0, x, ratio)
-    trace = [state.J]
-    steps = 0
     try:
-        for _ in range(args.max_iter):
-            nxt = riccati.riccati_step(state)
-            steps += 1
-            trace.append(nxt.J)
-            if abs(nxt.J - state.J) <= 1e-12 * (1.0 + abs(nxt.J)):
-                state = nxt
-                break
-            state = nxt
-        else:
-            raise RuntimeError(f"no convergence within {args.max_iter} iterations")
+        fixed, steps = riccati.iterate_fixed_point(x, ratio, tol=1e-12, max_iter=args.max_iter)
     except RuntimeError as exc:
         sys.stderr.write(f"riccati: {exc}\n")
         return EXIT_VERIFY_FAIL
+    except ValueError:  # rounding in (x + r) - r^2 / (J + r) drove J below 0
+        sys.stderr.write(
+            f"riccati: the iteration lost precision (J < 0) at x={_fmt(x)}, r={_fmt(ratio)}\n"
+        )
+        return EXIT_VERIFY_FAIL
+    state = riccati.FisherState(0.0, x, ratio)
+    trace = [state.J]
+    for _ in range(min(steps, 9)):
+        state = riccati.riccati_step(state)
+        trace.append(state.J)
     lines.append("iteration trace (first 10):")
-    for i, j in enumerate(trace[:10]):
+    for i, j in enumerate(trace):
         lines.append(f"  {i:4d}  {_fmt(j)}")
-    lines.append(f"converged after {steps} steps: J = {_fmt(state.J)}")
+    lines.append(f"converged after {steps} steps: J = {_fmt(fixed)}")
     lines.append(f"closed-form fixed point     : {_fmt(closed)}")
     if riccati.crb_argument(x, ratio) > 0.0:
         crb = riccati.posterior_crb_entropy_lower(x, ratio)

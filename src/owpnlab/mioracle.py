@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ChannelParams, per_symbol_power
-from .sim import substream
+from .sim import _channel, _chunks, _wiener_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -118,24 +118,16 @@ def amplitude_channel_mi(
     sym_power = per_symbol_power(params)
     x2 = np.empty(n_samples)
     ynorm = np.empty(n_samples)
-    rows = max(1, _CHUNK // big_l)
-    done = 0
-    chunk = 0
     scale = math.sqrt(params.freq_noise_var / big_l)
     amp = math.sqrt(sym_power / 2.0)
-    while done < n_samples:
-        m = min(rows, n_samples - done)
-        rng = substream(rng_seed, chunk)
+    for rng, start, m in _chunks(rng_seed, n_samples, max(1, _CHUNK // big_l)):
         x = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * amp
         theta0 = rng.uniform(0.0, TWO_PI, m)
-        increments = rng.normal(0.0, scale, size=(m, big_l))
-        theta = theta0[:, None] + np.cumsum(increments, axis=1)
+        theta = theta0[:, None] + _wiener_rows(rng, m, big_l + 1, scale)[:, 1:]
         noise = rng.standard_normal((m, big_l)) + 1j * rng.standard_normal((m, big_l))
-        y = x[:, None] * np.exp(1j * theta) + noise
-        x2[done : done + m] = np.abs(x) ** 2
-        ynorm[done : done + m] = np.sum(np.abs(y) ** 2, axis=1)
-        done += m
-        chunk += 1
+        y = _channel(x, theta, noise)
+        x2[start : start + m] = np.abs(x) ** 2
+        ynorm[start : start + m] = np.sum(np.abs(y) ** 2, axis=1)
     return histogram_mi(x2, ynorm, n_bins)
 
 
@@ -159,11 +151,7 @@ def phase_channel_mi(
     inc_std = math.sqrt(params.freq_noise_var / big_l)
     angles = np.empty(n_samples)
     psi = np.empty(n_samples)
-    done = 0
-    chunk = 0
-    while done < n_samples:
-        m = min(_CHUNK, n_samples - done)
-        rng = substream(rng_seed, chunk)
+    for rng, start, m in _chunks(rng_seed, n_samples, _CHUNK):
         x0 = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * amp
         x1 = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * amp
         theta_last = rng.uniform(0.0, TWO_PI, m)
@@ -172,8 +160,6 @@ def phase_channel_mi(
         w_first = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         y_last = x0 * np.exp(1j * theta_last) + w_last
         y_first = x1 * np.exp(1j * (theta_last + step)) + w_first
-        angles[done : done + m] = np.angle(x1)
-        psi[done : done + m] = np.angle(y_first) - np.angle(y_last) + np.angle(x0)
-        done += m
-        chunk += 1
+        angles[start : start + m] = np.angle(x1)
+        psi[start : start + m] = np.angle(y_first) - np.angle(y_last) + np.angle(x0)
     return _plugin_mi(_circular_bins(angles, n_bins), _circular_bins(psi, n_bins), n_bins)

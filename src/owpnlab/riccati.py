@@ -11,9 +11,6 @@ so the information recursion specializes to the scalar Riccati map
     J' = x + r - r^2 / (J + r),      x = E|X|^2,  r = L/sigma2,
 
 whose stationary point J* = x/2 + sqrt(x^2 + 4 r x)/2 is a global attractor.
-Only these score constants ship; the general one-step recursion is exposed as
-:func:`information_recursion_step` for completeness but no other observation
-model is provided.
 """
 
 from __future__ import annotations
@@ -49,18 +46,10 @@ class FisherState:
             raise ValueError("l_over_sigma2 must be > 0")
 
 
-def information_recursion_step(
-    J: float, d11: float, d12: float, d21: float, d22: float
-) -> float:
-    """One step J' = D22 - D21 (J + D11)^{-1} D12 of the scalar information
-    recursion for a first-order state-space model."""
-    return d22 - d21 * d12 / (J + d11)
-
-
 def riccati_step(state: FisherState) -> FisherState:
     """Advance the phase-tracking Fisher information by one observation."""
     r = state.l_over_sigma2
-    next_j = information_recursion_step(state.J, r, -r, -r, state.x_mean_sq + r)
+    next_j = (state.x_mean_sq + r) - r * r / (state.J + r)
     return FisherState(next_j, state.x_mean_sq, r)
 
 

@@ -1,19 +1,27 @@
 """Sampling machinery for the OWPN channel and the Monte Carlo estimators
 used to cross-check every closed-form constant.
 
+One engine serves every Monte Carlo path here and in :mod:`owpnlab.mioracle`:
+:func:`_chunks` splits a sample budget into chunks, :func:`_wiener_rows`
+builds Wiener phase paths and :func:`_channel` rotates symbols by a block of
+phases and adds noise; :func:`transmit` runs the same channel kernel as the
+amplitude MI oracle.
+
 Randomness discipline: a master seed names a family of independent substreams
 via ``SeedSequence(seed, spawn_key=(index,))``.  Monte Carlo estimators split
 their sample budget into fixed-size chunks and draw chunk ``i`` from substream
-``i``.  The reduction order is fixed in full: inside a chunk, the per-sample
-values are cut into consecutive 8192-element blocks, each block is summed by
-``np.sum`` and the block sums are added left to right (:func:`_blocked_sum`);
-the chunk sums are then added in ascending chunk order.  Results are therefore
-bit-identical for a given (seed, n_samples) regardless of how the chunks would
-be scheduled, of ``--threads``, and of the numpy version on either side of
-2.3, where ``np.sum`` of a long array stopped working in 8192-element buffers.
-Not covered: a different numpy ``Generator`` stream, or elementwise
-``exp``/``cos``/``log``/``power`` results that differ in another numpy or
-libm build.
+``i``; each caller passes its own rows per chunk (``_chunk_rows(width)`` here,
+fixed counts in the MI oracles), and that chunk geometry is part of the
+reproducibility key.  The reduction order is fixed in full: inside a chunk,
+the per-sample values are cut into consecutive 8192-element blocks, each
+block is summed by ``np.sum`` and the block sums are added left to right
+(:func:`_blocked_sum`); the chunk sums are then added in ascending chunk
+order.  Results are therefore bit-identical for a given (seed, n_samples)
+regardless of how the chunks would be scheduled, of ``--threads``, and of the
+numpy version on either side of 2.3, where ``np.sum`` of a long array stopped
+working in 8192-element buffers.  Not covered: a different numpy
+``Generator`` stream, or elementwise ``exp``/``cos``/``log``/``power`` results
+that differ in another numpy or libm build.
 
 Samples are never recombined to a coarser sampling grid: the discrete channel
 law drops the intra-sample fading information such recombining would need, so
@@ -24,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -90,61 +98,66 @@ class _Accumulator:
         return McEstimate(mean, math.sqrt(var / self.n), self.n, seed)
 
 
-@dataclass(frozen=True)
-class PhasePath:
-    """A Wiener phase trajectory: theta[0] uniform on [0, 2pi), increments
-    i.i.d. N(0, sigma2/L).  Length is n_symbols * L + 1."""
-
-    theta: np.ndarray
-    sigma2: float
-    oversampling: int
-
-
-@dataclass(frozen=True)
-class ChannelBlock:
-    """Inputs (length M) and channel outputs (length M*L); the additive noise
-    is CN(0, 2), i.e. unit variance per real dimension."""
-
-    inputs: np.ndarray
-    outputs: np.ndarray
+def _chunks(
+    seed: int, n_samples: int, rows: int
+) -> Iterator[tuple[np.random.Generator, int, int]]:
+    """Yield ``(rng, start, m)`` for consecutive chunks of `rows` samples (the
+    last one partial) covering `n_samples`; chunk ``i`` draws from
+    ``substream(seed, i)``."""
+    for index, start in enumerate(range(0, n_samples, rows)):
+        yield substream(seed, index), start, min(rows, n_samples - start)
 
 
-def sample_phase_path(params: ChannelParams, n_symbols: int, rng_seed: int) -> PhasePath:
-    """Draw one phase trajectory covering `n_symbols` symbol intervals."""
+def _wiener_rows(rng: np.random.Generator, m: int, n: int, step_std: float) -> np.ndarray:
+    """`m` Wiener paths of `n` points starting at 0, as an ``(m, n)`` array:
+    column ``k`` is the sum of the first ``k`` of ``n - 1`` i.i.d.
+    N(0, step_std^2) increments."""
+    rows = np.empty((m, n))
+    rows[:, 0] = 0.0
+    np.cumsum(rng.normal(0.0, step_std, size=(m, n - 1)), axis=1, out=rows[:, 1:])
+    return rows
+
+
+def _channel(x: np.ndarray, theta: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Outputs of `M` symbols `x` over an ``(M, L)`` block of phases and noise."""
+    return x[:, None] * np.exp(1j * theta) + noise
+
+
+def sample_phase_path(params: ChannelParams, n_symbols: int, rng_seed: int) -> np.ndarray:
+    """Draw one phase trajectory covering `n_symbols` symbol intervals:
+    theta[0] uniform on [0, 2pi), increments i.i.d. N(0, sigma2/L), length
+    n_symbols * L + 1."""
     if n_symbols < 1:
         raise ValueError(f"n_symbols must be >= 1, got {n_symbols}")
     big_l = params.oversampling
     rng = substream(rng_seed, 0)
     theta0 = rng.uniform(0.0, TWO_PI)
-    increments = rng.normal(
-        0.0, math.sqrt(params.freq_noise_var / big_l), size=n_symbols * big_l
-    )
-    theta = np.empty(n_symbols * big_l + 1)
-    theta[0] = theta0
-    np.cumsum(increments, out=theta[1:])
-    theta[1:] += theta0
-    return PhasePath(theta, params.freq_noise_var, big_l)
+    step_std = math.sqrt(params.freq_noise_var / big_l)
+    return theta0 + _wiener_rows(rng, 1, n_symbols * big_l + 1, step_std)[0]
 
 
 def transmit(
     params: ChannelParams,
     inputs: np.ndarray,
-    path: PhasePath,
+    theta: np.ndarray,
     rng_seed: int,
     noise: np.ndarray | None = None,
-) -> ChannelBlock:
+) -> np.ndarray:
     """Push a symbol sequence through the channel: Y_n = X_{ceil(n/L)} e^{j Theta_n} + W_n.
 
-    Inputs violating the per-sample power budget P/L are allowed but warned
-    about (verification probes must be free to go off-constraint).  `noise`
-    overrides the CN(0, 2) additive noise draw, for deterministic injection.
+    `theta` is a phase path from :func:`sample_phase_path`; returns the M*L
+    outputs.  Inputs violating the per-sample power budget P/L are allowed
+    but warned about (verification probes must be free to go off-constraint).
+    `noise` overrides the CN(0, 2) additive noise draw, for deterministic
+    injection.
     """
-    inputs = np.asarray(inputs, dtype=np.complex128)
+    inputs = np.asarray(inputs, dtype=np.complex128).reshape(-1)
+    theta = np.asarray(theta, dtype=float)
     big_l = params.oversampling
     n_out = inputs.size * big_l
-    if path.theta.size != n_out + 1:
+    if theta.size != n_out + 1:
         raise ValueError(
-            f"path length {path.theta.size} does not match {inputs.size} symbols at L={big_l}"
+            f"path length {theta.size} does not match {inputs.size} symbols at L={big_l}"
         )
     mean_power = float(np.mean(np.abs(inputs) ** 2)) if inputs.size else 0.0
     budget = per_symbol_power(params)
@@ -161,9 +174,8 @@ def transmit(
         noise = np.asarray(noise, dtype=np.complex128)
         if noise.size != n_out:
             raise ValueError(f"noise length {noise.size} != {n_out}")
-    upsampled = np.repeat(inputs, big_l)
-    outputs = upsampled * np.exp(1j * path.theta[1:]) + noise
-    return ChannelBlock(inputs, outputs)
+    block = (inputs.size, big_l)
+    return _channel(inputs, theta[1:].reshape(block), noise.reshape(block)).reshape(-1)
 
 
 class FMoments(NamedTuple):
@@ -183,23 +195,12 @@ def estimate_F_moments(params: ChannelParams, n_samples: int, rng_seed: int) -> 
     big_l = params.oversampling
     scale = math.sqrt(params.freq_noise_var / big_l)
     acc_m2, acc_m4, acc_re = _Accumulator(), _Accumulator(), _Accumulator()
-    rows = _chunk_rows(big_l)
-    done = 0
-    chunk = 0
-    while done < n_samples:
-        m = min(rows, n_samples - done)
-        rng = substream(rng_seed, chunk)
-        increments = rng.normal(0.0, scale, size=(m, big_l - 1))
-        rel = np.empty((m, big_l))
-        rel[:, 0] = 0.0
-        np.cumsum(increments, axis=1, out=rel[:, 1:])
-        f = np.mean(np.exp(1j * rel), axis=1)
+    for rng, _, m in _chunks(rng_seed, n_samples, _chunk_rows(big_l)):
+        f = np.mean(np.exp(1j * _wiener_rows(rng, m, big_l, scale)), axis=1)
         mag2 = np.abs(f) ** 2
         acc_m2.add(mag2)
         acc_m4.add(mag2 * mag2)
         acc_re.add(f.real)
-        done += m
-        chunk += 1
     return FMoments(
         acc_m2.estimate(rng_seed), acc_m4.estimate(rng_seed), acc_re.estimate(rng_seed)
     )
@@ -227,21 +228,11 @@ def simulate_fading_integral(
     amp = math.sqrt(sigma2_over_L)
     step_std = math.sqrt(1.0 / n_time_steps)
     acc_re, acc_im = _Accumulator(), _Accumulator()
-    rows = _chunk_rows(n_time_steps)
-    done = 0
-    chunk = 0
-    while done < n_samples:
-        m = min(rows, n_samples - done)
-        rng = substream(rng_seed, chunk)
-        increments = rng.normal(0.0, step_std, size=(m, n_time_steps - 1))
-        bridge = np.empty((m, n_time_steps))
-        bridge[:, 0] = 0.0
-        np.cumsum(increments, axis=1, out=bridge[:, 1:])
+    for rng, _, m in _chunks(rng_seed, n_samples, _chunk_rows(n_time_steps)):
+        bridge = _wiener_rows(rng, m, n_time_steps, step_std)
         f = np.mean(np.exp(1j * amp * bridge), axis=1)
         acc_re.add(f.real)
         acc_im.add(f.imag)
-        done += m
-        chunk += 1
     return acc_re.estimate(rng_seed), acc_im.estimate(rng_seed)
 
 
@@ -256,16 +247,9 @@ def estimate_log_abs_sq(power: float, n_samples: int, rng_seed: int) -> McEstima
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     acc = _Accumulator()
-    rows = _chunk_rows(2)
-    done = 0
-    chunk = 0
     half = math.sqrt(power / 2.0)
-    while done < n_samples:
-        m = min(rows, n_samples - done)
-        rng = substream(rng_seed, chunk)
+    for rng, _, m in _chunks(rng_seed, n_samples, _chunk_rows(2)):
         re = rng.standard_normal(m) * half
         im = rng.standard_normal(m) * half
         acc.add(np.log(re * re + im * im))
-        done += m
-        chunk += 1
     return acc.estimate(rng_seed)

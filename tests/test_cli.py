@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owpnlab import cli
 from owpnlab.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -87,13 +88,6 @@ class TestBoundsCommand:
             )
         assert bits_rows[0]["units"] == "bits"
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        spec = ["bounds", "--P", "log:1:1e6:5", "--L", "1,4", "--sigma2", "log:0.01:10:4"]
-        main([*spec, "--threads", "1", "--out", str(a)])
-        main([*spec, "--threads", "3", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestGdofCommand:
     def test_anchor_rows(self, tmp_path):
@@ -159,6 +153,62 @@ class TestRiccatiCommand:
         text = capsys.readouterr().out
         closed = next(l for l in text.splitlines() if l.startswith("closed-form"))
         assert float(closed.split(":")[1]) == pytest.approx(1000.500125, abs=1e-6)
+
+    @pytest.mark.parametrize("argv", [
+        ["--x", "1", "--ratio", "1", "--max-iter", "3"],  # no convergence
+        ["--x", "1", "--ratio", "2.795042811515355e16"],  # rounding drives J below 0
+        ["--x", "5e-324", "--ratio", "0.1"],
+    ])
+    def test_failed_iteration_exits_2(self, argv, capsys):
+        assert main(["riccati", *argv]) == EXIT_VERIFY_FAIL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("riccati: ") and captured.err.count("\n") == 1
+
+
+class TestProcessPool:
+    """`gdof` and `regimes` map their grids through cli._map_rows."""
+
+    def test_threads_do_not_change_bytes(self, tmp_path):
+        for spec in (
+            ["gdof", "--alpha", "0,0.25,0.5,1,2", "--beta", "-1,0,0.5,1"],
+            ["regimes", "--P", "1,10,1e4", "--L", "1,4", "--sigma2", "0.01,1,4"],
+        ):
+            a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+            assert main([*spec, "--threads", "1", "--out", str(a)]) == EXIT_OK
+            assert main([*spec, "--threads", "2", "--out", str(b)]) == EXIT_OK
+            assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("threads,n_tasks,cpus,workers", [
+        (64, 3, 8, 3),     # capped by the task count
+        (64, 100, 4, 4),   # capped by the CPUs
+        (2, 100, 4, 2),    # as asked
+        (64, 100, 1, None),  # one CPU: no pool
+        (8, 1, 4, None),   # one task: no pool
+    ])
+    def test_worker_cap(self, monkeypatch, threads, n_tasks, cpus, workers):
+        import concurrent.futures
+
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+        tasks = list(range(n_tasks))
+        assert cli._map_rows(abs, tasks, threads) == tasks
+        assert started == ([] if workers is None else [workers])
 
 
 class TestVerifyCommand:

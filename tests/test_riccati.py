@@ -9,7 +9,6 @@ from owpnlab.riccati import (
     FisherState,
     crb_argument,
     immse_entropy_quadrature,
-    information_recursion_step,
     iterate_fixed_point,
     phase_rate_upper,
     posterior_crb_entropy_lower,
@@ -28,12 +27,6 @@ class TestRecursion:
 
     def test_hand_step(self):
         assert riccati_step(FisherState(0.0, 3.0, 1.0)).J == pytest.approx(3.0, rel=1e-15)
-
-    def test_general_step_matches_specialization(self):
-        r, x, j = 2.5, 1.2, 0.7
-        assert information_recursion_step(j, r, -r, -r, x + r) == pytest.approx(
-            riccati_step(FisherState(j, x, r)).J, rel=1e-15
-        )
 
     def test_iteration_converges_fast(self):
         j, steps = iterate_fixed_point(3.0, 1.0)

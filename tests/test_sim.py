@@ -6,6 +6,9 @@ import pytest
 from owpnlab.model import ChannelParams, derive_constants
 from owpnlab.sim import (
     _blocked_sum,
+    _channel,
+    _chunks,
+    _wiener_rows,
     estimate_F_moments,
     estimate_log_abs_sq,
     sample_phase_path,
@@ -21,13 +24,13 @@ EULER_MASCHERONI = 0.57721566490153286061
 class TestPhasePath:
     def test_shape_and_start(self):
         params = ChannelParams(1.0, 4, 0.5)
-        path = sample_phase_path(params, 25, rng_seed=1)
-        assert path.theta.shape == (101,)
-        assert 0.0 <= path.theta[0] < TWO_PI
+        theta = sample_phase_path(params, 25, rng_seed=1)
+        assert theta.shape == (101,)
+        assert 0.0 <= theta[0] < TWO_PI
 
     def test_zero_variance_is_constant(self):
-        path = sample_phase_path(ChannelParams(1.0, 3, 0.0), 10, rng_seed=5)
-        assert np.all(path.theta == path.theta[0])
+        theta = sample_phase_path(ChannelParams(1.0, 3, 0.0), 10, rng_seed=5)
+        assert np.all(theta == theta[0])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -35,8 +38,8 @@ class TestPhasePath:
 
     @pytest.mark.parametrize("sigma2,big_l,n_symbols", [(1.0, 1, 100_000), (2.0, 4, 25_000)])
     def test_increment_variance(self, sigma2, big_l, n_symbols):
-        path = sample_phase_path(ChannelParams(1.0, big_l, sigma2), n_symbols, rng_seed=7)
-        increments = np.diff(path.theta)
+        theta = sample_phase_path(ChannelParams(1.0, big_l, sigma2), n_symbols, rng_seed=7)
+        increments = np.diff(theta)
         target = sigma2 / big_l
         sample_var = float(np.var(increments))
         # variance-of-variance for Gaussians: 2 var^2 / n
@@ -48,64 +51,82 @@ class TestPhasePath:
         a = sample_phase_path(params, 50, rng_seed=11)
         b = sample_phase_path(params, 50, rng_seed=11)
         c = sample_phase_path(params, 50, rng_seed=12)
-        assert np.array_equal(a.theta, b.theta)
-        assert not np.array_equal(a.theta, c.theta)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
 
 class TestTransmit:
     def test_zero_input_is_pure_noise(self):
         params = ChannelParams(4.0, 2, 1.0)
         n_symbols = 50_000
-        path = sample_phase_path(params, n_symbols, rng_seed=3)
-        block = transmit(params, np.zeros(n_symbols, dtype=complex), path, rng_seed=4)
-        power = np.abs(block.outputs) ** 2
+        theta = sample_phase_path(params, n_symbols, rng_seed=3)
+        outputs = transmit(params, np.zeros(n_symbols, dtype=complex), theta, rng_seed=4)
+        power = np.abs(outputs) ** 2
         se = float(np.std(power)) / math.sqrt(power.size)
         assert abs(float(np.mean(power)) - 2.0) <= 4.0 * se
 
     def test_noiseless_constant_input(self):
         params = ChannelParams(4.0, 4, 0.0)
-        path = sample_phase_path(params, 8, rng_seed=1)
+        theta = sample_phase_path(params, 8, rng_seed=1)
         c = 0.7 - 0.2j
-        block = transmit(params, np.full(8, c), path, rng_seed=2, noise=np.zeros(32))
-        expected = c * np.exp(1j * path.theta[0])
-        assert np.allclose(block.outputs, expected, atol=1e-12)
+        outputs = transmit(params, np.full(8, c), theta, rng_seed=2, noise=np.zeros(32))
+        expected = c * np.exp(1j * theta[0])
+        assert np.allclose(outputs, expected, atol=1e-12)
 
     def test_heavy_phase_noise_decorrelates(self):
         params = ChannelParams(1.0, 1, 1e6)
         n = 100_000
         rng = substream(99, 0)
         inputs = np.exp(1j * rng.uniform(0.0, TWO_PI, n))
-        path = sample_phase_path(params, n, rng_seed=98)
-        block = transmit(params, inputs, path, rng_seed=97)
-        corr = block.outputs * np.conj(inputs)
+        theta = sample_phase_path(params, n, rng_seed=98)
+        outputs = transmit(params, inputs, theta, rng_seed=97)
+        corr = outputs * np.conj(inputs)
         se = float(np.std(corr.real)) / math.sqrt(n)
         assert abs(float(np.mean(corr.real))) <= 4.0 * se
         assert abs(float(np.mean(corr.imag))) <= 4.0 * se
 
     def test_phase_wrap_invariance(self):
         params = ChannelParams(1.0, 2, 0.4)
-        path = sample_phase_path(params, 20, rng_seed=8)
-        wrapped = type(path)(path.theta + TWO_PI, path.sigma2, path.oversampling)
+        theta = sample_phase_path(params, 20, rng_seed=8)
         noise = substream(1, 0).standard_normal(40) + 1j * substream(1, 1).standard_normal(40)
         inputs = np.ones(20, dtype=complex) * 0.5
-        a = transmit(params, inputs, path, rng_seed=0, noise=noise)
-        b = transmit(params, inputs, wrapped, rng_seed=0, noise=noise)
-        assert np.allclose(a.outputs, b.outputs, atol=1e-12)
+        a = transmit(params, inputs, theta, rng_seed=0, noise=noise)
+        b = transmit(params, inputs, theta + TWO_PI, rng_seed=0, noise=noise)
+        assert np.allclose(a, b, atol=1e-12)
 
     def test_power_violation_warns(self):
         params = ChannelParams(1.0, 1, 0.1)
-        path = sample_phase_path(params, 10, rng_seed=0)
+        theta = sample_phase_path(params, 10, rng_seed=0)
         with pytest.warns(RuntimeWarning):
-            transmit(params, np.full(10, 5.0 + 0j), path, rng_seed=1)
+            transmit(params, np.full(10, 5.0 + 0j), theta, rng_seed=1)
 
     def test_length_mismatch_rejected(self):
         params = ChannelParams(1.0, 2, 0.1)
-        path = sample_phase_path(params, 10, rng_seed=0)
+        theta = sample_phase_path(params, 10, rng_seed=0)
         inputs_ok = np.full(10, 0.5 + 0j)
         with pytest.raises(ValueError):
-            transmit(params, inputs_ok[:9], path, rng_seed=1)
+            transmit(params, inputs_ok[:9], theta, rng_seed=1)
         with pytest.raises(ValueError):
-            transmit(params, inputs_ok, path, rng_seed=1, noise=np.zeros(3))
+            transmit(params, inputs_ok, theta, rng_seed=1, noise=np.zeros(3))
+
+
+class TestChunks:
+    def test_sizes_and_substreams(self):
+        chunks = list(_chunks(7, 10, 4))
+        assert [(start, m) for _, start, m in chunks] == [(0, 4), (4, 4), (8, 2)]
+        for index, (rng, _, _) in enumerate(chunks):
+            assert rng.standard_normal() == substream(7, index).standard_normal()
+
+    def test_no_empty_last_chunk(self):
+        assert [m for _, _, m in _chunks(1, 8, 4)] == [4, 4]
+        assert [m for _, _, m in _chunks(1, 3, 4)] == [3]
+
+    def test_wiener_rows(self):
+        rows = _wiener_rows(substream(3, 0), 5, 6, 0.3)
+        increments = substream(3, 0).normal(0.0, 0.3, size=(5, 5))
+        assert rows.shape == (5, 6)
+        assert np.all(rows[:, 0] == 0.0)
+        assert np.array_equal(rows[:, 1:], np.cumsum(increments, axis=1))
 
 
 class TestFMoments:
@@ -243,12 +264,13 @@ class TestHadamardIdentity:
         params = ChannelParams(p, big_l, 0.8)
         amp = math.sqrt(p / big_l)
 
+        # the channel block of amplitude_channel_mi, through the same kernels
         rng = substream(123 + big_l, 0)
         theta0 = rng.uniform(0.0, TWO_PI, n)
-        increments = rng.normal(0.0, math.sqrt(0.8 / big_l), (n, big_l))
-        theta = theta0[:, None] + np.cumsum(increments, axis=1)
+        theta = theta0[:, None] + _wiener_rows(rng, n, big_l + 1, math.sqrt(0.8 / big_l))[:, 1:]
         w = rng.standard_normal((n, big_l)) + 1j * rng.standard_normal((n, big_l))
-        norm_sq = np.sum(np.abs(amp * np.exp(1j * theta) + w) ** 2, axis=1)
+        y = _channel(np.full(n, amp + 0j), theta, w)
+        norm_sq = np.sum(np.abs(y) ** 2, axis=1)
 
         rng2 = substream(321 + big_l, 0)
         w0 = rng2.standard_normal(n) + 1j * rng2.standard_normal(n)
