@@ -8,7 +8,7 @@ Axes are given as comma lists (``--P 1,10,100``) or log ranges
 (``--P log:1:1e6:7``); grids are emitted in ascending lexicographic order of
 the axes, one row per point, with a mandatory header, LF line endings and
 17-significant-digit decimals.  Output is bit-identical for a given sweep and
-seed, independent of ``--threads``.
+seed; ``--threads`` is accepted (>= 1) for compatibility and has no effect.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import gdof as gdof_mod
 from . import mioracle, riccati, sim
-from .model import ChannelParams, GdofPoint, Units, convert_rate, derive_constants
+from .model import ChannelParams, Units, convert_rate, derive_constants
 
 GRID_CAP = 10**7
 
@@ -64,8 +63,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, int):
         return str(value)
     return format(float(value), ".17g")
@@ -127,59 +124,25 @@ def _write_rows(out_path: str | None, header: list[str], rows) -> None:
             fh.write(text)
 
 
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _map_rows(fn, tasks: list, threads: int) -> list:
-    # never more workers than tasks or usable CPUs: each worker is a process
-    workers = min(threads, len(tasks), _available_cpus())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-    return [fn(t) for t in tasks]
-
-
-# ---------------------------------------------------------------------------
-# grid workers (module level so they pickle for the process pool)
-
-def _gdof_task(task: tuple[float, float]) -> tuple:
-    point = GdofPoint(*task)
-    outer = gdof_mod.gdof_outer(point)
-    pc = gdof_mod.gdof_inner_pc(point)
-    cc = gdof_mod.gdof_inner_cc(point)
-    combined = gdof_mod.gdof_inner_combined(point)
-    exact = gdof_mod.gdof_exact_if_known(point)
-    return (
-        outer.total, pc.total, cc.total, combined.total,
-        None if exact is None else exact.total,
-        "" if exact is None else exact.regime,
-    )
-
-
-def _regime_task(task: tuple[float, int, float]) -> tuple[str, float]:
-    params = ChannelParams(*task)
-    regime = gdof_mod.classify_regime(params)
-    return regime.value, gdof_mod.regime_gap_nats(regime)
+def _fmt_column(values: np.ndarray) -> list[str]:
+    # format(v, ".17g") per value, once per distinct bit pattern (-0.0 is not 0.0)
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, which = np.unique(bits, return_inverse=True)
+    texts = np.array([format(v, ".17g") for v in distinct.view(np.float64).tolist()], dtype=object)
+    return texts[which].tolist()
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _check_grid_size(axes: list[list]) -> None:
+def _grid(axes: list[list]) -> tuple[list[str], list[np.ndarray]]:
+    # each row's axis cells and one float array per axis, rows in product order
     total = math.prod(len(axis) for axis in axes)
     if total > GRID_CAP:
         raise UsageError(f"grid size {total} exceeds the cap {GRID_CAP}")
-
-
-def _grid(axes: list[list]) -> list[tuple]:
-    _check_grid_size(axes)
-    return list(itertools.product(*axes))
+    keys = [",".join(k) for k in itertools.product(*([_fmt(v) for v in axis] for axis in axes))]
+    mesh = np.meshgrid(*(np.array(axis, dtype=float) for axis in axes), indexing="ij")
+    return keys, [g.ravel() for g in mesh]
 
 
 _BOUNDS_KERNELS = (
@@ -194,9 +157,7 @@ def cmd_bounds(args) -> int:
     ls = parse_axis(args.L, "L", integer=True)
     s2s = parse_axis(args.sigma2, "sigma2", nonnegative=True)
     units = Units(args.units)
-    _check_grid_size([ps, ls, s2s])
-    # one row per grid point, P slowest and sigma2 fastest, as itertools.product
-    grid = [g.ravel() for g in np.meshgrid(ps, np.array(ls, dtype=float), s2s, indexing="ij")]
+    keys, grid = _grid([ps, ls, s2s])
     columns = []
     with np.errstate(all="ignore"):  # overflow shows as nan, rejected below
         for kernel in _BOUNDS_KERNELS:
@@ -207,11 +168,7 @@ def cmd_bounds(args) -> int:
         raise UsageError(
             f"bounds overflow the float range at P={_fmt(p)}, L={int(big_l)}, sigma2={_fmt(s2)}"
         )
-    cells = [[format(v, ".17g") for v in convert_rate(c, units).tolist()] for c in columns]
-    keys = [
-        ",".join(key)
-        for key in itertools.product(*([_fmt(v) for v in axis] for axis in (ps, ls, s2s)))
-    ]
+    cells = [_fmt_column(convert_rate(c, units)) for c in columns]
     header = [
         "P", "L", "sigma2",
         "upper_total", "upper_amp", "upper_phase",
@@ -226,21 +183,16 @@ def cmd_bounds(args) -> int:
 def cmd_gdof(args) -> int:
     alphas = parse_axis(args.alpha, "alpha", nonnegative=True)
     betas = parse_axis(args.beta, "beta")
-    tasks = _grid([alphas, betas])
-    values = _map_rows(_gdof_task, tasks, args.threads)
+    keys, grid = _grid([alphas, betas])
+    *families, regimes = gdof_mod._regions(*grid)
+    cells = [_fmt_column(total) for total, _, _ in families]
+    cells[-1] = [text if regime else "" for text, regime in zip(cells[-1], regimes)]
     header = [
         "alpha", "beta",
         "d_outer", "d_inner_pc", "d_inner_cc", "d_inner_combined",
         "d_exact", "regime_of_exactness",
     ]
-    rows = []
-    for (a, b), vals in zip(tasks, values):
-        d_outer, d_pc, d_cc, d_comb, d_exact, regime = vals
-        rows.append(
-            [_fmt(a), _fmt(b), _fmt(d_outer), _fmt(d_pc), _fmt(d_cc), _fmt(d_comb),
-             "" if d_exact is None else _fmt(d_exact), regime]
-        )
-    _write_rows(args.out, header, rows)
+    _write_rows(args.out, header, zip(keys, *cells, regimes))
     return EXIT_OK
 
 
@@ -249,14 +201,14 @@ def cmd_regimes(args) -> int:
     ls = parse_axis(args.L, "L", integer=True)
     s2s = parse_axis(args.sigma2, "sigma2", nonnegative=True)
     units = Units(args.units)
-    tasks = _grid([ps, ls, s2s])
-    values = _map_rows(_regime_task, tasks, args.threads)
+    keys, grid = _grid([ps, ls, s2s])
+    cells = []  # "regime,gap" for each entry of gdof._REGIMES
+    for regime in gdof_mod._REGIMES:
+        gap = gdof_mod.regime_gap_nats(regime)
+        cells.append(f"{regime.value},{'' if math.isnan(gap) else _fmt(convert_rate(gap, units))}")
     header = ["P", "L", "sigma2", "regime", "gap", "units"]
-    rows = []
-    for (p, big_l, s2), (regime, gap) in zip(tasks, values):
-        gap_txt = "" if math.isnan(gap) else _fmt(convert_rate(gap, units))
-        rows.append([_fmt(p), _fmt(big_l), _fmt(s2), regime, gap_txt, units.value])
-    _write_rows(args.out, header, rows)
+    which = gdof_mod._classify(*grid).tolist()
+    _write_rows(args.out, header, ((k, cells[i], units.value) for k, i in zip(keys, which)))
     return EXIT_OK
 
 
@@ -443,7 +395,8 @@ def _add_common(sub: argparse.ArgumentParser, axes: list[str]) -> None:
     sub.add_argument("--samples", type=int, default=None)
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
     sub.add_argument("--config", default=None, help="key=value config file; flags win")
-    sub.add_argument("--threads", type=int, default=None)
+    sub.add_argument("--threads", type=int, default=None,
+                     help="accepted for compatibility (>= 1); has no effect")
 
 
 def build_parser() -> _Parser:

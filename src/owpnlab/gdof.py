@@ -2,9 +2,10 @@
 
 The GDoF is the capacity pre-log when the power P grows with L = floor(P^alpha)
 receiver samples per symbol and frequency-noise variance sigma2 = P^beta.  Each
-region below is a piecewise-linear function of (alpha, beta); branch values are
-evaluated for every applicable branch and must agree at shared boundaries
-(turning printed interval ambiguity into a runtime consistency check).
+region below is a piecewise-linear function of (alpha, beta), written once as a
+table of (condition, value) branches that evaluates on floats and on numpy
+arrays alike; every applicable branch is evaluated and must agree at shared
+boundaries (turning printed interval ambiguity into a runtime consistency check).
 
 Every total decomposes as amplitude + phase degrees of freedom; the outer
 bound's amplitude share is identically 1/2.
@@ -17,13 +18,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Optional
 
-from .model import ChannelParams, GdofPoint
+import numpy as np
+
+from .model import ChannelParams, GdofPoint, _point
 
 if TYPE_CHECKING:
     from .bounds import BoundResult
 
 _TIE_TOL = 1e-12
-_MAX_OVERSAMPLING = 2**62
 
 
 class GdofFamily(str, Enum):
@@ -43,16 +45,99 @@ class GdofValue:
     regime: Optional[str] = None
 
 
-def _consistent(values: list[float], what: str, point: GdofPoint) -> float:
-    if not values:
-        raise RuntimeError(f"no {what} branch covers (alpha={point.alpha}, beta={point.beta})")
-    first = values[0]
-    for v in values[1:]:
-        if abs(v - first) > _TIE_TOL:
-            raise RuntimeError(
-                f"{what} branches disagree at (alpha={point.alpha}, beta={point.beta}): {values}"
-            )
+def _pick(branches, a: float, b: float, what: str) -> float:
+    """The value of the first applicable (condition, value) branch at the point
+    (a, b); every other applicable branch must agree within _TIE_TOL."""
+    first = None
+    for applies, value in branches:
+        if applies:
+            if first is None:
+                first = value
+            elif abs(value - first) > _TIE_TOL:
+                values = [v for c, v in branches if c]
+                raise RuntimeError(f"{what} branches disagree at (alpha={a}, beta={b}): {values}")
+    if first is None:
+        raise RuntimeError(f"no {what} branch covers (alpha={a}, beta={b})")
     return first + 0.0  # normalizes -0.0
+
+
+def _pick_array(branches, a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    # _pick over equal-shape arrays, np.select taking the first applicable branch
+    conditions = [np.broadcast_to(applies, a.shape) for applies, _ in branches]
+    values = [np.broadcast_to(value, a.shape) for _, value in branches]
+    out = np.select(conditions, values, np.nan)
+    bad = ~np.logical_or.reduce(conditions)
+    for applies, value in zip(conditions, values):
+        bad |= applies & (np.abs(value - out) > _TIE_TOL)
+    for i in np.flatnonzero(bad)[:1]:  # _pick raises its error for the first such point
+        _pick([(c[i], float(v[i])) for c, v in zip(conditions, values)], float(a[i]),
+              float(b[i]), what)
+    return out + 0.0
+
+
+# The regions as functions of (alpha, beta, pick), pick being _pick or
+# _pick_array; each returns (total, amplitude, phase).
+
+def _clamp(x, a, b, pick, what):  # min(max(x, 0), 1)
+    return pick(((x <= 0.0, 0.0), ((x >= 0.0) & (x <= 1.0), x), (x >= 1.0, 1.0)), a, b, what)
+
+
+def _outer(a, b, pick):
+    phase = pick((
+        ((b >= a) | (b >= 1.0), 0.0),  # beta >= min(alpha, 1)
+        ((a <= 1.0) & (b >= 2.0 * a - 1.0) & (b <= a), (a - b) / 2.0),
+        ((b >= -1.0) & (b <= 2.0 * a - 1.0) & (b <= 1.0), (1.0 - b) / 4.0),
+        (b <= -1.0, 0.5),
+    ), a, b, "outer phase")
+    return 0.5 + phase, 0.5, phase
+
+
+def _inner_pc(a, b, pick):
+    amplitude = 0.5 * _clamp(2.0 - a, a, b, pick, "inner-pc amplitude")
+    # (1/2) [min(alpha - beta, 1 - alpha)]^+ for alpha <= 1; the min of the rounded terms
+    phase = pick((
+        (a >= 1.0, 0.0),
+        ((a <= 1.0) & (1.0 - a < a - b), 0.5 * (1.0 - a)),
+        (a - b <= 0.0, 0.0),
+        ((a - b >= 0.0) & (a - b <= 1.0 - a), 0.5 * (a - b)),
+    ), a, b, "inner-pc phase")
+    total = pick((
+        (True, amplitude + phase),
+        ((a <= 1.0) & (b >= a), 0.5),
+        ((a <= 1.0) & (b >= 2.0 * a - 1.0) & (b <= a), 0.5 + (a - b) / 2.0),
+        ((a <= 1.0) & (b <= 2.0 * a - 1.0), 1.0 - a / 2.0),
+        ((a >= 1.0) & (a <= 2.0), 1.0 - a / 2.0),
+        (a >= 2.0, 0.0),
+    ), a, b, "inner-pc")
+    return total, amplitude, phase
+
+
+def _inner_cc(a, b, pick):
+    half = 0.5 * _clamp(-b, a, b, pick, "inner-cc")  # the branches 0, -beta, 1, halved
+    return 2.0 * half, half, half
+
+
+def _inner_combined_total(a, b, pick):
+    return pick((
+        ((a <= 1.0) & (b >= a), 0.5),
+        ((a <= 1.0) & (b >= 2.0 * a - 1.0) & (b <= a), 0.5 + (a - b) / 2.0),
+        ((a <= 1.0) & (b >= a / 2.0 - 1.0) & (b <= 2.0 * a - 1.0), 1.0 - a / 2.0),
+        ((a >= 1.0) & (a <= 2.0) & (b >= a / 2.0 - 1.0), 1.0 - a / 2.0),
+        ((b >= -1.0) & (b <= 0.0) & (b <= a / 2.0 - 1.0), -b),  # beta <= min(0, alpha/2 - 1)
+        (b <= -1.0, 1.0),
+        ((b >= 0.0) & (a >= 2.0), 0.0),
+    ), a, b, "inner-combined")
+
+
+def _exact(a, b):
+    # (condition, regime, (total, amplitude, phase)), tried in order
+    return (
+        (b < -1.0, "awgn", (1.0, 0.5, 0.5)),
+        ((a < 1.0) & (b >= a), "nc", (0.5, 0.5, 0.0)),
+        ((a >= 1.0) & (a <= 2.0) & (b >= 1.0), "onc", (1.0 - a / 2.0, 1.0 - a / 2.0, 0.0)),
+        ((a >= 2.0) & (b >= 1.0), "onc", (0.0, 0.0, 0.0)),
+        ((a <= 0.5) & (b >= 0.0) & (b <= a), "pc", (0.5 + (a - b) / 2.0, 0.5, (a - b) / 2.0)),
+    )
 
 
 def gdof_outer(point: GdofPoint) -> GdofValue:
@@ -63,18 +148,7 @@ def gdof_outer(point: GdofPoint) -> GdofValue:
         (1-beta)/4   for -1 <= beta <= min(2 alpha - 1, 1)
         1/2          for beta <= -1.
     """
-    a, b = point.alpha, point.beta
-    branches: list[float] = []
-    if b >= min(a, 1.0):
-        branches.append(0.0)
-    if a <= 1.0 and 2.0 * a - 1.0 <= b <= a:
-        branches.append((a - b) / 2.0)
-    if -1.0 <= b <= min(2.0 * a - 1.0, 1.0):
-        branches.append((1.0 - b) / 4.0)
-    if b <= -1.0:
-        branches.append(0.5)
-    phase = _consistent(branches, "outer phase", point)
-    return GdofValue(0.5 + phase, 0.5, phase, GdofFamily.OUTER_BOUND)
+    return GdofValue(*_outer(point.alpha, point.beta, _pick), GdofFamily.OUTER_BOUND)
 
 
 def gdof_inner_pc(point: GdofPoint) -> GdofValue:
@@ -89,23 +163,7 @@ def gdof_inner_pc(point: GdofPoint) -> GdofValue:
     Split: the amplitude share is (1/2) min(max(2 - alpha, 0), 1); the phase
     share is (1/2) [min(alpha - beta, 1 - alpha)]^+ for alpha <= 1, else 0.
     """
-    a, b = point.alpha, point.beta
-    amplitude = 0.5 * min(max(2.0 - a, 0.0), 1.0)
-    phase = 0.5 * max(min(a - b, 1.0 - a), 0.0) if a <= 1.0 else 0.0
-    branches: list[float] = [amplitude + phase]
-    if a <= 1.0:
-        if b >= a:
-            branches.append(0.5)
-        if 2.0 * a - 1.0 <= b <= a:
-            branches.append(0.5 + (a - b) / 2.0)
-        if b <= 2.0 * a - 1.0:
-            branches.append(1.0 - a / 2.0)
-    if 1.0 <= a <= 2.0:
-        branches.append(1.0 - a / 2.0)
-    if a >= 2.0:
-        branches.append(0.0)
-    total = _consistent(branches, "inner-pc", point)
-    return GdofValue(total, amplitude, phase, GdofFamily.INNER_PC)
+    return GdofValue(*_inner_pc(point.alpha, point.beta, _pick), GdofFamily.INNER_PC)
 
 
 def gdof_inner_cc(point: GdofPoint) -> GdofValue:
@@ -115,17 +173,7 @@ def gdof_inner_cc(point: GdofPoint) -> GdofValue:
 
     Amplitude and phase each contribute half.
     """
-    b = point.beta
-    half = 0.5 * min(1.0, max(-b, 0.0)) + 0.0
-    branches: list[float] = [2.0 * half]
-    if b >= 0.0:
-        branches.append(0.0)
-    if -1.0 <= b <= 0.0:
-        branches.append(-b)
-    if b <= -1.0:
-        branches.append(1.0)
-    total = _consistent(branches, "inner-cc", point)
-    return GdofValue(total, half, half, GdofFamily.INNER_CC)
+    return GdofValue(*_inner_cc(point.alpha, point.beta, _pick), GdofFamily.INNER_CC)
 
 
 def gdof_inner_combined(point: GdofPoint) -> GdofValue:
@@ -141,27 +189,10 @@ def gdof_inner_combined(point: GdofPoint) -> GdofValue:
         0            for beta >= 0, alpha >= 2.
     """
     a, b = point.alpha, point.beta
-    branches: list[float] = []
-    if a <= 1.0:
-        if b >= a:
-            branches.append(0.5)
-        if 2.0 * a - 1.0 <= b <= a:
-            branches.append(0.5 + (a - b) / 2.0)
-        if a / 2.0 - 1.0 <= b <= 2.0 * a - 1.0:
-            branches.append(1.0 - a / 2.0)
-    if 1.0 <= a <= 2.0 and b >= a / 2.0 - 1.0:
-        branches.append(1.0 - a / 2.0)
-    if -1.0 <= b <= min(0.0, a / 2.0 - 1.0):
-        branches.append(-b)
-    if b <= -1.0:
-        branches.append(1.0)
-    if b >= 0.0 and a >= 2.0:
-        branches.append(0.0)
-    total = _consistent(branches, "inner-combined", point)
-    pc = gdof_inner_pc(point)
-    cc = gdof_inner_cc(point)
-    best = pc if pc.total >= cc.total else cc
-    return GdofValue(total, best.amplitude, total - best.amplitude, GdofFamily.INNER_COMBINED)
+    total = _inner_combined_total(a, b, _pick)
+    pc, cc = _inner_pc(a, b, _pick), _inner_cc(a, b, _pick)
+    amplitude = pc[1] if pc[0] >= cc[0] else cc[1]
+    return GdofValue(total, amplitude, total - amplitude, GdofFamily.INNER_COMBINED)
 
 
 def gdof_exact_if_known(point: GdofPoint) -> Optional[GdofValue]:
@@ -178,20 +209,25 @@ def gdof_exact_if_known(point: GdofPoint) -> Optional[GdofValue]:
     The "pc" strip includes its beta = 0 edge, where the exact pre-log
     (1 + alpha)/2 is known and the inner and outer regions coincide.
     """
-    a, b = point.alpha, point.beta
-    if b < -1.0:
-        return GdofValue(1.0, 0.5, 0.5, GdofFamily.EXACT_WHERE_KNOWN, "awgn")
-    if a < 1.0 and b >= a:
-        return GdofValue(0.5, 0.5, 0.0, GdofFamily.EXACT_WHERE_KNOWN, "nc")
-    if 1.0 <= a <= 2.0 and b >= 1.0:
-        return GdofValue(1.0 - a / 2.0, 1.0 - a / 2.0, 0.0, GdofFamily.EXACT_WHERE_KNOWN, "onc")
-    if a >= 2.0 and b >= 1.0:
-        return GdofValue(0.0, 0.0, 0.0, GdofFamily.EXACT_WHERE_KNOWN, "onc")
-    if a <= 0.5 and 0.0 <= b <= a:
-        return GdofValue(
-            0.5 + (a - b) / 2.0, 0.5, (a - b) / 2.0, GdofFamily.EXACT_WHERE_KNOWN, "pc"
-        )
+    for applies, regime, value in _exact(point.alpha, point.beta):
+        if applies:
+            return GdofValue(*value, GdofFamily.EXACT_WHERE_KNOWN, regime)
     return None
+
+
+def _regions(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(total, amplitude, phase) arrays of outer, inner-pc, inner-cc, inner-combined
+    and exact (nan where unknown), then the exact regime per point ("" if unknown)."""
+    with np.errstate(all="ignore"):  # overflowed branches, which _pick meets as inf
+        pc, cc = _inner_pc(a, b, _pick_array), _inner_cc(a, b, _pick_array)
+        total = _inner_combined_total(a, b, _pick_array)
+        amplitude = np.where(pc[0] >= cc[0], pc[1], cc[1])
+        conditions, regimes, values = zip(*_exact(a, b))  # an if chain: the first match wins
+        exact = tuple(np.select(conditions, [v[k] for v in values], np.nan) for k in range(3))
+        which = np.select(conditions, range(len(conditions)), -1)
+        names = (*regimes, "")  # which == -1 picks ""
+        return (_outer(a, b, _pick_array), pc, cc, (total, amplitude, total - amplitude),
+                exact, [names[i] for i in which.tolist()])
 
 
 class Regime(str, Enum):
@@ -214,6 +250,24 @@ def regime_gap_nats(regime: Regime) -> float:
     return math.nan
 
 
+_REGIMES = (Regime.GENERAL, Regime.NEAR_AWGN, Regime.NEAR_ONC)
+_ONC_SLOPE = 2.0 * math.pi / math.e
+
+
+def _classify(p: np.ndarray, big_l: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    # array kernel of classify_regime: an index into _REGIMES per point, with
+    # math.log once per distinct L so that no point moves across the threshold
+    distinct, which = np.unique(big_l, return_inverse=True)
+    log_l1 = np.array([math.log(v + 1.0) for v in distinct.tolist()])[which]
+    with np.errstate(divide="ignore", over="ignore"):  # 1/(2P) at P == 0 is never used
+        near_awgn = (p > 1.5) & (s2 < 1.0 / (2.0 * p))
+    near_onc = (p > 1.0) & (s2 / big_l >= _ONC_SLOPE * log_l1)
+    for i in np.flatnonzero(near_awgn & near_onc)[:1]:
+        raise AssertionError(f"regime conditions cannot both hold at P={float(p[i])}, "
+                             f"L={int(big_l[i])}, sigma2={float(s2[i])}")
+    return np.select([near_awgn, near_onc], [1, 2], 0)
+
+
 def classify_regime(params: ChannelParams) -> Regime:
     """Classify a parameter point against the two proximity conditions:
 
@@ -223,18 +277,8 @@ def classify_regime(params: ChannelParams) -> Regime:
     The two conditions are mutually exclusive (the near-onc threshold exceeds
     1/(2P) whenever P > 1.5); anything else is "general".
     """
-    p = params.avg_power
-    big_l = params.oversampling
-    s2 = params.freq_noise_var
-    near_awgn = p > 1.5 and s2 < 1.0 / (2.0 * p)
-    near_onc = p > 1.0 and s2 / big_l >= (2.0 * math.pi / math.e) * math.log(big_l + 1.0)
-    if near_awgn and near_onc:
-        raise AssertionError(f"regime conditions cannot both hold at {params}")
-    if near_awgn:
-        return Regime.NEAR_AWGN
-    if near_onc:
-        return Regime.NEAR_ONC
-    return Regime.GENERAL
+    point = _point(params.avg_power, params.oversampling, params.freq_noise_var)
+    return _REGIMES[int(_classify(*point)[0])]
 
 
 def channel_at_power(point: GdofPoint, avg_power: float) -> ChannelParams:

@@ -86,9 +86,12 @@ def iterate_fixed_point(
 
 
 def _crb_argument(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # array kernel of crb_argument
-    with np.errstate(invalid="ignore"):  # 0/0 at x == 0
-        return np.where(x == 0.0, 0.0, 2.0 * r * x / (np.sqrt(x * x + 4.0 * r * x) + x))
+    # array kernel of crb_argument; 2r / (sqrt(1 + 4r/x) + 1) where 2rx overflows
+    with np.errstate(all="ignore"):  # 0/0 at x == 0, inf/inf on overflow
+        direct = 2.0 * r * x / (np.sqrt(x * x + 4.0 * r * x) + x)
+        rescaled = 2.0 * r / (np.sqrt(1.0 + 4.0 * r / x) + 1.0)
+    direct = np.where(np.isfinite(direct) | ~np.isfinite(r), direct, rescaled)
+    return np.where(x == 0.0, 0.0, direct)
 
 
 def crb_argument(x_mean_sq: float, l_over_sigma2: float) -> float:

@@ -17,8 +17,8 @@ the per-sample values are cut into consecutive 8192-element blocks, each
 block is summed by ``np.sum`` and the block sums are added left to right
 (:func:`_blocked_sum`); the chunk sums are then added in ascending chunk
 order.  Results are therefore bit-identical for a given (seed, n_samples)
-regardless of how the chunks would be scheduled, of ``--threads``, and of the
-numpy version on either side of 2.3, where ``np.sum`` of a long array stopped
+regardless of how the chunks would be scheduled and of the numpy version on
+either side of 2.3, where ``np.sum`` of a long array stopped
 working in 8192-element buffers.  Not covered: a different numpy
 ``Generator`` stream, or elementwise ``exp``/``cos``/``log``/``power`` results
 that differ in another numpy or libm build.

@@ -76,6 +76,11 @@ def riccati_fixed_point(x, r) -> float:
     return float(x / 2 + mp.sqrt(x**2 + 4 * r * x) / 2)
 
 
+def crb_argument(x, r) -> float:
+    x, r = mp.mpf(x), mp.mpf(r)
+    return float(mp.sqrt(x**2 + 4 * r * x) / 2 - x / 2)
+
+
 def posterior_crb_entropy_lower(x, r) -> float:
     x, r = mp.mpf(x), mp.mpf(r)
     arg = mp.sqrt(x**2 + 4 * r * x) / 2 - x / 2

@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +76,23 @@ class TestBoundsCommand:
         assert len(rows) == 12
         keys = [(float(r["P"]), int(r["L"]), float(r["sigma2"])) for r in rows]
         assert keys == sorted(keys)
+
+    def test_overflowing_crb_argument_row(self, tmp_path):
+        # 2 r x overflows at x = P/L = 1e100, r = L/sigma2 = 1e300; the bound is finite
+        out = tmp_path / "b.csv"
+        assert main(["bounds", "--P", "1e100", "--L", "1", "--sigma2", "1e-300",
+                     "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out)
+        upper = float(rows[0]["upper_total"])
+        assert upper == math.log(1e100 + 2.0)
+        assert upper >= float(rows[0]["pc_total"])
+        assert upper >= float(rows[0]["cc_total"])
+
+    def test_subnormal_sigma2_still_overflows(self, capsys):
+        # r = L/sigma2 itself overflows here
+        assert main(["bounds", "--P", "1e100", "--L", "1", "--sigma2", "5e-324"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("owpnlab: bounds overflow") and err.count("\n") == 1
 
     def test_bits_conversion(self, tmp_path):
         nats_out, bits_out = tmp_path / "n.csv", tmp_path / "b.csv"
@@ -166,8 +185,9 @@ class TestRiccatiCommand:
         assert captured.err.startswith("riccati: ") and captured.err.count("\n") == 1
 
 
-class TestProcessPool:
-    """`gdof` and `regimes` map their grids through cli._map_rows."""
+class TestThreadsFlag:
+    """`--threads` has no effect on any command; it stays accepted so that
+    existing scripts and `threads=` config lines keep working."""
 
     def test_threads_do_not_change_bytes(self, tmp_path):
         for spec in (
@@ -179,36 +199,49 @@ class TestProcessPool:
             assert main([*spec, "--threads", "2", "--out", str(b)]) == EXIT_OK
             assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("threads,n_tasks,cpus,workers", [
-        (64, 3, 8, 3),     # capped by the task count
-        (64, 100, 4, 4),   # capped by the CPUs
-        (2, 100, 4, 2),    # as asked
-        (64, 100, 1, None),  # one CPU: no pool
-        (8, 1, 4, None),   # one task: no pool
-    ])
-    def test_worker_cap(self, monkeypatch, threads, n_tasks, cpus, workers):
-        import concurrent.futures
+    def test_threads_still_validated(self, tmp_path, capsys):
+        assert main(["gdof", "--alpha", "0", "--beta", "0", "--threads", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "owpnlab: --threads must be >= 1\n"
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("threads=4\n", encoding="utf-8")
+        assert main(["gdof", "--alpha", "0", "--beta", "0", "--config", str(cfg)]) == EXIT_OK
 
-        started = []
 
-        class FakePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+def _sha256_of(argv, capsys):
+    assert main(argv) == EXIT_OK
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
 
-            def __enter__(self):
-                return self
 
-            def __exit__(self, *exc):
-                return False
+class TestGridBytes:
+    """Output pinned to the bytes of the one-point implementation that the
+    grid evaluation replaced."""
 
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
+    def test_gdof_lattice(self, capsys):
+        # every region boundary of alpha = k/4, beta = k/8 - 2
+        alphas = ",".join(repr(k / 4) for k in range(13))
+        betas = ",".join(repr(k / 8 - 2.0) for k in range(33))
+        assert _sha256_of(["gdof", f"--alpha={alphas}", f"--beta={betas}"], capsys) == (
+            "d5fb6dce32109ca121301a69a026590d77d1db8091efb0c5244eb747b559a96d"
+        )
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
-        tasks = list(range(n_tasks))
-        assert cli._map_rows(abs, tasks, threads) == tasks
-        assert started == ([] if workers is None else [workers])
+    def test_regimes_on_both_thresholds(self, capsys):
+        # sigma2 = 1/(2P) at P = 2 and 3, (2 pi / e) L ln(L + 1) at L = 1 and 2,
+        # and the float just below each
+        sigma2 = ("0.16666666666666663,0.16666666666666666,0.24999999999999997,0.25,"
+                  "1.6021783080071899,1.60217830800719,5.078785075320534,5.078785075320535")
+        argv = ["regimes", "--P", "1,1.5,2,3", "--L", "1,2", "--sigma2", sigma2]
+        assert _sha256_of(argv, capsys) == (
+            "818f4d2ff606bc9e53b08872d7c225b0456131dafefa2ec87d9b998afebf3250"
+        )
+
+    def test_fmt_column_formats_each_value(self):
+        assert cli._fmt_column(np.array([-0.0, 0.0, -0.0])) == ["-0", "0", "-0"]
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            pool = np.concatenate([rng.standard_normal(5) * 10.0 ** rng.integers(-300, 300, 5),
+                                   [0.0, -0.0, 5e-324, 1.0]])
+            col = rng.choice(pool, size=int(rng.integers(1, 60)))
+            assert cli._fmt_column(col) == [format(v, ".17g") for v in col.tolist()]
 
 
 class TestVerifyCommand:

@@ -10,6 +10,7 @@ from owpnlab.bounds import (
     lower_partially_coherent,
     upper_outer,
 )
+from owpnlab import gdof
 from owpnlab.gdof import (
     GdofFamily,
     NEAR_AWGN_GAP_NATS,
@@ -197,6 +198,100 @@ class TestRegionProperties:
             value = fn(point)
             assert 0.0 <= value.total <= 1.0
             assert value.total == pytest.approx(value.amplitude + value.phase, abs=1e-12)
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).view(np.int64)
+
+
+def _grid_matches_one_point_functions(alphas, betas):
+    """gdof._regions over the (alpha, beta) grid equals the public one-point
+    functions at every point, bit for bit, in total, amplitude and phase."""
+    a, b = (g.ravel() for g in np.meshgrid(alphas, betas, indexing="ij"))
+    *families, regimes = gdof._regions(a, b)
+    points = [GdofPoint(float(x), float(y)) for x, y in zip(a, b)]
+    for fn, family in zip(ALL_FAMILIES, families):
+        scalars = [fn(point) for point in points]
+        for k, field in enumerate(("total", "amplitude", "phase")):
+            expected = _bits([getattr(v, field) for v in scalars])
+            got = _bits(np.broadcast_to(family[k], a.shape))
+            assert np.array_equal(got, expected), (fn.__name__, field)
+    exact = [gdof_exact_if_known(point) for point in points]
+    assert regimes == ["" if v is None else v.regime for v in exact]
+    known = np.array([v is not None for v in exact], dtype=bool)
+    for k, field in enumerate(("total", "amplitude", "phase")):
+        expected = _bits([getattr(v, field) for v in exact if v is not None])
+        assert np.array_equal(_bits(families[-1][k][known]), expected), ("exact", field)
+        assert np.isnan(families[-1][k][~known]).all()
+
+
+class TestArrayKernels:
+    """The grid evaluation behind `owpnlab gdof` against the one-point API."""
+
+    # the region boundaries of the lattice alpha = k/4, beta = k/8 - 2, plus
+    # signed zeros, subnormals, the floats next to the break points and
+    # interior points whose branch values round differently
+    ALPHAS = sorted(
+        [k / 4 for k in range(13)]
+        + [-0.0, 5e-324, 1e-300, 0.5 - 2**-54, 1.0 - 2**-53, 1.0 + 2**-52, 2.0 - 2**-52, 1e300]
+        + [9.319980798155402e-12, 0.1, 0.3, 0.7, 0.9, 1.3, 2.6]
+    )
+    BETAS = sorted(
+        [k / 8 - 2.0 for k in range(33)]
+        + [-0.0, 5e-324, -5e-324, -1.0 - 2**-52, -1.0 + 2**-53, 1.0 - 2**-53, 0.3, -0.7,
+           1e300, -1e300]
+    )
+
+    def test_matches_one_point_functions_on_dense_grid(self):
+        _grid_matches_one_point_functions(self.ALPHAS, self.BETAS)
+
+    def test_matches_next_to_every_boundary(self):
+        # beta on and next to alpha, 2 alpha - 1 and alpha/2 - 1
+        rng = np.random.default_rng(7)
+        alphas = rng.uniform(0.0, 3.0, 40)
+        for alpha in alphas:
+            edges = [alpha, 2.0 * alpha - 1.0, alpha / 2.0 - 1.0]
+            betas = sorted(np.nextafter(e, d) for e in edges for d in (-np.inf, 0.0, np.inf))
+            _grid_matches_one_point_functions([float(alpha)], betas)
+
+    @given(
+        alphas=st.lists(
+            st.one_of(st.floats(min_value=0.0, max_value=4.0), st.sampled_from([-0.0, 5e-324])),
+            min_size=1, max_size=6,
+        ),
+        betas=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_one_point_functions_on_drawn_grids(self, alphas, betas):
+        _grid_matches_one_point_functions(alphas, betas)
+
+    @staticmethod
+    def _inconsistent(a, b):
+        # two branches that meet at beta = 0.25 and disagree above it
+        return ((b >= 0.0, 0.0), (b >= 0.25, b - 0.25))
+
+    @staticmethod
+    def _uncovered(a, b):
+        return ((b <= 1.0, 0.0),)
+
+    def test_inconsistent_table_raises_naming_the_point(self):
+        message = r"probe branches disagree at \(alpha=0.5, beta=0.5\): \[0.0, 0.25\]"
+        with pytest.raises(RuntimeError, match=message):
+            gdof._pick(self._inconsistent(0.5, 0.5), 0.5, 0.5, "probe")
+        a = np.array([0.0, 0.5, 1.0, 1.5])
+        b = np.array([0.1, 0.5, 0.2, 0.75])
+        with pytest.raises(RuntimeError, match=message):
+            gdof._pick_array(self._inconsistent(a, b), a, b, "probe")
+        assert gdof._pick(self._inconsistent(0.5, 0.25), 0.5, 0.25, "probe") == 0.0
+
+    def test_uncovered_point_raises_naming_the_point(self):
+        message = r"no probe branch covers \(alpha=3.0, beta=2.5\)"
+        with pytest.raises(RuntimeError, match=message):
+            gdof._pick(self._uncovered(3.0, 2.5), 3.0, 2.5, "probe")
+        a = np.array([0.0, 3.0, 1.0])
+        b = np.array([1.0, 2.5, 4.0])
+        with pytest.raises(RuntimeError, match=message):
+            gdof._pick_array(self._uncovered(a, b), a, b, "probe")
 
 
 class TestRegimeClassifier:

@@ -129,6 +129,12 @@ class TestPhaseRateUpper:
         assert abs(arg - 1.0) < 1e-3
         assert abs(arg - 1.0) < 1e-6  # the stable form is far better than required
 
+    def test_argument_where_the_direct_form_overflows(self):
+        # 2 r x and x^2 + 4 r x overflow; the rescaled form keeps every digit
+        for x, r in ((1e100, 1e300), (1e200, 1e200)):
+            arg = crb_argument(x, r)
+            assert abs(arg - _oracles.crb_argument(x, r)) <= 1e-15 * _oracles.crb_argument(x, r)
+
     def test_large_grid_point(self):
         # the quoted 3.8723 is hand-rounded; the oracle gives 3.8728137
         value = phase_rate_upper(ChannelParams(100.0, 10**4, 1e-4))
