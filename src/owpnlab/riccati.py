@@ -72,13 +72,18 @@ def iterate_fixed_point(
 
     Returns (J, steps).  The map is a contraction near the fixed point; the
     iteration cap guards against misuse and raises RuntimeError when hit.
+    Each step is :func:`riccati_step` on plain floats, with the same
+    ValueError if rounding drives J below 0.
     """
-    state = FisherState(j0, x_mean_sq, l_over_sigma2)
+    FisherState(j0, x_mean_sq, l_over_sigma2)  # validates the inputs
+    j, x, r = j0, x_mean_sq, l_over_sigma2
     for step in range(1, max_iter + 1):
-        nxt = riccati_step(state)
-        if abs(nxt.J - state.J) <= tol * (1.0 + abs(nxt.J)):
-            return nxt.J, step
-        state = nxt
+        nxt = (x + r) - r * r / (j + r)
+        if nxt < 0.0:
+            raise ValueError("posterior Fisher information must be >= 0")
+        if abs(nxt - j) <= tol * (1.0 + abs(nxt)):
+            return nxt, step
+        j = nxt
     raise RuntimeError(
         f"Riccati iteration did not converge within {max_iter} steps "
         f"(x={x_mean_sq}, r={l_over_sigma2})"
@@ -86,11 +91,17 @@ def iterate_fixed_point(
 
 
 def _crb_argument(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # array kernel of crb_argument; 2r / (sqrt(1 + 4r/x) + 1) where 2rx overflows
+    # array kernel of crb_argument.  Where x^2 + 4rx overflows, the quotient is
+    # divided through by x, or by t = sqrt(rx) where 4r/x overflows too, so
+    # that no intermediate overflows; an infinite r stays nan.
     with np.errstate(all="ignore"):  # 0/0 at x == 0, inf/inf on overflow
         direct = 2.0 * r * x / (np.sqrt(x * x + 4.0 * r * x) + x)
-        rescaled = 2.0 * r / (np.sqrt(1.0 + 4.0 * r / x) + 1.0)
-    direct = np.where(np.isfinite(direct) | ~np.isfinite(r), direct, rescaled)
+        four_r_x = 4.0 * (r / x)
+        by_x = r / (0.5 * np.sqrt(1.0 + four_r_x) + 0.5)
+        t = np.sqrt(r) * np.sqrt(x)
+        by_t = t / (np.sqrt(1.0 + 0.25 * x / r) + 0.5 * x / t)
+        overflow = ~np.isfinite(x * x + 4.0 * r * x) & np.isfinite(r)
+    direct = np.where(overflow, np.where(np.isfinite(four_r_x), by_x, by_t), direct)
     return np.where(x == 0.0, 0.0, direct)
 
 

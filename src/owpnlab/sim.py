@@ -20,8 +20,8 @@ order.  Results are therefore bit-identical for a given (seed, n_samples)
 regardless of how the chunks would be scheduled and of the numpy version on
 either side of 2.3, where ``np.sum`` of a long array stopped
 working in 8192-element buffers.  Not covered: a different numpy
-``Generator`` stream, or elementwise ``exp``/``cos``/``log``/``power`` results
-that differ in another numpy or libm build.
+``Generator`` stream, or elementwise ``exp``/``cos``/``sin``/``log``/``power``
+results that differ in another numpy or libm build.
 
 Samples are never recombined to a coarser sampling grid: the discrete channel
 law drops the intra-sample fading information such recombining would need, so
@@ -188,7 +188,9 @@ def estimate_F_moments(params: ChannelParams, n_samples: int, rng_seed: int) -> 
     """Monte Carlo moments of the coherent sum F = (1/L) sum_i e^{j(Theta_i - Theta_1)}.
 
     Returns estimates of E|F|^2, E|F|^4 and E[Re F] over fresh phase paths;
-    the first two target phi, the last targets kappa.
+    the first two target phi, the last targets kappa.  Computed in real
+    arithmetic: Re F and Im F are the row means of cos and sin of the phase
+    path, and |F|^2 = (Re F)^2 + (Im F)^2.
     """
     if n_samples < _MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= {_MIN_SAMPLES}, got {n_samples}")
@@ -196,11 +198,13 @@ def estimate_F_moments(params: ChannelParams, n_samples: int, rng_seed: int) -> 
     scale = math.sqrt(params.freq_noise_var / big_l)
     acc_m2, acc_m4, acc_re = _Accumulator(), _Accumulator(), _Accumulator()
     for rng, _, m in _chunks(rng_seed, n_samples, _chunk_rows(big_l)):
-        f = np.mean(np.exp(1j * _wiener_rows(rng, m, big_l, scale)), axis=1)
-        mag2 = np.abs(f) ** 2
+        theta = _wiener_rows(rng, m, big_l, scale)
+        re = np.mean(np.cos(theta), axis=1)
+        im = np.mean(np.sin(theta), axis=1)
+        mag2 = re * re + im * im
         acc_m2.add(mag2)
         acc_m4.add(mag2 * mag2)
-        acc_re.add(f.real)
+        acc_re.add(re)
     return FMoments(
         acc_m2.estimate(rng_seed), acc_m4.estimate(rng_seed), acc_re.estimate(rng_seed)
     )
@@ -215,9 +219,12 @@ def simulate_fading_integral(
     """Estimate E[F_n] for the continuous-time fading integral
     F_n = int_0^1 exp(j sqrt(sigma2/L) B(t)) dt over a standard Wiener path.
 
-    Discretized by a left-endpoint Riemann sum on `n_time_steps` points; the
-    bias is O(1/n_time_steps).  Returns (real part, imaginary part) estimates;
-    the analytic targets are (2L/sigma2)(1 - exp(-sigma2/(2L))) and 0.
+    Discretized by the trapezoid rule on `n_time_steps` intervals, over the
+    exact path points from B(0) = 0, in real arithmetic (cos and sin of the
+    phase path).  The real estimate's mean is that rule applied to
+    exp(-a t / 2), a = sigma2/L, so its bias is at most a^2 / (48 n_time_steps^2).
+    Returns (real part, imaginary part) estimates; the analytic targets are
+    (2L/sigma2)(1 - exp(-sigma2/(2L))) and 0.
     """
     if n_time_steps < 2:
         raise ValueError(f"n_time_steps must be >= 2, got {n_time_steps}")
@@ -228,11 +235,12 @@ def simulate_fading_integral(
     amp = math.sqrt(sigma2_over_L)
     step_std = math.sqrt(1.0 / n_time_steps)
     acc_re, acc_im = _Accumulator(), _Accumulator()
-    for rng, _, m in _chunks(rng_seed, n_samples, _chunk_rows(n_time_steps)):
-        bridge = _wiener_rows(rng, m, n_time_steps, step_std)
-        f = np.mean(np.exp(1j * amp * bridge), axis=1)
-        acc_re.add(f.real)
-        acc_im.add(f.imag)
+    for rng, _, m in _chunks(rng_seed, n_samples, _chunk_rows(n_time_steps + 1)):
+        theta = _wiener_rows(rng, m, n_time_steps + 1, step_std)
+        theta *= amp
+        for acc, values in ((acc_re, np.cos(theta)), (acc_im, np.sin(theta))):
+            # trapezoid weights: every point once, minus half of each endpoint
+            acc.add((values.sum(axis=1) - 0.5 * (values[:, 0] + values[:, -1])) / n_time_steps)
     return acc_re.estimate(rng_seed), acc_im.estimate(rng_seed)
 
 

@@ -94,6 +94,13 @@ class TestBoundsCommand:
         err = capsys.readouterr().err
         assert err.startswith("owpnlab: bounds overflow") and err.count("\n") == 1
 
+    def test_infinite_cells_are_refused(self, capsys):
+        # pc squares P + 2, which overflows to inf here; the row is refused
+        assert main(["bounds", "--P", "1e200", "--L", "1", "--sigma2", "1e-10"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("owpnlab: bounds overflow") and captured.err.count("\n") == 1
+
     def test_bits_conversion(self, tmp_path):
         nats_out, bits_out = tmp_path / "n.csv", tmp_path / "b.csv"
         point = ["--P", "5", "--L", "2", "--sigma2", "0.3"]
@@ -377,3 +384,37 @@ def test_any_argv_exits_with_documented_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, EXIT_IO)
+
+
+# Over the whole float range a bounds call either refuses its grid with one
+# line, or every cell it prints is finite and both lower bounds lie below the
+# outer bound.
+_DECADES = st.floats(min_value=0.0, max_value=300.0).map(lambda e: 10.0**e)
+_SIGMA2 = st.floats(min_value=-300.0, max_value=10.0).map(lambda e: 10.0**e)
+
+
+@given(
+    st.lists(_DECADES, min_size=1, max_size=3),
+    st.lists(st.sampled_from([1, 2, 16, 1000, 1000000]), min_size=1, max_size=2),
+    st.lists(_SIGMA2, min_size=1, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_bounds_finite_and_sandwiched_or_refused(ps, ls, s2s):
+    argv = ["bounds", "--P", ",".join(map(repr, ps)), "--L", ",".join(map(str, ls)),
+            "--sigma2", ",".join(map(repr, s2s))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == EXIT_USAGE:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("owpnlab: bounds overflow")
+        assert err.getvalue().count("\n") == 1
+        return
+    assert code == EXIT_OK and err.getvalue() == ""
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 + len(ps) * len(ls) * len(s2s)
+    for line in lines[1:]:
+        cells = np.array(line.split(",")[3:12], dtype=float)
+        assert np.all(np.isfinite(cells)), line
+        upper, pc, cc = cells[0], cells[3], cells[6]
+        assert max(pc, cc) <= upper + 1e-9, line

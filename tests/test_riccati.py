@@ -42,6 +42,22 @@ class TestRecursion:
                     state = riccati_step(state)
                     assert state.J >= 0.0
 
+    def test_iteration_is_the_step_map(self):
+        # iterate_fixed_point runs riccati_step on plain floats: same J, same count
+        for x, r, j0 in ((3.0, 1.0, 0.0), (1.0, 1e6, 0.0), (0.1, 1e-3, 2.0)):
+            j, steps = iterate_fixed_point(x, r, j0=j0)
+            state, count = FisherState(j0, x, r), 0
+            while True:
+                nxt, count = riccati_step(state), count + 1
+                if abs(nxt.J - state.J) <= 1e-12 * (1.0 + abs(nxt.J)):
+                    break
+                state = nxt
+            assert (j, steps) == (nxt.J, count)
+        with pytest.raises(ValueError):
+            iterate_fixed_point(1.0, 1.0, j0=-0.1)
+        with pytest.raises(ValueError):  # r - r^2 / r rounds below 0 at r = 0.1
+            iterate_fixed_point(0.0, 0.1)
+
     def test_state_validation(self):
         with pytest.raises(ValueError):
             FisherState(-0.1, 1.0, 1.0)
@@ -130,8 +146,12 @@ class TestPhaseRateUpper:
         assert abs(arg - 1.0) < 1e-6  # the stable form is far better than required
 
     def test_argument_where_the_direct_form_overflows(self):
-        # 2 r x and x^2 + 4 r x overflow; the rescaled form keeps every digit
-        for x, r in ((1e100, 1e300), (1e200, 1e200)):
+        # x^2 + 4 r x overflows at every point, 4 r / x also at the last two,
+        # and 2 r x does not at (5e104, 1.2e203); the rescaled forms keep every
+        # digit
+        points = ((1e100, 1e300), (1e200, 1e200), (5e104, 1.2e203), (1e308, 1e308),
+                  (1.0, 8e307), (3.0, 1e308))
+        for x, r in points:
             arg = crb_argument(x, r)
             assert abs(arg - _oracles.crb_argument(x, r)) <= 1e-15 * _oracles.crb_argument(x, r)
 

@@ -164,14 +164,45 @@ class TestFMoments:
         with pytest.raises(ValueError):
             estimate_F_moments(ChannelParams(1.0, 2, 1.0), 10, rng_seed=0)
 
+    def test_matches_complex_reference(self):
+        # one chunk, so the same draws as substream(seed, 0) through _wiener_rows
+        big_l, s2, n, seed = 4, 1.0, 5_000, 8
+        moments = estimate_F_moments(ChannelParams(1.0, big_l, s2), n, rng_seed=seed)
+        rows = _wiener_rows(substream(seed, 0), n, big_l, math.sqrt(s2 / big_l))
+        f = np.mean(np.exp(1j * rows), axis=1)
+        mag2 = np.abs(f) ** 2
+        for est, want in ((moments.m2, mag2), (moments.m4, mag2**2), (moments.mean_real, f.real)):
+            assert est.mean == pytest.approx(float(np.mean(want)), rel=1e-15, abs=0.0)
+
 
 class TestFadingIntegral:
     def test_matches_analytic_mean(self):
-        n_steps = 1000
-        re_est, im_est = simulate_fading_integral(2.0, n_steps, 100_000, rng_seed=17)
+        n_steps, a = 64, 2.0
+        re_est, im_est = simulate_fading_integral(a, n_steps, 100_000, rng_seed=17)
         target = 1.0 - math.exp(-1.0)  # int_0^1 e^{-t} dt at sigma2/L = 2
-        assert abs(re_est.mean - target) <= 4.0 * re_est.std_error + 1.0 / n_steps
+        bias = a * a / (48.0 * n_steps**2)
+        assert abs(re_est.mean - target) <= 4.0 * re_est.std_error + bias
         assert abs(im_est.mean) <= 4.0 * im_est.std_error
+
+    def test_matches_complex_trapezoid_reference(self):
+        # one chunk, so the same draws as substream(seed, 0) through _wiener_rows
+        a, n_steps, n, seed = 2.0, 64, 2_000, 5
+        re_est, im_est = simulate_fading_integral(a, n_steps, n, rng_seed=seed)
+        rows = _wiener_rows(substream(seed, 0), n, n_steps + 1, math.sqrt(1.0 / n_steps))
+        g = np.exp(1j * math.sqrt(a) * rows)
+        f = np.sum(g[:, 1:] + g[:, :-1], axis=1) / (2.0 * n_steps)  # np.trapezoid's formula
+        assert abs(re_est.mean - float(np.mean(f.real))) <= 1e-15
+        assert abs(im_est.mean - float(np.mean(f.imag))) <= 1e-15
+
+    @pytest.mark.parametrize("a", [0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("n_steps", [2, 8, 32, 64, 1000])
+    def test_trapezoid_bias_bound(self, a, n_steps):
+        # the estimator's mean is the trapezoid rule on exp(-a t / 2), whose
+        # error is at most max|f''| / (12 n^2) = a^2 / (48 n^2)
+        f = np.exp(-a * np.linspace(0.0, 1.0, n_steps + 1) / 2.0)
+        rule = (f.sum() - 0.5 * (f[0] + f[-1])) / n_steps
+        closed = (2.0 / a) * -math.expm1(-a / 2.0)
+        assert abs(rule - closed) <= a * a / (48.0 * n_steps**2)
 
     def test_zero_ratio_is_unity(self):
         re_est, im_est = simulate_fading_integral(0.0, 100, 2_000, rng_seed=3)
