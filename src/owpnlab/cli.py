@@ -246,7 +246,7 @@ def cmd_riccati(args) -> int:
     if riccati.crb_argument(x, ratio) > 0.0:
         crb = riccati.posterior_crb_entropy_lower(x, ratio)
         lines.append(f"posterior-CRB entropy bound : {_fmt(crb)} nats")
-    else:  # x == 0, or x * ratio underflows
+    else:  # x == 0
         lines.append(f"posterior-CRB entropy bound : undefined at x = {_fmt(x)}")
     text = "\n".join(lines) + "\n"
     if args.out is None:

@@ -14,6 +14,13 @@ standard error computed from the same histogram.
 The phase estimator marginalizes over the amplitude |X_1| of the probed
 symbol rather than conditioning on it; that only loosens the empirical
 target, so the lower-bound inequality direction is preserved.
+
+Both oracles run the real-arithmetic channel kernel of :mod:`owpnlab.sim`:
+|X|^2 is xr^2 + xi^2, the block norm the row sum of yr^2 + yi^2, and each
+angle ``arctan2(imag, real)``.  An estimate depends on its samples only
+through bin indices and equal-mass ranks, so it is byte-stable under
+last-ulp changes in ``cos``/``sin``/``arctan2`` except where such a change
+moves a sample across a bin edge or reorders two samples at an edge.
 """
 
 from __future__ import annotations
@@ -49,9 +56,14 @@ class MiEstimate:
     degenerate: bool = False
 
 
-def _plugin_mi(ix: np.ndarray, iy: np.ndarray, n_bins: int) -> MiEstimate:
-    n = ix.size
-    joint = np.bincount(ix * n_bins + iy, minlength=n_bins * n_bins).reshape(n_bins, n_bins)
+def _joint_counts(ix: np.ndarray, iy: np.ndarray, n_bins: int) -> np.ndarray:
+    """The ``(n_bins, n_bins)`` histogram of paired bin indices."""
+    return np.bincount(ix * n_bins + iy, minlength=n_bins * n_bins).reshape(n_bins, n_bins)
+
+
+def _plugin_mi(joint: np.ndarray) -> MiEstimate:
+    n_bins = joint.shape[0]
+    n = int(joint.sum())
     row = joint.sum(axis=1)
     col = joint.sum(axis=0)
     nz = joint > 0
@@ -69,9 +81,22 @@ def _plugin_mi(ix: np.ndarray, iy: np.ndarray, n_bins: int) -> MiEstimate:
 
 
 def _equal_mass_bins(x: np.ndarray, n_bins: int) -> np.ndarray:
-    ranks = np.empty(x.size, dtype=np.int64)
-    ranks[np.argsort(x, kind="stable")] = np.arange(x.size)
-    return (ranks * n_bins) // x.size
+    """``(rank * n_bins) // n`` for the stable rank of each sample.
+
+    Rank r lies in bin k or above exactly when r >= ceil(k n / n_bins), so the
+    bins are a fixed table over sorted positions.  Any sort order gives the
+    same bins unless a run of equal values straddles one of those edge
+    positions; only then is the slower stable sort needed.  Needs
+    ``x.size >= n_bins``.
+    """
+    n = x.size
+    order = np.argsort(x)
+    edges = -((-np.arange(1, n_bins) * n) // n_bins)
+    if np.any(x[order[edges - 1]] == x[order[edges]]):
+        order = np.argsort(x, kind="stable")
+    bins = np.empty(n, dtype=np.int64)
+    bins[order] = np.repeat(np.arange(n_bins), np.diff(edges, prepend=0, append=n))
+    return bins
 
 
 def _circular_bins(x: np.ndarray, n_bins: int) -> np.ndarray:
@@ -94,14 +119,18 @@ def histogram_mi(
     """Plug-in MI (nats) from a 2-D equal-mass histogram of two real samples.
 
     A constant marginal makes the MI identically zero; that case is returned
-    flagged rather than binned.
+    flagged rather than binned.  Samples must be finite.
     """
     x = np.asarray(x_samples, dtype=float)
     y = np.asarray(y_samples, dtype=float)
     _validate(x.size, y.size, n_bins)
-    if x.min() == x.max() or y.min() == y.max():
+    x_lo, x_hi, y_lo, y_hi = x.min(), x.max(), y.min(), y.max()
+    if not all(map(math.isfinite, (x_lo, x_hi, y_lo, y_hi))):
+        raise ValueError("samples must be finite")
+    if x_lo == x_hi or y_lo == y_hi:
         return MiEstimate(0.0, x.size, n_bins, 0.0, 0.0, degenerate=True)
-    return _plugin_mi(_equal_mass_bins(x, n_bins), _equal_mass_bins(y, n_bins), n_bins)
+    ix, iy = _equal_mass_bins(x, n_bins), _equal_mass_bins(y, n_bins)
+    return _plugin_mi(_joint_counts(ix, iy, n_bins))
 
 
 def amplitude_channel_mi(
@@ -121,13 +150,13 @@ def amplitude_channel_mi(
     scale = math.sqrt(params.freq_noise_var / big_l)
     amp = math.sqrt(sym_power / 2.0)
     for rng, start, m in _chunks(rng_seed, n_samples, max(1, _CHUNK // big_l)):
-        x = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * amp
+        xr, xi = (rng.standard_normal(m) * amp for _ in range(2))
         theta0 = rng.uniform(0.0, TWO_PI, m)
         theta = theta0[:, None] + _wiener_rows(rng, m, big_l + 1, scale)[:, 1:]
-        noise = rng.standard_normal((m, big_l)) + 1j * rng.standard_normal((m, big_l))
-        y = _channel(x, theta, noise)
-        x2[start : start + m] = np.abs(x) ** 2
-        ynorm[start : start + m] = np.sum(np.abs(y) ** 2, axis=1)
+        nr, ni = (rng.standard_normal((m, big_l)) for _ in range(2))
+        yr, yi = _channel(xr[:, None], xi[:, None], theta, nr, ni)
+        x2[start : start + m] = xr * xr + xi * xi
+        ynorm[start : start + m] = np.sum(yr * yr + yi * yi, axis=1)
     return histogram_mi(x2, ynorm, n_bins)
 
 
@@ -142,24 +171,23 @@ def phase_channel_mi(
     Y_first the first sample of the probed symbol X_1.  Only these two
     adjacent samples enter the statistic, so only they are simulated; the
     phase at Y_last is exactly uniform and the two samples are separated by a
-    single N(0, sigma2/L) increment.  Circular binning on [0, 2pi)."""
+    single N(0, sigma2/L) increment.  Circular binning on [0, 2pi); the
+    histogram is accumulated chunk by chunk."""
     if params.avg_power <= 0.0:
         raise ValueError("phase statistic needs P > 0")
     _validate(n_samples, n_samples, n_bins)
     big_l = params.oversampling
     amp = math.sqrt(per_symbol_power(params) / 2.0)
     inc_std = math.sqrt(params.freq_noise_var / big_l)
-    angles = np.empty(n_samples)
-    psi = np.empty(n_samples)
-    for rng, start, m in _chunks(rng_seed, n_samples, _CHUNK):
-        x0 = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * amp
-        x1 = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * amp
+    joint = np.zeros((n_bins, n_bins), dtype=np.int64)
+    for rng, _, m in _chunks(rng_seed, n_samples, _CHUNK):
+        x0r, x0i, x1r, x1i = (rng.standard_normal(m) * amp for _ in range(4))
         theta_last = rng.uniform(0.0, TWO_PI, m)
-        step = rng.normal(0.0, inc_std, m)
-        w_last = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        w_first = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        y_last = x0 * np.exp(1j * theta_last) + w_last
-        y_first = x1 * np.exp(1j * (theta_last + step)) + w_first
-        angles[start : start + m] = np.angle(x1)
-        psi[start : start + m] = np.angle(y_first) - np.angle(y_last) + np.angle(x0)
-    return _plugin_mi(_circular_bins(angles, n_bins), _circular_bins(psi, n_bins), n_bins)
+        theta_first = theta_last + rng.normal(0.0, inc_std, m)
+        wlr, wli, wfr, wfi = (rng.standard_normal(m) for _ in range(4))
+        ylr, yli = _channel(x0r, x0i, theta_last, wlr, wli)
+        yfr, yfi = _channel(x1r, x1i, theta_first, wfr, wfi)
+        psi = np.arctan2(yfi, yfr) - np.arctan2(yli, ylr) + np.arctan2(x0i, x0r)
+        ix = _circular_bins(np.arctan2(x1i, x1r), n_bins)
+        joint += _joint_counts(ix, _circular_bins(psi, n_bins), n_bins)
+    return _plugin_mi(joint)

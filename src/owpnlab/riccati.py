@@ -91,17 +91,20 @@ def iterate_fixed_point(
 
 
 def _crb_argument(x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # array kernel of crb_argument.  Where x^2 + 4rx overflows, the quotient is
-    # divided through by x, or by t = sqrt(rx) where 4r/x overflows too, so
-    # that no intermediate overflows; an infinite r stays nan.
+    # array kernel of crb_argument.  Where x^2 + 4rx overflows, or 2rx falls
+    # below the normal range, the quotient is divided through by x, or by
+    # t = sqrt(rx) where 4r/x overflows too, so that no intermediate overflows
+    # or underflows; an infinite r stays nan.
     with np.errstate(all="ignore"):  # 0/0 at x == 0, inf/inf on overflow
-        direct = 2.0 * r * x / (np.sqrt(x * x + 4.0 * r * x) + x)
+        numerator = 2.0 * r * x
+        direct = numerator / (np.sqrt(x * x + 4.0 * r * x) + x)
         four_r_x = 4.0 * (r / x)
         by_x = r / (0.5 * np.sqrt(1.0 + four_r_x) + 0.5)
         t = np.sqrt(r) * np.sqrt(x)
         by_t = t / (np.sqrt(1.0 + 0.25 * x / r) + 0.5 * x / t)
-        overflow = ~np.isfinite(x * x + 4.0 * r * x) & np.isfinite(r)
-    direct = np.where(overflow, np.where(np.isfinite(four_r_x), by_x, by_t), direct)
+        out_of_range = ~np.isfinite(x * x + 4.0 * r * x) | (numerator < np.finfo(float).tiny)
+    rescale = out_of_range & np.isfinite(r)
+    direct = np.where(rescale, np.where(np.isfinite(four_r_x), by_x, by_t), direct)
     return np.where(x == 0.0, 0.0, direct)
 
 

@@ -4,8 +4,10 @@ used to cross-check every closed-form constant.
 One engine serves every Monte Carlo path here and in :mod:`owpnlab.mioracle`:
 :func:`_chunks` splits a sample budget into chunks, :func:`_wiener_rows`
 builds Wiener phase paths and :func:`_channel` rotates symbols by a block of
-phases and adds noise; :func:`transmit` runs the same channel kernel as the
-amplitude MI oracle.
+phases and adds noise.  The channel kernel works in real arithmetic on
+separate real and imaginary parts, with ``cos``/``sin`` of the phases; the MI
+oracles use its parts directly and :func:`transmit` assembles its complex
+output from them.
 
 Randomness discipline: a master seed names a family of independent substreams
 via ``SeedSequence(seed, spawn_key=(index,))``.  Monte Carlo estimators split
@@ -21,7 +23,9 @@ regardless of how the chunks would be scheduled and of the numpy version on
 either side of 2.3, where ``np.sum`` of a long array stopped
 working in 8192-element buffers.  Not covered: a different numpy
 ``Generator`` stream, or elementwise ``exp``/``cos``/``sin``/``log``/``power``
-results that differ in another numpy or libm build.
+results that differ in another numpy or libm build.  The MI estimates of
+:mod:`owpnlab.mioracle` are sturdier: they see their samples only through
+bin indices and equal-mass ranks (see there).
 
 Samples are never recombined to a coarser sampling grid: the discrete channel
 law drops the intra-sample fading information such recombining would need, so
@@ -118,9 +122,25 @@ def _wiener_rows(rng: np.random.Generator, m: int, n: int, step_std: float) -> n
     return rows
 
 
-def _channel(x: np.ndarray, theta: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Outputs of `M` symbols `x` over an ``(M, L)`` block of phases and noise."""
-    return x[:, None] * np.exp(1j * theta) + noise
+def _channel(
+    xr: np.ndarray, xi: np.ndarray, theta: np.ndarray, nr: np.ndarray, ni: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the outputs ``x e^{j theta} + w``, elementwise
+    over broadcast arrays (symbols of shape ``(M, 1)`` against an ``(M, L)``
+    block of phases, say), in real arithmetic: the rotation is
+    ``(xr cos - xi sin, xr sin + xi cos)``, the product numpy's complex
+    multiply forms.  The noise parts `nr` and `ni` are overwritten with the
+    outputs and returned."""
+    cos = np.cos(theta)
+    sin = np.sin(theta)
+    rot = xr * cos
+    rot -= xi * sin
+    nr += rot
+    np.multiply(xr, sin, out=rot)
+    cos *= xi
+    rot += cos
+    ni += rot
+    return nr, ni
 
 
 def sample_phase_path(params: ChannelParams, n_symbols: int, rng_seed: int) -> np.ndarray:
@@ -169,13 +189,22 @@ def transmit(
         )
     if noise is None:
         rng = substream(rng_seed, 0)
-        noise = rng.standard_normal(n_out) + 1j * rng.standard_normal(n_out)
+        nr = rng.standard_normal(n_out)
+        ni = rng.standard_normal(n_out)
     else:
         noise = np.asarray(noise, dtype=np.complex128)
         if noise.size != n_out:
             raise ValueError(f"noise length {noise.size} != {n_out}")
+        nr, ni = noise.real.copy(), noise.imag.copy()
     block = (inputs.size, big_l)
-    return _channel(inputs, theta[1:].reshape(block), noise.reshape(block)).reshape(-1)
+    yr, yi = _channel(
+        inputs.real[:, None], inputs.imag[:, None], theta[1:].reshape(block),
+        nr.reshape(block), ni.reshape(block),
+    )
+    out = np.empty(n_out, dtype=np.complex128)
+    out.real = yr.reshape(-1)
+    out.imag = yi.reshape(-1)
+    return out
 
 
 class FMoments(NamedTuple):

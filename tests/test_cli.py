@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from owpnlab import cli
 from owpnlab.cli import (
     EXIT_IO,
@@ -173,6 +174,15 @@ class TestRiccatiCommand:
         text = capsys.readouterr().out
         assert "closed-form fixed point     : 0" in text
         assert "undefined at x = 0" in text
+
+    def test_bound_where_2rx_underflows(self, capsys):
+        assert main(["riccati", "--x", "1e-200", "--ratio", "1e-150"]) == EXIT_OK
+        text = capsys.readouterr().out
+        line = next(l for l in text.splitlines() if l.startswith("posterior-CRB"))
+        bound = float(line.split(":")[1].split()[0])
+        assert bound == pytest.approx(
+            _oracles.posterior_crb_entropy_lower(1e-200, 1e-150), rel=1e-12, abs=0.0
+        )
 
     def test_large_ratio(self, capsys):
         assert main(["riccati", "--x", "1", "--ratio", "1e6"]) == EXIT_OK

@@ -2,17 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles
 from owpnlab.bounds import lower_partially_coherent, upper_outer
 from owpnlab.mioracle import (
+    _CHUNK,
     MI_ALLOWANCE_NATS,
+    MiEstimate,
+    _equal_mass_bins,
     amplitude_channel_mi,
     histogram_mi,
     phase_channel_mi,
 )
-from owpnlab.model import ChannelParams
-from owpnlab.sim import substream
+from owpnlab.model import ChannelParams, per_symbol_power
+from owpnlab.sim import _chunks, _wiener_rows, substream
+
+TWO_PI = 2.0 * math.pi
 
 
 class TestHistogramMi:
@@ -58,6 +65,138 @@ class TestHistogramMi:
         for bad_bins in (4, 2048):
             with pytest.raises(ValueError):
                 histogram_mi(x, x, bad_bins)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        x = substream(106, 0).standard_normal(20_000)
+        y = x.copy()
+        y[12_345] = bad
+        for args in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="finite"):
+                histogram_mi(*args)
+
+
+def _stable_rank_bins(x, n_bins):
+    ranks = np.empty(x.size, dtype=np.int64)
+    ranks[np.argsort(x, kind="stable")] = np.arange(x.size)
+    return (ranks * n_bins) // x.size
+
+
+def _edge_positions(n, n_bins):
+    return -((-np.arange(1, n_bins) * n) // n_bins)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_bins=st.sampled_from([8, 64, 1024]),
+    extra=st.integers(0, 3000),
+    kind=st.sampled_from(["continuous", "integer", "straddle"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_equal_mass_bins_are_stable_rank_bins(seed, n_bins, extra, kind):
+    rng = np.random.default_rng(seed)
+    n = n_bins + extra
+    if kind == "continuous":
+        x = rng.standard_normal(n)
+    elif kind == "integer":  # tie-heavy
+        x = rng.integers(0, int(rng.integers(2, 40)), n).astype(float)
+    else:  # runs of equal values across several bin edges
+        s = np.sort(rng.standard_normal(n))
+        for p in _edge_positions(n, n_bins)[:: max(1, n_bins // 8)]:
+            s[max(p - 3, 0) : p + 3] = s[p]
+        x = rng.permutation(s)
+        s = np.sort(x)
+        edges = _edge_positions(n, n_bins)
+        assert np.any(s[edges - 1] == s[edges])
+    assert np.array_equal(_equal_mass_bins(x, n_bins), _stable_rank_bins(x, n_bins))
+
+
+# The oracles as they were written in complex arithmetic: x e^{j theta} + w
+# formed as complex arrays, |.|^2 by np.abs and angles by np.angle, binned by
+# stable ranks.  The real-arithmetic oracles must reproduce them exactly.
+
+
+def _reference_plugin_mi(ix, iy, n_bins):
+    n = ix.size
+    joint = np.bincount(ix * n_bins + iy, minlength=n_bins * n_bins).reshape(n_bins, n_bins)
+    row = joint.sum(axis=1)
+    col = joint.sum(axis=0)
+    nz = joint > 0
+    p = joint[nz] / n
+    log_ratio = np.log(joint[nz] * float(n) / (row[:, None] * col[None, :])[nz])
+    value = float(np.sum(p * log_ratio))
+    var = max(float(np.sum(p * log_ratio**2)) - value * value, 0.0)
+    return MiEstimate(value, n, n_bins, (n_bins - 1) ** 2 / (2.0 * n), math.sqrt(var / n))
+
+
+def _reference_circular_bins(x, n_bins):
+    wrapped = np.mod(x, TWO_PI)
+    return np.minimum((wrapped / TWO_PI * n_bins).astype(np.int64), n_bins - 1)
+
+
+def _reference_amplitude_mi(params, n_samples, seed, n_bins=64):
+    big_l = params.oversampling
+    x2 = np.empty(n_samples)
+    ynorm = np.empty(n_samples)
+    scale = math.sqrt(params.freq_noise_var / big_l)
+    amp = math.sqrt(per_symbol_power(params) / 2.0)
+    for rng, start, m in _chunks(seed, n_samples, max(1, _CHUNK // big_l)):
+        x = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * amp
+        theta0 = rng.uniform(0.0, TWO_PI, m)
+        theta = theta0[:, None] + _wiener_rows(rng, m, big_l + 1, scale)[:, 1:]
+        noise = rng.standard_normal((m, big_l)) + 1j * rng.standard_normal((m, big_l))
+        y = x[:, None] * np.exp(1j * theta) + noise
+        x2[start : start + m] = np.abs(x) ** 2
+        ynorm[start : start + m] = np.sum(np.abs(y) ** 2, axis=1)
+    return _reference_plugin_mi(
+        _stable_rank_bins(x2, n_bins), _stable_rank_bins(ynorm, n_bins), n_bins
+    )
+
+
+def _reference_phase_mi(params, n_samples, seed, n_bins=64):
+    big_l = params.oversampling
+    amp = math.sqrt(per_symbol_power(params) / 2.0)
+    inc_std = math.sqrt(params.freq_noise_var / big_l)
+    angles = np.empty(n_samples)
+    psi = np.empty(n_samples)
+    for rng, start, m in _chunks(seed, n_samples, _CHUNK):
+        x0 = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * amp
+        x1 = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * amp
+        theta_last = rng.uniform(0.0, TWO_PI, m)
+        step = rng.normal(0.0, inc_std, m)
+        w_last = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        w_first = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        y_last = x0 * np.exp(1j * theta_last) + w_last
+        y_first = x1 * np.exp(1j * (theta_last + step)) + w_first
+        angles[start : start + m] = np.angle(x1)
+        psi[start : start + m] = np.angle(y_first) - np.angle(y_last) + np.angle(x0)
+    return _reference_plugin_mi(
+        _reference_circular_bins(angles, n_bins), _reference_circular_bins(psi, n_bins), n_bins
+    )
+
+
+_REFERENCE_POINTS = [(20.0, 4, 0.5), (100.0, 1, 0.01), (3.0, 16, 2.0), (0.5, 1, 5.0)]
+
+
+@pytest.mark.parametrize("p,big_l,s2", _REFERENCE_POINTS)
+@pytest.mark.parametrize("seed", [3, 40])
+def test_amplitude_mi_matches_complex_reference(p, big_l, s2, seed):
+    # 50,000 samples: 4 chunks at L = 4, 7 at L = 16
+    params = ChannelParams(p, big_l, s2)
+    got = amplitude_channel_mi(params, 50_000, seed)
+    want = _reference_amplitude_mi(params, 50_000, seed)
+    assert got == want  # value and std_error included
+
+
+@pytest.mark.parametrize("p,big_l,s2", _REFERENCE_POINTS)
+@pytest.mark.parametrize("seed", [3, 40])
+def test_phase_mi_matches_complex_reference(p, big_l, s2, seed):
+    # two chunks, the second one partial
+    params = ChannelParams(p, big_l, s2)
+    n = _CHUNK + 20_000
+    got = phase_channel_mi(params, n, seed)
+    want = _reference_phase_mi(params, n, seed)
+    assert got == want  # value and std_error included
 
 
 class TestAmplitudeChannelMi:

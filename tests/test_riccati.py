@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -154,6 +155,16 @@ class TestPhaseRateUpper:
         for x, r in points:
             arg = crb_argument(x, r)
             assert abs(arg - _oracles.crb_argument(x, r)) <= 1e-15 * _oracles.crb_argument(x, r)
+
+    def test_argument_where_2rx_underflows(self):
+        # 2 r x is subnormal or 0 at every point, and the direct form gives 0
+        # at the first.  At (1, 1e-320) the oracle needs more than its 50
+        # digits, or sqrt(x^2 + 4rx)/2 - x/2 cancels to 0.
+        for x, r in ((1e-200, 1e-150), (1e-300, 1e-10), (1.0, 1e-320)):
+            with mp.workdps(400):
+                want = _oracles.crb_argument(x, r)
+            assert want > 0.0
+            assert crb_argument(x, r) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_large_grid_point(self):
         # the quoted 3.8723 is hand-rounded; the oracle gives 3.8728137

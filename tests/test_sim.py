@@ -100,6 +100,24 @@ class TestTransmit:
         with pytest.warns(RuntimeWarning):
             transmit(params, np.full(10, 5.0 + 0j), theta, rng_seed=1)
 
+    def test_matches_complex_kernel(self):
+        # the real-arithmetic kernel against x e^{j theta} + w in complex
+        # arithmetic, on the same noise draws; the given noise is left alone
+        params = ChannelParams(2.0, 4, 0.7)
+        n_symbols = 2_000
+        rng = substream(9, 1)
+        inputs = (rng.standard_normal(n_symbols) + 1j * rng.standard_normal(n_symbols)) * 0.5
+        theta = sample_phase_path(params, n_symbols, rng_seed=10)
+        drawn = transmit(params, inputs, theta, rng_seed=11)
+        noise_rng = substream(11, 0)
+        noise = noise_rng.standard_normal(drawn.size) + 1j * noise_rng.standard_normal(drawn.size)
+        kept = noise.copy()
+        given = transmit(params, inputs, theta, rng_seed=0, noise=noise)
+        assert np.array_equal(noise, kept)
+        assert np.array_equal(drawn, given)
+        want = np.repeat(inputs, 4) * np.exp(1j * theta[1:]) + noise
+        assert np.allclose(drawn, want, rtol=0.0, atol=1e-14)
+
     def test_length_mismatch_rejected(self):
         params = ChannelParams(1.0, 2, 0.1)
         theta = sample_phase_path(params, 10, rng_seed=0)
@@ -299,9 +317,10 @@ class TestHadamardIdentity:
         rng = substream(123 + big_l, 0)
         theta0 = rng.uniform(0.0, TWO_PI, n)
         theta = theta0[:, None] + _wiener_rows(rng, n, big_l + 1, math.sqrt(0.8 / big_l))[:, 1:]
-        w = rng.standard_normal((n, big_l)) + 1j * rng.standard_normal((n, big_l))
-        y = _channel(np.full(n, amp + 0j), theta, w)
-        norm_sq = np.sum(np.abs(y) ** 2, axis=1)
+        wr = rng.standard_normal((n, big_l))
+        wi = rng.standard_normal((n, big_l))
+        yr, yi = _channel(np.full((n, 1), amp), np.zeros((n, 1)), theta, wr, wi)
+        norm_sq = np.sum(yr * yr + yi * yi, axis=1)
 
         rng2 = substream(321 + big_l, 0)
         w0 = rng2.standard_normal(n) + 1j * rng2.standard_normal(n)
