@@ -8,7 +8,12 @@ Axes are given as comma lists (``--P 1,10,100``) or log ranges
 (``--P log:1:1e6:7``); grids are emitted in ascending lexicographic order of
 the axes, one row per point, with a mandatory header, LF line endings and
 17-significant-digit decimals.  Output is bit-identical for a given sweep and
-seed; ``--threads`` is accepted (>= 1) for compatibility and has no effect.
+seed.
+
+Each subcommand takes exactly the options it reads (``_COMMANDS``), plus
+``--out`` and ``--config``.  A config file holds ``key=value`` lines, each key
+an option name of that subcommand; its values are parsed as that option's
+default, with the option's own type, and flags win.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 """
@@ -31,15 +36,6 @@ from .model import ChannelParams, Units, convert_rate, derive_constants
 
 GRID_CAP = 10**7
 
-_DEFAULTS = {
-    "seed": 42,
-    "samples": 100_000,
-    "units": "nats",
-    "threads": 1,
-    "max_iter": 10**6,
-    "tolerance_scale": 1.0,
-}
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAIL = 2
@@ -57,6 +53,7 @@ class _Parser(argparse.ArgumentParser):
         # axis lists such as `--beta -2,-1,0` parse (argparse's own pattern
         # accepts only a single negative number).  No option looks like one.
         self._negative_number_matcher = re.compile(r"-\.?\d")
+        self.commands: dict[str, _Parser] = {}
 
     def error(self, message: str) -> None:  # noqa: A003 - argparse hook
         raise UsageError(message)
@@ -115,13 +112,16 @@ def parse_axis(text: str, name: str, integer: bool = False, nonnegative: bool = 
     return sorted(values)
 
 
-def _write_rows(out_path: str | None, header: list[str], rows) -> None:
-    text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
+def _write_text(out_path: str | None, text: str) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _write_rows(out_path: str | None, header: list[str], rows) -> None:
+    _write_text(out_path, "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n")
 
 
 def _fmt_column(values: np.ndarray) -> list[str]:
@@ -156,7 +156,6 @@ def cmd_bounds(args) -> int:
     ps = parse_axis(args.P, "P", nonnegative=True)
     ls = parse_axis(args.L, "L", integer=True)
     s2s = parse_axis(args.sigma2, "sigma2", nonnegative=True)
-    units = Units(args.units)
     keys, grid = _grid([ps, ls, s2s])
     columns = []
     with np.errstate(all="ignore"):  # overflow shows as nan or inf, rejected below
@@ -168,7 +167,7 @@ def cmd_bounds(args) -> int:
         raise UsageError(
             f"bounds overflow the float range at P={_fmt(p)}, L={int(big_l)}, sigma2={_fmt(s2)}"
         )
-    cells = [_fmt_column(convert_rate(c, units)) for c in columns]
+    cells = [_fmt_column(convert_rate(c, args.units)) for c in columns]
     header = [
         "P", "L", "sigma2",
         "upper_total", "upper_amp", "upper_phase",
@@ -176,7 +175,7 @@ def cmd_bounds(args) -> int:
         "cc_total", "cc_amp", "cc_phase",
         "units",
     ]
-    _write_rows(args.out, header, zip(keys, *cells, itertools.repeat(units.value)))
+    _write_rows(args.out, header, zip(keys, *cells, itertools.repeat(args.units.value)))
     return EXIT_OK
 
 
@@ -200,27 +199,28 @@ def cmd_regimes(args) -> int:
     ps = parse_axis(args.P, "P", nonnegative=True)
     ls = parse_axis(args.L, "L", integer=True)
     s2s = parse_axis(args.sigma2, "sigma2", nonnegative=True)
-    units = Units(args.units)
     keys, grid = _grid([ps, ls, s2s])
     cells = []  # "regime,gap" for each entry of gdof._REGIMES
     for regime in gdof_mod._REGIMES:
         gap = gdof_mod.regime_gap_nats(regime)
-        cells.append(f"{regime.value},{'' if math.isnan(gap) else _fmt(convert_rate(gap, units))}")
+        gap_text = "" if math.isnan(gap) else _fmt(convert_rate(gap, args.units))
+        cells.append(f"{regime.value},{gap_text}")
     header = ["P", "L", "sigma2", "regime", "gap", "units"]
     which = gdof_mod._classify(*grid).tolist()
-    _write_rows(args.out, header, ((k, cells[i], units.value) for k, i in zip(keys, which)))
+    _write_rows(args.out, header, ((k, cells[i], args.units.value) for k, i in zip(keys, which)))
     return EXIT_OK
 
 
 def cmd_riccati(args) -> int:
-    x = float(args.x)
-    ratio = float(args.ratio)
+    x, ratio = args.x, args.ratio
     if not 0.0 <= x < math.inf:
         raise UsageError(f"--x must be finite and >= 0, got {x}")
     if not 0.0 < ratio < math.inf:
         raise UsageError(f"--ratio must be finite and > 0, got {ratio}")
     if not math.isfinite(x * x + 4.0 * ratio * x + ratio * ratio):
         raise UsageError("--x and --ratio too large: x^2 + 4 x ratio + ratio^2 overflows")
+    if args.max_iter < 1:
+        raise UsageError(f"--max-iter must be >= 1, got {args.max_iter}")
     closed = riccati.riccati_fixed_point(x, ratio)
     lines = [f"x (input second moment)  : {_fmt(x)}", f"r (L / sigma2)           : {_fmt(ratio)}"]
     try:
@@ -248,12 +248,7 @@ def cmd_riccati(args) -> int:
         lines.append(f"posterior-CRB entropy bound : {_fmt(crb)} nats")
     else:  # x == 0
         lines.append(f"posterior-CRB entropy bound : undefined at x = {_fmt(x)}")
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -374,6 +369,10 @@ def verify_rows(seed: int, n_samples: int, tolerance_scale: float = 1.0) -> list
 def cmd_verify(args) -> int:
     if args.samples < 10_000:
         raise UsageError("verify needs --samples >= 10000")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
+    if not 0.0 <= args.tolerance_scale < math.inf:
+        raise UsageError(f"--tolerance-scale must be finite and >= 0, got {args.tolerance_scale}")
     rows = verify_rows(args.seed, args.samples, args.tolerance_scale)
     header = ["check", "point", "measured", "expected", "deviation", "tolerance", "status", "note"]
     out_rows = [
@@ -388,99 +387,95 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _add_common(sub: argparse.ArgumentParser, axes: list[str]) -> None:
-    for axis in axes:
-        sub.add_argument(f"--{axis}", help=f"{axis} axis: 'v1,v2,...' or 'log:start:stop:n'")
-    sub.add_argument("--units", choices=["nats", "bits"], default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--samples", type=int, default=None)
-    sub.add_argument("--out", default=None, help="output path (default: stdout)")
-    sub.add_argument("--config", default=None, help="key=value config file; flags win")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="accepted for compatibility (>= 1); has no effect")
+def _axis(name: str) -> tuple[str, dict]:
+    return f"--{name}", {"help": f"{name} axis: 'v1,v2,...' or 'log:start:stop:n'"}
+
+
+_UNITS = ("--units", {"type": Units, "default": "nats", "metavar": "{nats,bits}",
+                      "help": "rate unit, applied at emission (default: nats)"})
+
+# Each subcommand's function, help line and the options it reads, as
+# (flag, add_argument keywords).  An option without a default is a required
+# input, given by a flag or a config line.  Every subcommand also takes
+# --out and --config.
+_COMMANDS = {
+    "bounds": (cmd_bounds, "capacity bounds over a (P, L, sigma2) grid",
+               (_axis("P"), _axis("L"), _axis("sigma2"), _UNITS)),
+    "gdof": (cmd_gdof, "GDoF regions over an (alpha, beta) grid",
+             (_axis("alpha"), _axis("beta"))),
+    "verify": (cmd_verify, "Monte-Carlo vs closed-form verification suite", (
+        ("--seed", {"type": int, "default": 42, "help": "base seed, >= 0 (default: 42)"}),
+        ("--samples", {"type": int, "default": 100_000,
+                       "help": "Monte Carlo budget, >= 10000 (default: 100000)"}),
+        ("--tolerance-scale", {"type": float, "default": 1.0,
+                               "help": "multiply every tolerance, finite and >= 0 "
+                                       "(0 gives a deterministic failure)"}),
+    )),
+    "riccati": (cmd_riccati, "Fisher-information recursion report", (
+        ("--x", {"type": float, "help": "input second moment E|X|^2"}),
+        ("--ratio", {"type": float, "help": "L / sigma2"}),
+        ("--max-iter", {"type": int, "default": 10**6, "help": "iteration cap, >= 1"}),
+    )),
+    "regimes": (cmd_regimes, "regime classification over a (P, L, sigma2) grid",
+                (_axis("P"), _axis("L"), _axis("sigma2"), _UNITS)),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
 def build_parser() -> _Parser:
+    """The owpnlab parser; `parser.commands` maps each subcommand to its parser."""
     parser = _Parser(prog="owpnlab", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    b = subs.add_parser("bounds", help="capacity bounds over a (P, L, sigma2) grid")
-    _add_common(b, ["P", "L", "sigma2"])
-
-    g = subs.add_parser("gdof", help="GDoF regions over an (alpha, beta) grid")
-    _add_common(g, ["alpha", "beta"])
-
-    v = subs.add_parser("verify", help="Monte-Carlo vs closed-form verification suite")
-    _add_common(v, [])
-    v.add_argument("--tolerance-scale", type=float, default=None, dest="tolerance_scale",
-                   help="multiply every tolerance (0 gives a deterministic failure)")
-
-    r = subs.add_parser("riccati", help="Fisher-information recursion report")
-    r.add_argument("--x", type=float, required=True, help="input second moment E|X|^2")
-    r.add_argument("--ratio", type=float, required=True, help="L / sigma2")
-    r.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    r.add_argument("--out", default=None)
-    r.add_argument("--config", default=None)
-
-    m = subs.add_parser("regimes", help="regime classification over a (P, L, sigma2) grid")
-    _add_common(m, ["P", "L", "sigma2"])
+    for name, (_, help_line, options) in _COMMANDS.items():
+        sub = parser.commands[name] = subs.add_parser(name, help=help_line)
+        for flag, keywords in options:
+            sub.add_argument(flag, **keywords)
+        sub.add_argument("--out", help="output path (default: stdout)")
+        sub.add_argument("--config", help="key=value config file; flags win")
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if getattr(args, "config", None) is None:
-        return
+def _read_config(path: str, dests: set[str]) -> dict[str, str]:
+    # the key=value lines of a config file; each key is one of `dests`
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config {args.config}: {exc}") from exc
-    converters = {
-        "seed": int, "samples": int, "threads": int, "max_iter": int,
-        "tolerance_scale": float, "x": float, "ratio": float,
-    }
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    values = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"{args.config}:{lineno}: expected key=value, got {line!r}")
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        value = value.strip()
-        if not hasattr(args, key) or key == "config":
-            raise UsageError(f"{args.config}:{lineno}: unknown key {key!r}")
-        if getattr(args, key) is None:  # flags take precedence
-            setattr(args, key, converters.get(key, str)(value))
-
-
-def _fill_defaults(args: argparse.Namespace) -> None:
-    for key, value in _DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
-    for axis in ("P", "L", "sigma2", "alpha", "beta"):
-        if hasattr(args, axis) and getattr(args, axis) is None:
-            raise UsageError(f"missing required axis --{axis}")
-    if hasattr(args, "threads") and args.threads < 1:
-        raise UsageError("--threads must be >= 1")
-    if hasattr(args, "seed") and args.seed < 0:
-        raise UsageError("--seed must be >= 0")
+        if key not in dests:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value.strip()
+    return values
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args)
-        _fill_defaults(args)
-        dispatch = {
-            "bounds": cmd_bounds,
-            "gdof": cmd_gdof,
-            "verify": cmd_verify,
-            "riccati": cmd_riccati,
-            "regimes": cmd_regimes,
-        }
-        return dispatch[args.command](args)
+        command, _, options = _COMMANDS[args.command]
+        if args.config is not None:
+            dests = {_dest(flag) for flag, _ in options} | {"out"}
+            parser.commands[args.command].set_defaults(**_read_config(args.config, dests))
+            try:  # argparse converts each string default with its option's type
+                args = parser.parse_args(argv)
+            except UsageError as exc:
+                raise UsageError(f"{args.config}: {exc}") from None
+        for flag, keywords in options:
+            if "default" not in keywords and getattr(args, _dest(flag)) is None:
+                raise UsageError(f"missing required {flag}")
+        return command(args)
     except UsageError as exc:
         sys.stderr.write(f"owpnlab: {exc}\n")
         return EXIT_USAGE

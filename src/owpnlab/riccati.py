@@ -54,11 +54,12 @@ def riccati_step(state: FisherState) -> FisherState:
 
 
 def riccati_fixed_point(x_mean_sq: float, l_over_sigma2: float) -> float:
-    """Stationary solution J* = x/2 + sqrt(x^2 + 4 r x)/2 of the Riccati map."""
+    """Stationary solution J* = x/2 + sqrt(x^2 + 4 r x)/2 of the Riccati map,
+    evaluated as x + :func:`crb_argument` so that it neither overflows nor
+    underflows where x^2 + 4rx leaves the normal float range."""
     if x_mean_sq < 0.0 or l_over_sigma2 <= 0.0:
         raise ValueError("need x_mean_sq >= 0 and l_over_sigma2 > 0")
-    x = x_mean_sq
-    return 0.5 * x + 0.5 * math.sqrt(x * x + 4.0 * l_over_sigma2 * x)
+    return x_mean_sq + crb_argument(x_mean_sq, l_over_sigma2)
 
 
 def iterate_fixed_point(

@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from owpnlab.cli import (
     EXIT_USAGE,
     EXIT_VERIFY_FAIL,
     UsageError,
+    build_parser,
     main,
     parse_axis,
 )
@@ -201,27 +204,13 @@ class TestRiccatiCommand:
         assert captured.out == ""
         assert captured.err.startswith("riccati: ") and captured.err.count("\n") == 1
 
-
-class TestThreadsFlag:
-    """`--threads` has no effect on any command; it stays accepted so that
-    existing scripts and `threads=` config lines keep working."""
-
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        for spec in (
-            ["gdof", "--alpha", "0,0.25,0.5,1,2", "--beta", "-1,0,0.5,1"],
-            ["regimes", "--P", "1,10,1e4", "--L", "1,4", "--sigma2", "0.01,1,4"],
-        ):
-            a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-            assert main([*spec, "--threads", "1", "--out", str(a)]) == EXIT_OK
-            assert main([*spec, "--threads", "2", "--out", str(b)]) == EXIT_OK
-            assert a.read_bytes() == b.read_bytes()
-
-    def test_threads_still_validated(self, tmp_path, capsys):
-        assert main(["gdof", "--alpha", "0", "--beta", "0", "--threads", "0"]) == EXIT_USAGE
-        assert capsys.readouterr().err == "owpnlab: --threads must be >= 1\n"
+    def test_inputs_from_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("threads=4\n", encoding="utf-8")
-        assert main(["gdof", "--alpha", "0", "--beta", "0", "--config", str(cfg)]) == EXIT_OK
+        cfg.write_text("x=3\nratio=1\n", encoding="utf-8")
+        assert main(["riccati", "--config", str(cfg)]) == EXIT_OK
+        from_config = capsys.readouterr().out
+        assert main(["riccati", "--x", "3", "--ratio", "1"]) == EXIT_OK
+        assert from_config == capsys.readouterr().out
 
 
 def _sha256_of(argv, capsys):
@@ -326,11 +315,47 @@ class TestConfigAndErrors:
         ["riccati", "--x", "1", "--ratio", "0"],
         ["riccati", "--x", "1", "--ratio", "1e200"],
         ["verify", "--seed", "-1", "--samples", "10000"],
+        ["verify", "--tolerance-scale", "inf"],
+        ["verify", "--tolerance-scale", "nan"],
+        ["verify", "--tolerance-scale", "-1"],
+        ["riccati", "--x", "1", "--ratio", "1", "--max-iter", "0"],
+        ["riccati", "--x", "1"],
+        ["bounds", "--P", "1", "--L", "1", "--sigma2", "1", "--threads", "2"],
+        ["gdof", "--alpha", "0", "--beta", "0", "--seed", "1"],
+        ["verify", "--units", "bits"],
     ])
     def test_out_of_domain_is_usage_error(self, argv, capsys):
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("owpnlab: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, line", [
+        ("bounds", b"units=bogus"),
+        ("bounds", b"seed=3"),
+        ("bounds", b"threads=2"),
+        ("verify", b"seed=abc"),
+        ("verify", b"samples=1e5"),
+        ("verify", b"threads=2"),
+        ("verify", b"units=bits"),
+        ("verify", b"tolerance_scale=x"),
+        ("riccati", b"max_iter=x"),
+        ("riccati", b"config=other.txt"),
+        ("gdof", b"no equals sign"),
+        ("gdof", b"\xff\xfe=1"),  # not UTF-8
+    ])
+    def test_bad_config_line_is_usage_error(self, command, line, tmp_path, capsys):
+        base = {
+            "bounds": ["--P", "1", "--L", "1", "--sigma2", "1"],
+            "verify": [],
+            "riccati": ["--x", "1", "--ratio", "1"],
+            "gdof": ["--alpha", "0", "--beta", "0"],
+        }[command]
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(line + b"\n")
+        assert main([command, *base, "--config", str(cfg)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("owpnlab: ") and captured.err.count("\n") == 1
 
     def test_log_range_count_capped_before_generation(self):
         assert main(["bounds", "--P", "log:1:10:99999999999", "--L", "1",
@@ -374,18 +399,27 @@ def _command(name, flags, extra=()):
     return st.tuples(st.sampled_from(list(flags)), _VALUES).map(build)
 
 
-_GRID = {"--P": "0,1,1e3", "--L": "1,4", "--sigma2": "0,0.5", "--units": "bits",
-         "--seed": "3"}
+_GRID = {"--P": "0,1,1e3", "--L": "1,4", "--sigma2": "0,0.5", "--units": "bits"}
+_TABLES = [
+    ("bounds", _GRID, ()),
+    ("regimes", _GRID, ()),
+    ("gdof", {"--alpha": "0,0.5", "--beta": "-1,0"}, ()),
+    ("riccati", {"--x": "1", "--ratio": "2"}, ("--max-iter", "50")),
+    ("verify", {"--seed": "1", "--tolerance-scale": "0"}, ("--samples", "9999")),
+]
 _ARGV = st.one_of(
-    _command("bounds", _GRID),
-    _command("regimes", _GRID, ("--threads", "1")),
-    _command("gdof", {"--alpha": "0,0.5", "--beta": "-1,0", "--units": "nats"},
-             ("--threads", "1")),
-    _command("riccati", {"--x": "1", "--ratio": "2"}, ("--max-iter", "50")),
-    _command("verify", {"--seed": "1", "--units": "bits", "--tolerance-scale": "0"},
-             ("--samples", "9999")),
+    *(_command(name, flags, extra) for name, flags, extra in _TABLES),
     _command("bogus", {"--P": "1"}),
 )
+
+
+@pytest.mark.parametrize("name, flags, extra", _TABLES)
+def test_valid_argv_tables_parse(name, flags, extra):
+    # the base argv of each table parses, so drawn examples reach the command
+    argv = [name, *extra]
+    for flag, value in flags.items():
+        argv += [flag, value]
+    assert build_parser().parse_args(argv).command == name
 
 
 @given(_ARGV)
@@ -428,3 +462,16 @@ def test_bounds_finite_and_sandwiched_or_refused(ps, ls, s2s):
         assert np.all(np.isfinite(cells)), line
         upper, pc, cc = cells[0], cells[3], cells[6]
         assert max(pc, cc) <= upper + 1e-9, line
+
+
+def test_readme_lists_each_subcommands_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = {
+        m.group(1): set(re.findall(r"`(--[\w-]+)`", m.group(2)))
+        for m in re.finditer(r"^\| `(\w+)` \| (.*) \|$", readme, re.MULTILINE)
+    }
+    declared = {
+        name: set(re.findall(r"\[(--[\w-]+)", sub.format_usage()))
+        for name, sub in build_parser().commands.items()
+    }
+    assert listed == declared

@@ -75,6 +75,12 @@ class TestFixedPoint:
         )
         assert riccati_fixed_point(1.0, 1e6) == pytest.approx(1000.500125, abs=1e-6)
 
+    def test_where_x2_plus_4rx_underflows(self):
+        # x^2 + 4rx underflows to 0 here, while J* is about sqrt(rx)
+        assert riccati_fixed_point(1e-200, 1e-150) == pytest.approx(
+            _oracles.riccati_fixed_point(1e-200, 1e-150), rel=1e-12, abs=0.0
+        )
+
     def test_step_consistency_on_grid(self):
         for x in X_GRID:
             for r in R_GRID:
