@@ -8,12 +8,16 @@ Axes are given as comma lists (``--P 1,10,100``) or log ranges
 (``--P log:1:1e6:7``); grids are emitted in ascending lexicographic order of
 the axes, one row per point, with a mandatory header, LF line endings and
 17-significant-digit decimals.  Output is bit-identical for a given sweep and
-seed.
+seed.  Each kernel runs once over the whole grid; the rows are then formatted
+and written ``_ROW_BLOCK`` at a time by one writer, so the text of a grid is
+never held whole.  A grid that is refused (a non-finite bounds cell) is
+refused before any byte is written or any ``--out`` file is created.
 
 Each subcommand takes exactly the options it reads (``_COMMANDS``), plus
-``--out`` and ``--config``.  A config file holds ``key=value`` lines, each key
-an option name of that subcommand; its values are parsed as that option's
-default, with the option's own type, and flags win.
+``--out`` and ``--config``, each by its full name only (no prefixes).  A
+config file holds ``key=value`` lines, each key an option name of that
+subcommand; its values are parsed as that option's default, with the
+option's own type, and flags win.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 """
@@ -21,10 +25,12 @@ Exit codes: 0 success, 1 usage error, 2 verification failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
 import re
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +41,8 @@ from . import mioracle, riccati, sim
 from .model import ChannelParams, Units, convert_rate, derive_constants
 
 GRID_CAP = 10**7
+# Rows formatted and written at a time by _write_grid.
+_ROW_BLOCK = 4096
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,7 +56,9 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+        # Options are read by their full names only: a prefix such as `--r`
+        # is an unrecognized argument, as a config key must be exact too.
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # Read any argument that starts with '-' and a digit as a value, so that
         # axis lists such as `--beta -2,-1,0` parse (argparse's own pattern
         # accepts only a single negative number).  No option looks like one.
@@ -112,16 +122,28 @@ def parse_axis(text: str, name: str, integer: bool = False, nonnegative: bool = 
     return sorted(values)
 
 
-def _write_text(out_path: str | None, text: str) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _write_lines(out_path: str | None, blocks: Iterable[list[str]]) -> None:
+    """Write each block of lines, every line LF-terminated, to `out_path`
+    (stdout when None), one block at a time."""
+    with (open(out_path, "w", encoding="utf-8", newline="") if out_path is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        for lines in blocks:
+            fh.write("\n".join(lines) + "\n")
 
 
-def _write_rows(out_path: str | None, header: list[str], rows) -> None:
-    _write_text(out_path, "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n")
+def _write_grid(out_path: str | None, header: list[str], keys: Iterator[str], n_rows: int,
+                cells: Callable[[int, int], list[Iterable[str]]]) -> None:
+    """Write a grid's CSV: the header, then `n_rows` rows, each its axis key
+    from `keys` followed by its cells.  ``cells(lo, hi)`` gives the cell
+    columns of rows ``lo`` to ``hi``; rows are formatted and written
+    `_ROW_BLOCK` at a time."""
+    def blocks():
+        yield [",".join(header)]
+        for lo in range(0, n_rows, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, n_rows)
+            yield list(map(",".join, zip(itertools.islice(keys, hi - lo), *cells(lo, hi))))
+
+    _write_lines(out_path, blocks())
 
 
 def _fmt_column(values: np.ndarray) -> list[str]:
@@ -135,12 +157,13 @@ def _fmt_column(values: np.ndarray) -> list[str]:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _grid(axes: list[list]) -> tuple[list[str], list[np.ndarray]]:
-    # each row's axis cells and one float array per axis, rows in product order
+def _grid(axes: list[list]) -> tuple[Iterator[str], list[np.ndarray]]:
+    # each row's axis cells, made as they are read, and one float array per
+    # axis, rows in product order
     total = math.prod(len(axis) for axis in axes)
     if total > GRID_CAP:
         raise UsageError(f"grid size {total} exceeds the cap {GRID_CAP}")
-    keys = [",".join(k) for k in itertools.product(*([_fmt(v) for v in axis] for axis in axes))]
+    keys = map(",".join, itertools.product(*([_fmt(v) for v in axis] for axis in axes)))
     mesh = np.meshgrid(*(np.array(axis, dtype=float) for axis in axes), indexing="ij")
     return keys, [g.ravel() for g in mesh]
 
@@ -167,7 +190,8 @@ def cmd_bounds(args) -> int:
         raise UsageError(
             f"bounds overflow the float range at P={_fmt(p)}, L={int(big_l)}, sigma2={_fmt(s2)}"
         )
-    cells = [_fmt_column(convert_rate(c, args.units)) for c in columns]
+    columns = [convert_rate(c, args.units) for c in columns]
+    units = itertools.repeat(args.units.value)
     header = [
         "P", "L", "sigma2",
         "upper_total", "upper_amp", "upper_phase",
@@ -175,7 +199,8 @@ def cmd_bounds(args) -> int:
         "cc_total", "cc_amp", "cc_phase",
         "units",
     ]
-    _write_rows(args.out, header, zip(keys, *cells, itertools.repeat(args.units.value)))
+    _write_grid(args.out, header, keys, grid[0].size,
+                lambda lo, hi: [*(_fmt_column(c[lo:hi]) for c in columns), units])
     return EXIT_OK
 
 
@@ -184,14 +209,19 @@ def cmd_gdof(args) -> int:
     betas = parse_axis(args.beta, "beta")
     keys, grid = _grid([alphas, betas])
     *families, regimes = gdof_mod._regions(*grid)
-    cells = [_fmt_column(total) for total, _, _ in families]
-    cells[-1] = [text if regime else "" for text, regime in zip(cells[-1], regimes)]
+    totals = [total for total, _, _ in families]
+
+    def cells(lo, hi):
+        texts = [_fmt_column(total[lo:hi]) for total in totals]
+        texts[-1] = [text if regime else "" for text, regime in zip(texts[-1], regimes[lo:hi])]
+        return [*texts, regimes[lo:hi]]
+
     header = [
         "alpha", "beta",
         "d_outer", "d_inner_pc", "d_inner_cc", "d_inner_combined",
         "d_exact", "regime_of_exactness",
     ]
-    _write_rows(args.out, header, zip(keys, *cells, regimes))
+    _write_grid(args.out, header, keys, len(regimes), cells)
     return EXIT_OK
 
 
@@ -206,8 +236,10 @@ def cmd_regimes(args) -> int:
         gap_text = "" if math.isnan(gap) else _fmt(convert_rate(gap, args.units))
         cells.append(f"{regime.value},{gap_text}")
     header = ["P", "L", "sigma2", "regime", "gap", "units"]
-    which = gdof_mod._classify(*grid).tolist()
-    _write_rows(args.out, header, ((k, cells[i], args.units.value) for k, i in zip(keys, which)))
+    which = gdof_mod._classify(*grid)
+    units = itertools.repeat(args.units.value)
+    _write_grid(args.out, header, keys, which.size,
+                lambda lo, hi: [[cells[i] for i in which[lo:hi].tolist()], units])
     return EXIT_OK
 
 
@@ -248,7 +280,7 @@ def cmd_riccati(args) -> int:
         lines.append(f"posterior-CRB entropy bound : {_fmt(crb)} nats")
     else:  # x == 0
         lines.append(f"posterior-CRB entropy bound : undefined at x = {_fmt(x)}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_lines(args.out, [lines])
     return EXIT_OK
 
 
@@ -374,13 +406,13 @@ def cmd_verify(args) -> int:
     if not 0.0 <= args.tolerance_scale < math.inf:
         raise UsageError(f"--tolerance-scale must be finite and >= 0, got {args.tolerance_scale}")
     rows = verify_rows(args.seed, args.samples, args.tolerance_scale)
-    header = ["check", "point", "measured", "expected", "deviation", "tolerance", "status", "note"]
-    out_rows = [
-        [r.check, r.point, _fmt(r.measured), _fmt(r.expected), _fmt(r.deviation),
-         _fmt(r.tolerance), "pass" if r.passed else "fail", r.note]
+    header = "check,point,measured,expected,deviation,tolerance,status,note"
+    lines = [
+        ",".join([r.check, r.point, _fmt(r.measured), _fmt(r.expected), _fmt(r.deviation),
+                  _fmt(r.tolerance), "pass" if r.passed else "fail", r.note])
         for r in rows
     ]
-    _write_rows(args.out, header, out_rows)
+    _write_lines(args.out, [[header, *lines]])
     return EXIT_OK if all(r.passed for r in rows) else EXIT_VERIFY_FAIL
 
 

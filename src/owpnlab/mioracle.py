@@ -21,6 +21,11 @@ angle ``arctan2(imag, real)``.  An estimate depends on its samples only
 through bin indices and equal-mass ranks, so it is byte-stable under
 last-ulp changes in ``cos``/``sin``/``arctan2`` except where such a change
 moves a sample across a bin edge or reorders two samples at an edge.
+
+Memory: each chunk's arrays are drawn whole, in a fixed order that is part
+of the reproducibility key, but the kernel works on them in place (the
+angles go into buffers that are not read again), bins are int16 and the
+joint bin index is one intp array.
 """
 
 from __future__ import annotations
@@ -58,7 +63,9 @@ class MiEstimate:
 
 def _joint_counts(ix: np.ndarray, iy: np.ndarray, n_bins: int) -> np.ndarray:
     """The ``(n_bins, n_bins)`` histogram of paired bin indices."""
-    return np.bincount(ix * n_bins + iy, minlength=n_bins * n_bins).reshape(n_bins, n_bins)
+    joint = np.multiply(ix, n_bins, dtype=np.intp)
+    joint += iy
+    return np.bincount(joint, minlength=n_bins * n_bins).reshape(n_bins, n_bins)
 
 
 def _plugin_mi(joint: np.ndarray) -> MiEstimate:
@@ -87,21 +94,28 @@ def _equal_mass_bins(x: np.ndarray, n_bins: int) -> np.ndarray:
     bins are a fixed table over sorted positions.  Any sort order gives the
     same bins unless a run of equal values straddles one of those edge
     positions; only then is the slower stable sort needed.  Needs
-    ``x.size >= n_bins``.
+    ``x.size >= n_bins``; the bins are int16, as ``n_bins <= 1024``.
     """
     n = x.size
     order = np.argsort(x)
     edges = -((-np.arange(1, n_bins) * n) // n_bins)
     if np.any(x[order[edges - 1]] == x[order[edges]]):
+        del order
         order = np.argsort(x, kind="stable")
-    bins = np.empty(n, dtype=np.int64)
-    bins[order] = np.repeat(np.arange(n_bins), np.diff(edges, prepend=0, append=n))
+    bins = np.empty(n, dtype=np.int16)
+    bins[order] = np.repeat(
+        np.arange(n_bins, dtype=np.int16), np.diff(edges, prepend=0, append=n)
+    )
     return bins
 
 
 def _circular_bins(x: np.ndarray, n_bins: int) -> np.ndarray:
+    """int16 bins of width 2pi / n_bins over the angles `x` taken mod 2pi."""
     wrapped = np.mod(x, TWO_PI)
-    return np.minimum((wrapped / TWO_PI * n_bins).astype(np.int64), n_bins - 1)
+    wrapped /= TWO_PI
+    wrapped *= n_bins
+    bins = wrapped.astype(np.int16)
+    return np.minimum(bins, n_bins - 1, out=bins)
 
 
 def _validate(nx: int, ny: int, n_bins: int) -> None:
@@ -152,11 +166,17 @@ def amplitude_channel_mi(
     for rng, start, m in _chunks(rng_seed, n_samples, max(1, _CHUNK // big_l)):
         xr, xi = (rng.standard_normal(m) * amp for _ in range(2))
         theta0 = rng.uniform(0.0, TWO_PI, m)
-        theta = theta0[:, None] + _wiener_rows(rng, m, big_l + 1, scale)[:, 1:]
+        theta = _wiener_rows(rng, m, big_l + 1, scale)[:, 1:]
+        theta += theta0[:, None]
         nr, ni = (rng.standard_normal((m, big_l)) for _ in range(2))
         yr, yi = _channel(xr[:, None], xi[:, None], theta, nr, ni)
-        x2[start : start + m] = xr * xr + xi * xi
-        ynorm[start : start + m] = np.sum(yr * yr + yi * yi, axis=1)
+        np.multiply(xr, xr, out=x2[start : start + m])
+        xi *= xi
+        x2[start : start + m] += xi
+        yr *= yr
+        yi *= yi
+        yr += yi
+        np.sum(yr, axis=1, out=ynorm[start : start + m])
     return histogram_mi(x2, ynorm, n_bins)
 
 
@@ -183,11 +203,15 @@ def phase_channel_mi(
     for rng, _, m in _chunks(rng_seed, n_samples, _CHUNK):
         x0r, x0i, x1r, x1i = (rng.standard_normal(m) * amp for _ in range(4))
         theta_last = rng.uniform(0.0, TWO_PI, m)
-        theta_first = theta_last + rng.normal(0.0, inc_std, m)
+        theta_first = rng.normal(0.0, inc_std, m)
+        theta_first += theta_last
         wlr, wli, wfr, wfi = (rng.standard_normal(m) for _ in range(4))
         ylr, yli = _channel(x0r, x0i, theta_last, wlr, wli)
         yfr, yfi = _channel(x1r, x1i, theta_first, wfr, wfi)
-        psi = np.arctan2(yfi, yfr) - np.arctan2(yli, ylr) + np.arctan2(x0i, x0r)
-        ix = _circular_bins(np.arctan2(x1i, x1r), n_bins)
+        # each angle goes into a buffer that is not read again
+        psi = np.arctan2(yfi, yfr, out=yfr)
+        psi -= np.arctan2(yli, ylr, out=ylr)
+        psi += np.arctan2(x0i, x0r, out=x0r)
+        ix = _circular_bins(np.arctan2(x1i, x1r, out=x1r), n_bins)
         joint += _joint_counts(ix, _circular_bins(psi, n_bins), n_bins)
     return _plugin_mi(joint)

@@ -27,6 +27,15 @@ results that differ in another numpy or libm build.  The MI estimates of
 :mod:`owpnlab.mioracle` are sturdier: they see their samples only through
 bin indices and equal-mass ranks (see there).
 
+Working memory does not grow with the chunk: :func:`estimate_F_moments` and
+:func:`simulate_fading_integral` build their wide ``(rows, width)`` phase
+arrays one row block of about ``_BLOCK_ELEMENTS`` elements at a time
+(:func:`_row_blocks`), the blocks drawn one after another from the chunk's
+generator.  Drawing k1 rows and then k2 rows gives the same values as one
+draw of k1 + k2 rows, and the per-row values reach the chunk's partial sums
+in whole 8192-element blocks, so the row-block size is not part of the
+reproducibility key.
+
 Samples are never recombined to a coarser sampling grid: the discrete channel
 law drops the intra-sample fading information such recombining would need, so
 a "resample to smaller L" helper would be unsound and is deliberately absent.
@@ -51,6 +60,10 @@ _CHUNK_ELEMENTS = 1 << 20
 _MIN_SAMPLES = 1_000
 # Block length of _blocked_sum: numpy's iterator buffer size before 2.3.
 _SUM_BLOCK = 8192
+# Elements per row block of the wide intermediates (see _row_blocks): small
+# enough to bound memory, large enough that per-block Python calls stay
+# negligible.  Not part of the reproducibility key.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -62,18 +75,18 @@ def _chunk_rows(row_width: int) -> int:
     return max(1, _CHUNK_ELEMENTS // max(row_width, 1))
 
 
-def _blocked_sum(values: np.ndarray) -> float:
+def _blocked_sum(values: np.ndarray, total: float = 0.0) -> float:
     """Sum `values` in a fixed order, independent of the numpy version.
 
     The values are flattened in C order, cut into consecutive blocks of
     `_SUM_BLOCK` elements, each block is reduced by ``np.sum``, and the block
-    sums are added left to right starting from 0.0.  Before numpy 2.3 a bare
-    ``np.sum`` reduced in exactly these blocks; from 2.3 on it pairwise-sums
-    the whole array, which moves the last ulp.  A block is always one inner
-    loop, so its own sum is the same under either version.
+    sums are added left to right starting from `total` (0.0 by default).
+    Before numpy 2.3 a bare ``np.sum`` reduced in exactly these blocks; from
+    2.3 on it pairwise-sums the whole array, which moves the last ulp.  A
+    block is always one inner loop, so its own sum is the same under either
+    version.
     """
     flat = np.ascontiguousarray(values).reshape(-1)
-    total = 0.0
     for start in range(0, flat.size, _SUM_BLOCK):
         total += float(np.sum(flat[start : start + _SUM_BLOCK]))
     return total
@@ -83,18 +96,27 @@ class _Accumulator:
     """Running sum / sum-of-squares reduced in a fixed order: each chunk is
     reduced to one partial sum by :func:`_blocked_sum` (8192-element blocks,
     left to right), and the partial sums are added in the order the chunks
-    are passed to :meth:`add`, which every estimator does in ascending chunk
-    order."""
+    are closed by :meth:`end_chunk`, which every estimator does in ascending
+    chunk order.  A chunk's values may arrive in consecutive pieces through
+    :meth:`add`; every piece but the chunk's last must hold a whole number of
+    8192-element blocks, so that the pieces add up to the same partial sum."""
 
     def __init__(self) -> None:
         self.s1 = 0.0
         self.s2 = 0.0
         self.n = 0
+        self._chunk_s1 = 0.0
+        self._chunk_s2 = 0.0
 
     def add(self, values: np.ndarray) -> None:
-        self.s1 += _blocked_sum(values)
-        self.s2 += _blocked_sum(values * values)
+        self._chunk_s1 = _blocked_sum(values, self._chunk_s1)
+        self._chunk_s2 = _blocked_sum(values * values, self._chunk_s2)
         self.n += values.size
+
+    def end_chunk(self) -> None:
+        self.s1 += self._chunk_s1
+        self.s2 += self._chunk_s2
+        self._chunk_s1 = self._chunk_s2 = 0.0
 
     def estimate(self, seed: int) -> McEstimate:
         mean = self.s1 / self.n
@@ -112,14 +134,56 @@ def _chunks(
         yield substream(seed, index), start, min(rows, n_samples - start)
 
 
+def _row_blocks(
+    seed: int, n_samples: int, width: int, accs: tuple[_Accumulator, ...]
+) -> Iterator[tuple[np.random.Generator, np.ndarray]]:
+    """Drive the chunks of an estimator whose samples are rows of `width`
+    elements, one row block at a time.
+
+    Chunks are those of ``_chunks(seed, n_samples, _chunk_rows(width))``.
+    Each chunk is cut into consecutive row blocks of about `_BLOCK_ELEMENTS`
+    elements, and for each block this yields ``(rng, out)``: the caller draws
+    the block's rows from `rng`, the chunk's generator, and writes the
+    per-row values for ``accs[k]`` into ``out[k]`` (length: the block's rows)
+    before asking for the next block.  The per-row values are gathered in
+    windows of whole 8192-row sum blocks and added to the accumulators window
+    by window; each chunk is closed by ``end_chunk``.
+    """
+    window = _SUM_BLOCK * max(1, _BLOCK_ELEMENTS // (_SUM_BLOCK * width))
+    step = max(1, _BLOCK_ELEMENTS // width)
+    for rng, _, m in _chunks(seed, n_samples, _chunk_rows(width)):
+        buf = np.empty((len(accs), min(window, m)))
+        for w0 in range(0, m, window):
+            wn = min(window, m - w0)
+            for r0 in range(0, wn, step):
+                yield rng, buf[:, r0 : min(r0 + step, wn)]
+            for acc, values in zip(accs, buf):
+                acc.add(values[:wn])
+        for acc in accs:
+            acc.end_chunk()
+
+
 def _wiener_rows(rng: np.random.Generator, m: int, n: int, step_std: float) -> np.ndarray:
     """`m` Wiener paths of `n` points starting at 0, as an ``(m, n)`` array:
     column ``k`` is the sum of the first ``k`` of ``n - 1`` i.i.d.
-    N(0, step_std^2) increments."""
+    N(0, step_std^2) increments.  The increments are standard normals scaled
+    in place: the draws of ``rng.normal(0, step_std)``, which forms
+    ``0 + step_std * z``, with the same bits but for the sign of a zero."""
     rows = np.empty((m, n))
     rows[:, 0] = 0.0
-    np.cumsum(rng.normal(0.0, step_std, size=(m, n - 1)), axis=1, out=rows[:, 1:])
+    steps = rng.standard_normal((m, n - 1))
+    steps *= step_std
+    np.cumsum(steps, axis=1, out=rows[:, 1:])
     return rows
+
+
+def _cos_rows(theta: np.ndarray) -> np.ndarray:
+    """``cos(theta)`` of Wiener rows from :func:`_wiener_rows` (first column
+    exactly 0.0, so its cosine is 1.0 without a call)."""
+    cos = np.empty_like(theta)
+    cos[:, 0] = 1.0
+    np.cos(theta[:, 1:], out=cos[:, 1:])
+    return cos
 
 
 def _channel(
@@ -129,10 +193,10 @@ def _channel(
     over broadcast arrays (symbols of shape ``(M, 1)`` against an ``(M, L)``
     block of phases, say), in real arithmetic: the rotation is
     ``(xr cos - xi sin, xr sin + xi cos)``, the product numpy's complex
-    multiply forms.  The noise parts `nr` and `ni` are overwritten with the
-    outputs and returned."""
+    multiply forms.  `theta` is overwritten with its sines; the noise parts
+    `nr` and `ni` are overwritten with the outputs and returned."""
     cos = np.cos(theta)
-    sin = np.sin(theta)
+    sin = np.sin(theta, out=theta)
     rot = xr * cos
     rot -= xi * sin
     nr += rot
@@ -198,7 +262,7 @@ def transmit(
         nr, ni = noise.real.copy(), noise.imag.copy()
     block = (inputs.size, big_l)
     yr, yi = _channel(
-        inputs.real[:, None], inputs.imag[:, None], theta[1:].reshape(block),
+        inputs.real[:, None], inputs.imag[:, None], theta[1:].reshape(block).copy(),
         nr.reshape(block), ni.reshape(block),
     )
     out = np.empty(n_out, dtype=np.complex128)
@@ -225,15 +289,16 @@ def estimate_F_moments(params: ChannelParams, n_samples: int, rng_seed: int) -> 
         raise ValueError(f"n_samples must be >= {_MIN_SAMPLES}, got {n_samples}")
     big_l = params.oversampling
     scale = math.sqrt(params.freq_noise_var / big_l)
-    acc_m2, acc_m4, acc_re = _Accumulator(), _Accumulator(), _Accumulator()
-    for rng, _, m in _chunks(rng_seed, n_samples, _chunk_rows(big_l)):
-        theta = _wiener_rows(rng, m, big_l, scale)
-        re = np.mean(np.cos(theta), axis=1)
-        im = np.mean(np.sin(theta), axis=1)
-        mag2 = re * re + im * im
-        acc_m2.add(mag2)
-        acc_m4.add(mag2 * mag2)
-        acc_re.add(re)
+    accs = acc_m2, acc_m4, acc_re = _Accumulator(), _Accumulator(), _Accumulator()
+    for rng, (mag2, mag4, re) in _row_blocks(rng_seed, n_samples, big_l, accs):
+        theta = _wiener_rows(rng, re.size, big_l, scale)
+        np.mean(_cos_rows(theta), axis=1, out=re)
+        np.sin(theta[:, 1:], out=theta[:, 1:])  # sin 0.0 = 0.0 stays in column 0
+        im = np.mean(theta, axis=1)
+        np.multiply(re, re, out=mag2)
+        im *= im
+        mag2 += im
+        np.multiply(mag2, mag2, out=mag4)
     return FMoments(
         acc_m2.estimate(rng_seed), acc_m4.estimate(rng_seed), acc_re.estimate(rng_seed)
     )
@@ -263,14 +328,23 @@ def simulate_fading_integral(
         raise ValueError("n_samples must be >= 1")
     amp = math.sqrt(sigma2_over_L)
     step_std = math.sqrt(1.0 / n_time_steps)
-    acc_re, acc_im = _Accumulator(), _Accumulator()
-    for rng, _, m in _chunks(rng_seed, n_samples, _chunk_rows(n_time_steps + 1)):
-        theta = _wiener_rows(rng, m, n_time_steps + 1, step_std)
+    accs = acc_re, acc_im = _Accumulator(), _Accumulator()
+    for rng, (re, im) in _row_blocks(rng_seed, n_samples, n_time_steps + 1, accs):
+        theta = _wiener_rows(rng, re.size, n_time_steps + 1, step_std)
         theta *= amp
-        for acc, values in ((acc_re, np.cos(theta)), (acc_im, np.sin(theta))):
-            # trapezoid weights: every point once, minus half of each endpoint
-            acc.add((values.sum(axis=1) - 0.5 * (values[:, 0] + values[:, -1])) / n_time_steps)
+        _trapezoid(_cos_rows(theta), n_time_steps, re)
+        np.sin(theta[:, 1:], out=theta[:, 1:])  # sin 0.0 = 0.0 stays in column 0
+        _trapezoid(theta, n_time_steps, im)
     return acc_re.estimate(rng_seed), acc_im.estimate(rng_seed)
+
+
+def _trapezoid(values: np.ndarray, n: int, out: np.ndarray) -> None:
+    # per row: every point once, minus half of each endpoint, over n intervals
+    np.sum(values, axis=1, out=out)
+    ends = values[:, 0] + values[:, -1]
+    ends *= 0.5
+    out -= ends
+    out /= n
 
 
 def estimate_log_abs_sq(power: float, n_samples: int, rng_seed: int) -> McEstimate:
@@ -289,4 +363,5 @@ def estimate_log_abs_sq(power: float, n_samples: int, rng_seed: int) -> McEstima
         re = rng.standard_normal(m) * half
         im = rng.standard_normal(m) * half
         acc.add(np.log(re * re + im * im))
+        acc.end_chunk()
     return acc.estimate(rng_seed)

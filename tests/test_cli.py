@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from _memory import traced_peak_mib
+from owpnlab import bounds as bounds_mod
 from owpnlab import cli
 from owpnlab.cli import (
     EXIT_IO,
@@ -98,12 +100,18 @@ class TestBoundsCommand:
         err = capsys.readouterr().err
         assert err.startswith("owpnlab: bounds overflow") and err.count("\n") == 1
 
-    def test_infinite_cells_are_refused(self, capsys):
+    def test_infinite_cells_are_refused(self, capsys, tmp_path):
         # pc squares P + 2, which overflows to inf here; the row is refused
-        assert main(["bounds", "--P", "1e200", "--L", "1", "--sigma2", "1e-10"]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("owpnlab: bounds overflow") and captured.err.count("\n") == 1
+        # before any byte is written or the --out file is created
+        argv = ["bounds", "--P", "1e200", "--L", "1", "--sigma2", "1e-10"]
+        out = tmp_path / "b.csv"
+        for extra in ([], ["--out", str(out)]):
+            assert main([*argv, *extra]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("owpnlab: bounds overflow")
+            assert captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_bits_conversion(self, tmp_path):
         nats_out, bits_out = tmp_path / "n.csv", tmp_path / "b.csv"
@@ -250,6 +258,51 @@ class TestGridBytes:
             assert cli._fmt_column(col) == [format(v, ".17g") for v in col.tolist()]
 
 
+class TestBlockWriter:
+    """Grid rows are formatted and written in blocks of cli._ROW_BLOCK."""
+
+    @staticmethod
+    def per_row_csv(ps, big_l, s2):
+        # every cell formatted on its own, as format(v, ".17g")
+        p = np.array(ps)
+        columns = []
+        for kernel in (bounds_mod._upper_outer, bounds_mod._lower_partially_coherent,
+                       bounds_mod._lower_coherent_combining):
+            columns.extend(kernel(p, np.full_like(p, big_l), np.full_like(p, s2)))
+        lines = [",".join(["P", "L", "sigma2", "upper_total", "upper_amp", "upper_phase",
+                           "pc_total", "pc_amp", "pc_phase", "cc_total", "cc_amp", "cc_phase",
+                           "units"])]
+        for value, row in zip(ps, np.array(columns).T.tolist()):
+            cells = [format(v, ".17g") for v in row]
+            lines.append(",".join([format(value, ".17g"), str(big_l), format(s2, ".17g"),
+                                   *cells, "nats"]))
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_two_blocks_and_one_row(self, to_file, tmp_path, capsys):
+        n = 2 * cli._ROW_BLOCK + 1
+        spec = f"log:1e-3:1e9:{n}"
+        argv = ["bounds", "--P", spec, "--L", "4", "--sigma2", "0.3"]
+        want = self.per_row_csv(parse_axis(spec, "P"), 4, 0.3)
+        if to_file:
+            out = tmp_path / "b.csv"
+            assert main([*argv, "--out", str(out)]) == EXIT_OK
+            got = out.read_bytes()
+        else:
+            assert main(argv) == EXIT_OK
+            got = capsys.readouterr().out.encode("utf-8")
+        assert got.count(b"\n") == n + 1
+        assert got == want.encode("utf-8")
+
+    def test_working_memory(self, tmp_path):
+        # a 28,000-row grid, the size of the bounds-grid benchmark workload;
+        # joined whole, its text and cell lists take ~29 MiB traced
+        argv = ["bounds", "--P", "log:1:1e12:100", "--L", "1,2,3,5,8,13,21",
+                "--sigma2", "log:1e-6:1e2:40", "--out", str(tmp_path / "b.csv")]
+        assert traced_peak_mib(main, argv) < 12.0
+        assert (tmp_path / "b.csv").read_text(encoding="utf-8").count("\n") == 28_001
+
+
 class TestVerifyCommand:
     def test_passes_and_reproduces(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -323,6 +376,8 @@ class TestConfigAndErrors:
         ["bounds", "--P", "1", "--L", "1", "--sigma2", "1", "--threads", "2"],
         ["gdof", "--alpha", "0", "--beta", "0", "--seed", "1"],
         ["verify", "--units", "bits"],
+        ["bounds", "--P", "1", "--L", "1", "--sigma", "1", "--unit", "bits"],  # prefixes
+        ["riccati", "--x", "3", "--r", "1"],
     ])
     def test_out_of_domain_is_usage_error(self, argv, capsys):
         assert main(argv) == EXIT_USAGE

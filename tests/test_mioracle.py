@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from _memory import traced_peak_mib
 from owpnlab.bounds import lower_partially_coherent, upper_outer
 from owpnlab.mioracle import (
     _CHUNK,
@@ -65,6 +66,14 @@ class TestHistogramMi:
         for bad_bins in (4, 2048):
             with pytest.raises(ValueError):
                 histogram_mi(x, x, bad_bins)
+
+    def test_working_memory(self):
+        # int16 bins and one intp joint index: below the 15.3 MiB traced
+        # with int64 bins and an int64 index product
+        rng = substream(107, 0)
+        x = rng.standard_normal(500_000)
+        y = x + rng.standard_normal(500_000)
+        assert traced_peak_mib(histogram_mi, x, y) < 8.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_samples(self, bad):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from owpnlab.model import ChannelParams, derive_constants
+from _memory import traced_peak_mib
+from owpnlab.model import ChannelParams, McEstimate, derive_constants
 from owpnlab.sim import (
+    FMoments,
     _blocked_sum,
     _channel,
     _chunks,
@@ -102,13 +104,16 @@ class TestTransmit:
 
     def test_matches_complex_kernel(self):
         # the real-arithmetic kernel against x e^{j theta} + w in complex
-        # arithmetic, on the same noise draws; the given noise is left alone
+        # arithmetic, on the same noise draws; the given noise and phase path
+        # are left alone
         params = ChannelParams(2.0, 4, 0.7)
         n_symbols = 2_000
         rng = substream(9, 1)
         inputs = (rng.standard_normal(n_symbols) + 1j * rng.standard_normal(n_symbols)) * 0.5
         theta = sample_phase_path(params, n_symbols, rng_seed=10)
+        path = theta.copy()
         drawn = transmit(params, inputs, theta, rng_seed=11)
+        assert np.array_equal(theta, path)
         noise_rng = substream(11, 0)
         noise = noise_rng.standard_normal(drawn.size) + 1j * noise_rng.standard_normal(drawn.size)
         kept = noise.copy()
@@ -230,6 +235,104 @@ class TestFadingIntegral:
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError):
             simulate_fading_integral(1.0, 1, 1_000, rng_seed=0)
+
+
+# The two path estimators as they were written before row blocks: each chunk
+# of 2^20 // width rows drawn at once through rng.normal, its per-row values
+# reduced by one left-to-right sum of 8192-element blocks.  The row-blocked
+# estimators must reproduce them exactly.
+
+
+class _ReferenceAccumulator:
+    def __init__(self):
+        self.s1 = self.s2 = 0.0
+        self.n = 0
+
+    def add(self, values):  # one whole chunk
+        self.s1 += TestBlockedSum.left_to_right_blocks(values)
+        self.s2 += TestBlockedSum.left_to_right_blocks(values * values)
+        self.n += values.size
+
+    def estimate(self, seed):
+        mean = self.s1 / self.n
+        var = max(self.s2 / self.n - mean * mean, 0.0)
+        return McEstimate(mean, math.sqrt(var / self.n), self.n, seed)
+
+
+def _reference_wiener_rows(rng, m, n, step_std):
+    rows = np.empty((m, n))
+    rows[:, 0] = 0.0
+    np.cumsum(rng.normal(0.0, step_std, size=(m, n - 1)), axis=1, out=rows[:, 1:])
+    return rows
+
+
+def _reference_f_moments(params, n_samples, seed):
+    big_l = params.oversampling
+    scale = math.sqrt(params.freq_noise_var / big_l)
+    acc_m2, acc_m4, acc_re = _ReferenceAccumulator(), _ReferenceAccumulator(), _ReferenceAccumulator()
+    for rng, _, m in _chunks(seed, n_samples, max(1, (1 << 20) // big_l)):
+        theta = _reference_wiener_rows(rng, m, big_l, scale)
+        re = np.mean(np.cos(theta), axis=1)
+        im = np.mean(np.sin(theta), axis=1)
+        mag2 = re * re + im * im
+        acc_m2.add(mag2)
+        acc_m4.add(mag2 * mag2)
+        acc_re.add(re)
+    return FMoments(acc_m2.estimate(seed), acc_m4.estimate(seed), acc_re.estimate(seed))
+
+
+def _reference_fading_integral(sigma2_over_L, n_steps, n_samples, seed):
+    amp = math.sqrt(sigma2_over_L)
+    acc_re, acc_im = _ReferenceAccumulator(), _ReferenceAccumulator()
+    for rng, _, m in _chunks(seed, n_samples, max(1, (1 << 20) // (n_steps + 1))):
+        theta = _reference_wiener_rows(rng, m, n_steps + 1, math.sqrt(1.0 / n_steps))
+        theta *= amp
+        for acc, values in ((acc_re, np.cos(theta)), (acc_im, np.sin(theta))):
+            acc.add((values.sum(axis=1) - 0.5 * (values[:, 0] + values[:, -1])) / n_steps)
+    return acc_re.estimate(seed), acc_im.estimate(seed)
+
+
+def _bits(estimates):
+    # repr keeps every bit of a float, the sign of a zero included
+    return [repr(est) for est in estimates]
+
+
+class TestRowBlocksKeepBits:
+    """Every McEstimate field equals the unblocked estimator's, over budgets
+    of two whole chunks and a third that ends in a partial row block."""
+
+    @pytest.mark.parametrize("big_l, s2, n_samples", [
+        (1, 0.7, 2 * 2**20 + 12_345),
+        (2, 4.0 * math.log(2.0), 2 * 2**19 + 12_345),
+        (2, 0.0, 2 * 2**19 + 12_345),
+        (16, 0.1, 2 * 2**16 + 12_345),
+        (65, 3.0, 2 * (2**20 // 65) + 1_234),
+    ])
+    def test_f_moments(self, big_l, s2, n_samples):
+        params = ChannelParams(1.0, big_l, s2)
+        got = estimate_F_moments(params, n_samples, rng_seed=31)
+        assert _bits(got) == _bits(_reference_f_moments(params, n_samples, 31))
+
+    @pytest.mark.parametrize("a, n_samples", [
+        (2.0, 2 * (2**20 // 65) + 1_234),
+        (0.0, 2 * (2**20 // 65) + 1),
+        (8.0, 3_000),
+    ])
+    def test_fading_integral(self, a, n_samples):
+        got = simulate_fading_integral(a, 64, n_samples, rng_seed=32)
+        assert _bits(got) == _bits(_reference_fading_integral(a, 64, n_samples, 32))
+
+
+class TestWorkingMemory:
+    """Traced peak memory stays below bounds that the whole-chunk estimators
+    (2^20-element chunks, ~27-32 MiB traced) exceed."""
+
+    def test_fading_integral(self):
+        assert traced_peak_mib(simulate_fading_integral, 2.0, 64, 100_000, 1) < 4.0
+
+    def test_f_moments(self):
+        params = ChannelParams(1.0, 2, 4.0 * math.log(2.0))
+        assert traced_peak_mib(estimate_F_moments, params, 500_000, 1) < 4.0
 
 
 class TestLogAbsSq:
