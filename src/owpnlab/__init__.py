@@ -11,7 +11,6 @@ from .bounds import (
     EULER_MASCHERONI,
     entropy_chi2_lower,
     entropy_noncentral_chi2_upper,
-    inverse_second_moment_bound,
     lower_coherent_combining,
     lower_partially_coherent,
     upper_outer,
@@ -102,7 +101,6 @@ __all__ = [
     "gdof_outer",
     "histogram_mi",
     "immse_entropy_quadrature",
-    "inverse_second_moment_bound",
     "iterate_fixed_point",
     "lower_coherent_combining",
     "lower_partially_coherent",

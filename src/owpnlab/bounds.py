@@ -177,16 +177,3 @@ def entropy_noncentral_chi2_upper(k: int, lam: float) -> float:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     return 0.5 * math.log(8.0 * math.pi * math.e * (k + lam))
 
-
-def inverse_second_moment_bound(m4: float) -> float:
-    """The fourth-moment bound 2 m4^{-3/4} + m4^{-1/4} used to control
-    E[Z^-2] for a magnitude Z in [0, 1] with E[Z^4] = m4.
-
-    Valid plug-in for the coherent-sum analysis; note that for magnitudes
-    with a second-order zero of positive density the raw inverse moment is
-    infinite and only the logarithmic consequence E[ln Z^2] >= ln(m2^2/3)
-    remains informative.
-    """
-    if not 0.0 < m4 <= 1.0:
-        raise ValueError(f"m4 must lie in (0, 1], got {m4}")
-    return 2.0 * m4**-0.75 + m4**-0.25

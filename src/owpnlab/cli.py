@@ -79,9 +79,10 @@ def parse_axis(text: str, name: str, integer: bool = False, nonnegative: bool = 
     """Parse one axis spec: 'v1,v2,...' or 'log:start:stop:n'.
 
     Every value must be finite; `nonnegative` also requires >= 0, and an
-    integer axis holds integers >= 1."""
+    integer axis holds integers from 1 to 2^53 - 1 (see `_as_integer`)."""
     text = text.strip()
-    if text.startswith("log:"):
+    log_range = text.startswith("log:")
+    if log_range:
         parts = text.split(":")
         if len(parts) != 4:
             raise UsageError(f"axis {name}: log range must be log:start:stop:n, got {text!r}")
@@ -95,11 +96,16 @@ def parse_axis(text: str, name: str, integer: bool = False, nonnegative: bool = 
             raise UsageError(f"axis {name}: log range needs n >= 1")
         if count > GRID_CAP:
             raise UsageError(f"axis {name}: log range n exceeds the cap {GRID_CAP}")
+        if integer:
+            for v in (start, stop):
+                _as_integer(v, name, 0.0)
         if count == 1:
             values = [start]
         else:
             ratio = math.log(stop / start)
             values = [start * math.exp(ratio * i / (count - 1)) for i in range(count)]
+            if integer:  # exp may miss a large integer stop; keep it exact
+                values[-1] = stop
     else:
         try:
             values = [float(v) for v in text.split(",") if v.strip() != ""]
@@ -112,14 +118,25 @@ def parse_axis(text: str, name: str, integer: bool = False, nonnegative: bool = 
             bound = "finite and >= 0" if nonnegative else "finite"
             raise UsageError(f"axis {name}: values must be {bound}, got {v}")
     if integer:
-        out = []
-        for v in values:
-            iv = int(round(v))
-            if abs(v - iv) > 1e-9 * max(abs(v), 1.0) or iv < 1:
-                raise UsageError(f"axis {name}: values must be integers >= 1, got {v}")
-            out.append(iv)
-        return sorted(out)
+        rel = _LOG_POINT_REL if log_range else 0.0
+        return sorted(_as_integer(v, name, rel) for v in values)
     return sorted(values)
+
+
+# Relative distance from an integer within which a computed point of a log
+# range on an integer axis is taken as that integer: start * exp(...) is off
+# by well under 1e-13 relative for any range inside [1, 2^53).
+_LOG_POINT_REL = 1e-12
+_INT_LIMIT = 2.0**53  # from here on, a float no longer holds every integer
+
+
+def _as_integer(v: float, name: str, rel: float) -> int:
+    """`v` as an integer from 1 to 2^53 - 1; `v` must be that integer exactly,
+    or within `rel` of it relative to `v`."""
+    iv = round(v) if 1.0 <= v < _INT_LIMIT else 0
+    if iv < 1 or abs(v - iv) > rel * v:
+        raise UsageError(f"axis {name}: values must be integers from 1 to 2^53 - 1, got {v}")
+    return iv
 
 
 def _write_lines(out_path: str | None, blocks: Iterable[list[str]]) -> None:

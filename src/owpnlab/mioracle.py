@@ -22,10 +22,14 @@ through bin indices and equal-mass ranks, so it is byte-stable under
 last-ulp changes in ``cos``/``sin``/``arctan2`` except where such a change
 moves a sample across a bin edge or reorders two samples at an edge.
 
-Memory: each chunk's arrays are drawn whole, in a fixed order that is part
-of the reproducibility key, but the kernel works on them in place (the
-angles go into buffers that are not read again), bins are int16 and the
-joint bin index is one intp array.
+Memory: both oracles draw through :func:`owpnlab.sim._blocks`, one row
+block of about ``sim._BLOCK_ELEMENTS`` normals at a time, so a chunk is
+never held whole; only its uniform phases (one per row, 1 MiB for a
+2^17-row chunk) are drawn at once.  The phase oracle adds each block to its
+joint histogram and keeps no per-sample arrays.  The amplitude oracle keeps
+its two per-sample arrays for the equal-mass ranks (8 MB at 5e5 samples),
+bins the first and lets it go before ranking the second.  Bins are int16 and
+the joint bin index is one intp array.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ChannelParams, per_symbol_power
-from .sim import _channel, _chunks, _wiener_rows
+from .sim import _blocks, _channel
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,12 +142,21 @@ def histogram_mi(
     x = np.asarray(x_samples, dtype=float)
     y = np.asarray(y_samples, dtype=float)
     _validate(x.size, y.size, n_bins)
-    x_lo, x_hi, y_lo, y_hi = x.min(), x.max(), y.min(), y.max()
-    if not all(map(math.isfinite, (x_lo, x_hi, y_lo, y_hi))):
+    return _ranked_mi([x, y], n_bins)
+
+
+def _ranked_mi(samples: list[np.ndarray], n_bins: int) -> MiEstimate:
+    """:func:`histogram_mi` of the list ``[x, y]``, which this empties: `x`
+    is binned and let go before `y` is ranked, so an array that nothing else
+    holds is released as soon as its bins exist."""
+    limits = [(s.min(), s.max()) for s in samples]
+    if not all(math.isfinite(v) for pair in limits for v in pair):
         raise ValueError("samples must be finite")
-    if x_lo == x_hi or y_lo == y_hi:
-        return MiEstimate(0.0, x.size, n_bins, 0.0, 0.0, degenerate=True)
-    ix, iy = _equal_mass_bins(x, n_bins), _equal_mass_bins(y, n_bins)
+    n = samples[0].size
+    if any(lo == hi for lo, hi in limits):
+        return MiEstimate(0.0, n, n_bins, 0.0, 0.0, degenerate=True)
+    ix = _equal_mass_bins(samples.pop(0), n_bins)
+    iy = _equal_mass_bins(samples.pop(0), n_bins)
     return _plugin_mi(_joint_counts(ix, iy, n_bins))
 
 
@@ -154,30 +167,40 @@ def amplitude_channel_mi(
 
     Each sample is one symbol interval: the input is rotated by a fresh
     Wiener phase trajectory and buried in CN(0, 2) noise, then the squared
-    norm of the L-sample output block is recorded.
+    norm of the L-sample output block is recorded.  A sample's normals are
+    one row of 2 + 3L: the input's real and imaginary parts, the L path
+    increments, the L noise real parts and the L noise imaginary parts; each
+    chunk first draws the starting phases of all its rows.
     """
     _validate(n_samples, n_samples, n_bins)
     big_l = params.oversampling
-    sym_power = per_symbol_power(params)
-    x2 = np.empty(n_samples)
-    ynorm = np.empty(n_samples)
     scale = math.sqrt(params.freq_noise_var / big_l)
-    amp = math.sqrt(sym_power / 2.0)
-    for rng, start, m in _chunks(rng_seed, n_samples, max(1, _CHUNK // big_l)):
-        xr, xi = (rng.standard_normal(m) * amp for _ in range(2))
-        theta0 = rng.uniform(0.0, TWO_PI, m)
-        theta = _wiener_rows(rng, m, big_l + 1, scale)[:, 1:]
-        theta += theta0[:, None]
-        nr, ni = (rng.standard_normal((m, big_l)) for _ in range(2))
-        yr, yi = _channel(xr[:, None], xi[:, None], theta, nr, ni)
-        np.multiply(xr, xr, out=x2[start : start + m])
+    amp = math.sqrt(per_symbol_power(params) / 2.0)
+    samples = [np.empty(n_samples), np.empty(n_samples)]
+    x2, ynorm = samples
+    width = 2 + 3 * big_l
+    for rng, start, m, lo, hi in _blocks(rng_seed, n_samples, max(1, _CHUNK // big_l), width):
+        if lo == 0:
+            theta0 = rng.uniform(0.0, TWO_PI, m)
+        # one sample per column: every part below is a contiguous row
+        z = np.ascontiguousarray(rng.standard_normal((hi - lo, width)).T)
+        z[:2] *= amp
+        xr, xi = z[0], z[1]
+        theta = z[2 : 2 + big_l]
+        theta *= scale
+        np.cumsum(theta, axis=0, out=theta)
+        theta += theta0[lo:hi]
+        yr, yi = _channel(xr, xi, theta, z[2 + big_l : 2 + 2 * big_l], z[2 + 2 * big_l :])
+        rows = slice(start + lo, start + hi)
+        np.multiply(xr, xr, out=x2[rows])
         xi *= xi
-        x2[start : start + m] += xi
+        x2[rows] += xi
         yr *= yr
         yi *= yi
         yr += yi
-        np.sum(yr, axis=1, out=ynorm[start : start + m])
-    return histogram_mi(x2, ynorm, n_bins)
+        np.sum(yr, axis=0, out=ynorm[rows])
+    del x2, ynorm  # the list holds the only references, so each goes once binned
+    return _ranked_mi(samples, n_bins)
 
 
 def phase_channel_mi(
@@ -191,8 +214,11 @@ def phase_channel_mi(
     Y_first the first sample of the probed symbol X_1.  Only these two
     adjacent samples enter the statistic, so only they are simulated; the
     phase at Y_last is exactly uniform and the two samples are separated by a
-    single N(0, sigma2/L) increment.  Circular binning on [0, 2pi); the
-    histogram is accumulated chunk by chunk."""
+    single N(0, sigma2/L) increment.  A sample's normals are one row of 9:
+    X_0 and X_1 (real, imaginary), the increment, then the noise of Y_last
+    and of Y_first (real, imaginary); each chunk first draws the uniform
+    phases of all its rows.  Circular binning on [0, 2pi); the histogram is
+    accumulated row block by row block."""
     if params.avg_power <= 0.0:
         raise ValueError("phase statistic needs P > 0")
     _validate(n_samples, n_samples, n_bins)
@@ -200,13 +226,16 @@ def phase_channel_mi(
     amp = math.sqrt(per_symbol_power(params) / 2.0)
     inc_std = math.sqrt(params.freq_noise_var / big_l)
     joint = np.zeros((n_bins, n_bins), dtype=np.int64)
-    for rng, _, m in _chunks(rng_seed, n_samples, _CHUNK):
-        x0r, x0i, x1r, x1i = (rng.standard_normal(m) * amp for _ in range(4))
-        theta_last = rng.uniform(0.0, TWO_PI, m)
-        theta_first = rng.normal(0.0, inc_std, m)
-        theta_first += theta_last
-        wlr, wli, wfr, wfi = (rng.standard_normal(m) for _ in range(4))
-        ylr, yli = _channel(x0r, x0i, theta_last, wlr, wli)
+    for rng, _, m, lo, hi in _blocks(rng_seed, n_samples, _CHUNK, 9):
+        if lo == 0:
+            theta_last = rng.uniform(0.0, TWO_PI, m)
+        # one sample per column: every part below is a contiguous row
+        z = np.ascontiguousarray(rng.standard_normal((hi - lo, 9)).T)
+        z[:4] *= amp
+        z[4] *= inc_std
+        x0r, x0i, x1r, x1i, theta_first, wlr, wli, wfr, wfi = z
+        theta_first += theta_last[lo:hi]
+        ylr, yli = _channel(x0r, x0i, theta_last[lo:hi], wlr, wli)
         yfr, yfi = _channel(x1r, x1i, theta_first, wfr, wfi)
         # each angle goes into a buffer that is not read again
         psi = np.arctan2(yfi, yfr, out=yfr)

@@ -2,21 +2,25 @@
 used to cross-check every closed-form constant.
 
 One engine serves every Monte Carlo path here and in :mod:`owpnlab.mioracle`:
-:func:`_chunks` splits a sample budget into chunks, :func:`_wiener_rows`
-builds Wiener phase paths and :func:`_channel` rotates symbols by a block of
-phases and adds noise.  The channel kernel works in real arithmetic on
-separate real and imaginary parts, with ``cos``/``sin`` of the phases; the MI
-oracles use its parts directly and :func:`transmit` assembles its complex
-output from them.
+:func:`_chunks` splits a sample budget into chunks, :func:`_blocks` walks each
+chunk one row block at a time, :func:`_wiener_rows` builds Wiener phase paths
+and :func:`_channel` rotates symbols by a block of phases and adds noise.  The
+channel kernel works in real arithmetic on separate real and imaginary parts,
+with ``cos``/``sin`` of the phases; the MI oracles use its parts directly and
+:func:`transmit` assembles its complex output from them.
 
 Randomness discipline: a master seed names a family of independent substreams
 via ``SeedSequence(seed, spawn_key=(index,))``.  Monte Carlo estimators split
 their sample budget into fixed-size chunks and draw chunk ``i`` from substream
 ``i``; each caller passes its own rows per chunk (``_chunk_rows(width)`` here,
 fixed counts in the MI oracles), and that chunk geometry is part of the
-reproducibility key.  The reduction order is fixed in full: inside a chunk,
-the per-sample values are cut into consecutive 8192-element blocks, each
-block is summed by ``np.sum`` and the block sums are added left to right
+reproducibility key.  Every estimator lays its draws out the same way: a
+sample's standard normals are one row, and a chunk's normals are the rows of
+one ``standard_normal((m, k))`` draw, made one row block at a time by
+:func:`_blocks` (the MI oracles first draw one uniform phase per row of the
+chunk).  The reduction order is fixed in full: inside a
+chunk, the per-sample values are cut into consecutive 8192-element blocks,
+each block is summed by ``np.sum`` and the block sums are added left to right
 (:func:`_blocked_sum`); the chunk sums are then added in ascending chunk
 order.  Results are therefore bit-identical for a given (seed, n_samples)
 regardless of how the chunks would be scheduled and of the numpy version on
@@ -27,14 +31,12 @@ results that differ in another numpy or libm build.  The MI estimates of
 :mod:`owpnlab.mioracle` are sturdier: they see their samples only through
 bin indices and equal-mass ranks (see there).
 
-Working memory does not grow with the chunk: :func:`estimate_F_moments` and
-:func:`simulate_fading_integral` build their wide ``(rows, width)`` phase
-arrays one row block of about ``_BLOCK_ELEMENTS`` elements at a time
-(:func:`_row_blocks`), the blocks drawn one after another from the chunk's
-generator.  Drawing k1 rows and then k2 rows gives the same values as one
-draw of k1 + k2 rows, and the per-row values reach the chunk's partial sums
-in whole 8192-element blocks, so the row-block size is not part of the
-reproducibility key.
+Working memory does not grow with the chunk: each row block holds about
+``_BLOCK_ELEMENTS`` normals.  Drawing k1 rows and then k2 rows gives the same
+values as one draw of k1 + k2 rows, every per-sample value depends on its own
+row only, and the per-row values reach the chunk's partial sums in whole
+8192-element blocks (:func:`_row_blocks`), so the row-block size is not part
+of the reproducibility key.
 
 Samples are never recombined to a coarser sampling grid: the discrete channel
 law drops the intra-sample fading information such recombining would need, so
@@ -134,33 +136,56 @@ def _chunks(
         yield substream(seed, index), start, min(rows, n_samples - start)
 
 
+def _blocks(
+    seed: int, n_samples: int, rows: int, width: int, window: int = 0
+) -> Iterator[tuple[np.random.Generator, int, int, int, int]]:
+    """Walk the chunks of ``_chunks(seed, n_samples, rows)`` one row block at
+    a time; every Monte Carlo estimator draws through this.
+
+    A sample is one row, `width` elements wide.  For each block this yields
+    ``(rng, start, m, lo, hi)``: the block is rows ``lo:hi`` of the `m`-row
+    chunk that begins at sample `start`, and the caller draws those rows'
+    normals as one ``standard_normal((hi - lo, k))`` from `rng`, the chunk's
+    generator, before asking for the next block.  A block holds at most
+    ``_BLOCK_ELEMENTS // width`` rows (at least one) and, when `window` is
+    given, never crosses a multiple of `window` rows of its chunk.  Drawing
+    k1 rows and then k2 rows gives the values of one draw of k1 + k2 rows, so
+    the blocks draw what one ``(m, k)`` draw per chunk would.
+    """
+    step = max(1, _BLOCK_ELEMENTS // width)
+    window = window or step
+    for rng, start, m in _chunks(seed, n_samples, rows):
+        for w0 in range(0, m, window):
+            w1 = min(w0 + window, m)
+            for lo in range(w0, w1, step):
+                yield rng, start, m, lo, min(lo + step, w1)
+
+
 def _row_blocks(
     seed: int, n_samples: int, width: int, accs: tuple[_Accumulator, ...]
 ) -> Iterator[tuple[np.random.Generator, np.ndarray]]:
-    """Drive the chunks of an estimator whose samples are rows of `width`
-    elements, one row block at a time.
+    """The blocks of ``_blocks(seed, n_samples, _chunk_rows(width), width)``
+    for an estimator whose per-row values feed the accumulators `accs`.
 
-    Chunks are those of ``_chunks(seed, n_samples, _chunk_rows(width))``.
-    Each chunk is cut into consecutive row blocks of about `_BLOCK_ELEMENTS`
-    elements, and for each block this yields ``(rng, out)``: the caller draws
-    the block's rows from `rng`, the chunk's generator, and writes the
-    per-row values for ``accs[k]`` into ``out[k]`` (length: the block's rows)
-    before asking for the next block.  The per-row values are gathered in
-    windows of whole 8192-row sum blocks and added to the accumulators window
-    by window; each chunk is closed by ``end_chunk``.
+    For each block this yields ``(rng, out)``: the caller draws the block's
+    rows from `rng` and writes the per-row values for ``accs[k]`` into
+    ``out[k]`` (length: the block's rows).  The blocks are cut at windows of
+    whole 8192-row sum blocks, the values are gathered per window and added
+    to the accumulators window by window, and each chunk is closed by
+    ``end_chunk``.
     """
     window = _SUM_BLOCK * max(1, _BLOCK_ELEMENTS // (_SUM_BLOCK * width))
-    step = max(1, _BLOCK_ELEMENTS // width)
-    for rng, _, m in _chunks(seed, n_samples, _chunk_rows(width)):
-        buf = np.empty((len(accs), min(window, m)))
-        for w0 in range(0, m, window):
-            wn = min(window, m - w0)
-            for r0 in range(0, wn, step):
-                yield rng, buf[:, r0 : min(r0 + step, wn)]
+    for rng, _, m, lo, hi in _blocks(seed, n_samples, _chunk_rows(width), width, window):
+        if lo == 0:
+            buf = np.empty((len(accs), min(window, m)))
+        w0 = lo - lo % window
+        yield rng, buf[:, lo - w0 : hi - w0]
+        if hi - w0 == window or hi == m:
             for acc, values in zip(accs, buf):
-                acc.add(values[:wn])
-        for acc in accs:
-            acc.end_chunk()
+                acc.add(values[: hi - w0])
+        if hi == m:
+            for acc in accs:
+                acc.end_chunk()
 
 
 def _wiener_rows(rng: np.random.Generator, m: int, n: int, step_std: float) -> np.ndarray:
@@ -351,7 +376,7 @@ def estimate_log_abs_sq(power: float, n_samples: int, rng_seed: int) -> McEstima
     """Monte Carlo estimate of E[ln |X|^2] for X ~ CN(0, power).
 
     The analytic value is ln(power) - gamma with gamma the Euler-Mascheroni
-    constant.
+    constant.  Each sample is one row ``(re, im)`` of standard normals.
     """
     if power <= 0.0:
         raise ValueError(f"power must be > 0, got {power}")
@@ -359,9 +384,10 @@ def estimate_log_abs_sq(power: float, n_samples: int, rng_seed: int) -> McEstima
         raise ValueError("n_samples must be >= 1")
     acc = _Accumulator()
     half = math.sqrt(power / 2.0)
-    for rng, _, m in _chunks(rng_seed, n_samples, _chunk_rows(2)):
-        re = rng.standard_normal(m) * half
-        im = rng.standard_normal(m) * half
-        acc.add(np.log(re * re + im * im))
-        acc.end_chunk()
+    for rng, (out,) in _row_blocks(rng_seed, n_samples, 2, (acc,)):
+        z = rng.standard_normal((out.size, 2))
+        z *= half
+        z *= z
+        np.add(z[:, 0], z[:, 1], out=out)
+        np.log(out, out=out)
     return acc.estimate(rng_seed)

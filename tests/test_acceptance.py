@@ -176,19 +176,23 @@ def test_criterion_8_regime_classifiers():
                   f"[{elapsed:.2f}s]")
 
 
-def _first_difference(name_a: str, a: bytes, name_b: str, b: bytes) -> str:
-    """Describe the first line where `b` departs from `a`, or '' if equal."""
+def _differences(name_a: str, a: bytes, name_b: str, b: bytes) -> str:
+    """Name every line where `b` departs from `a` by its (check, point)
+    cells and line number, or '' if equal."""
     if a == b:
         return ""
     lines_a = a.decode("utf-8", "replace").splitlines()
     lines_b = b.decode("utf-8", "replace").splitlines()
+    moved = []
     for number in range(1, max(len(lines_a), len(lines_b)) + 1):
         text_a = lines_a[number - 1] if number <= len(lines_a) else "<end of file>"
         text_b = lines_b[number - 1] if number <= len(lines_b) else "<end of file>"
         if text_a != text_b:
-            return (f"; first difference {name_a} vs {name_b} at line {number}:"
-                    f" {name_a} {text_a!r}, {name_b} {text_b!r}")
-    return f"; {name_a} vs {name_b}: lines equal, bytes differ (line endings)"
+            key = text_a if number <= len(lines_a) else text_b
+            moved.append(f"({','.join(key.split(',')[:2])}) at line {number}")
+    if not moved:
+        return f"; {name_a} vs {name_b}: lines equal, bytes differ (line endings)"
+    return f"; {name_a} vs {name_b} differ on {len(moved)} lines: {'; '.join(moved)}"
 
 
 def test_criterion_9_reproducibility(tmp_path):
@@ -199,11 +203,11 @@ def test_criterion_9_reproducibility(tmp_path):
     ok = rc1 == 0 and rc2 == 0
     ok &= first.read_bytes() == second.read_bytes()
     ok &= GOLDEN.exists() and first.read_bytes() == GOLDEN.read_bytes()
-    diagnosis = _first_difference("run1", first.read_bytes(), "run2", second.read_bytes())
+    diagnosis = _differences("run1", first.read_bytes(), "run2", second.read_bytes())
     if not GOLDEN.exists():
         diagnosis += f"; golden file {GOLDEN} is missing"
     else:
-        diagnosis += _first_difference("golden", GOLDEN.read_bytes(), "run", first.read_bytes())
+        diagnosis += _differences("golden", GOLDEN.read_bytes(), "run", first.read_bytes())
     report(9, ok, "verify --seed 42 twice byte-identical and equal to the golden file"
                   f" [exit codes {rc1}, {rc2}]{diagnosis}")
 

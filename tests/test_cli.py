@@ -50,6 +50,15 @@ class TestAxisParsing:
         with pytest.raises(UsageError):
             parse_axis("0", "L", integer=True)
 
+    def test_integer_log_range(self):
+        # exact integers, the largest stop included; a point that is no
+        # integer, or an endpoint that is none, is refused
+        assert parse_axis("log:1:1000:4", "L", integer=True) == [1, 10, 100, 1000]
+        assert parse_axis("log:1:1e15:4", "L", integer=True) == [1, 10**5, 10**10, 10**15]
+        for bad in ("log:1:10:3", "log:1.5:10:2", "log:1:1000000000000.5:2", "log:1:1e16:2"):
+            with pytest.raises(UsageError):
+                parse_axis(bad, "L", integer=True)
+
     def test_rejects_bad_specs(self):
         for bad in ("", "log:1:10", "log:-1:10:3", "log:1:10:0", "a,b"):
             with pytest.raises(UsageError):
@@ -359,6 +368,8 @@ class TestConfigAndErrors:
         ["bounds", "--P", "inf", "--L", "1", "--sigma2", "1"],
         ["bounds", "--P", "1", "--L", "1", "--sigma2", "-1"],
         ["bounds", "--P", "1", "--L", "inf", "--sigma2", "1"],
+        ["bounds", "--P", "1", "--L", "1000000000.5", "--sigma2", "1"],
+        ["bounds", "--P", "1", "--L", "9007199254740993", "--sigma2", "1"],  # 2^53 + 1
         ["bounds", "--P", "log:1:inf:3", "--L", "1", "--sigma2", "1"],
         ["regimes", "--P", "nan", "--L", "1", "--sigma2", "1"],
         ["gdof", "--alpha", "-1", "--beta", "0"],

@@ -17,8 +17,9 @@ from owpnlab.mioracle import (
     histogram_mi,
     phase_channel_mi,
 )
+from owpnlab import sim
 from owpnlab.model import ChannelParams, per_symbol_power
-from owpnlab.sim import _chunks, _wiener_rows, substream
+from owpnlab.sim import _chunks, substream
 
 TWO_PI = 2.0 * math.pi
 
@@ -120,9 +121,11 @@ def test_equal_mass_bins_are_stable_rank_bins(seed, n_bins, extra, kind):
     assert np.array_equal(_equal_mass_bins(x, n_bins), _stable_rank_bins(x, n_bins))
 
 
-# The oracles as they were written in complex arithmetic: x e^{j theta} + w
-# formed as complex arrays, |.|^2 by np.abs and angles by np.angle, binned by
-# stable ranks.  The real-arithmetic oracles must reproduce them exactly.
+# The oracles in complex arithmetic, each chunk drawn at once: its uniform
+# phases, then one (m, k) array of standard normals, one row per sample;
+# x e^{j theta} + w formed as complex arrays, |.|^2 by np.abs and angles by
+# np.angle, binned by stable ranks.  The row-blocked real-arithmetic oracles
+# must reproduce them exactly.
 
 
 def _reference_plugin_mi(ix, iy, n_bins):
@@ -150,10 +153,11 @@ def _reference_amplitude_mi(params, n_samples, seed, n_bins=64):
     scale = math.sqrt(params.freq_noise_var / big_l)
     amp = math.sqrt(per_symbol_power(params) / 2.0)
     for rng, start, m in _chunks(seed, n_samples, max(1, _CHUNK // big_l)):
-        x = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * amp
         theta0 = rng.uniform(0.0, TWO_PI, m)
-        theta = theta0[:, None] + _wiener_rows(rng, m, big_l + 1, scale)[:, 1:]
-        noise = rng.standard_normal((m, big_l)) + 1j * rng.standard_normal((m, big_l))
+        z = rng.standard_normal((m, 2 + 3 * big_l))
+        x = (z[:, 0] + 1j * z[:, 1]) * amp
+        theta = theta0[:, None] + np.cumsum(z[:, 2 : 2 + big_l] * scale, axis=1)
+        noise = z[:, 2 + big_l : 2 + 2 * big_l] + 1j * z[:, 2 + 2 * big_l :]
         y = x[:, None] * np.exp(1j * theta) + noise
         x2[start : start + m] = np.abs(x) ** 2
         ynorm[start : start + m] = np.sum(np.abs(y) ** 2, axis=1)
@@ -169,12 +173,13 @@ def _reference_phase_mi(params, n_samples, seed, n_bins=64):
     angles = np.empty(n_samples)
     psi = np.empty(n_samples)
     for rng, start, m in _chunks(seed, n_samples, _CHUNK):
-        x0 = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * amp
-        x1 = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * amp
         theta_last = rng.uniform(0.0, TWO_PI, m)
-        step = rng.normal(0.0, inc_std, m)
-        w_last = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        w_first = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        z = rng.standard_normal((m, 9))
+        x0 = (z[:, 0] + 1j * z[:, 1]) * amp
+        x1 = (z[:, 2] + 1j * z[:, 3]) * amp
+        step = z[:, 4] * inc_std
+        w_last = z[:, 5] + 1j * z[:, 6]
+        w_first = z[:, 7] + 1j * z[:, 8]
         y_last = x0 * np.exp(1j * theta_last) + w_last
         y_first = x1 * np.exp(1j * (theta_last + step)) + w_first
         angles[start : start + m] = np.angle(x1)
@@ -232,6 +237,12 @@ class TestAmplitudeChannelMi:
         b = amplitude_channel_mi(params, 20_000, rng_seed=5)
         assert a.value == b.value
 
+    def test_working_memory(self):
+        # the two sample arrays (7.6 MiB) and the ranking of one of them at a
+        # time; drawing whole chunks traced 20 MiB
+        params = ChannelParams(100.0, 1, 0.01)
+        assert traced_peak_mib(amplitude_channel_mi, params, 500_000, 1) < 16.0
+
 
 class TestPhaseChannelMi:
     def test_dominates_closed_form_lower_bound(self):
@@ -251,6 +262,43 @@ class TestPhaseChannelMi:
     def test_rejects_zero_power(self):
         with pytest.raises(ValueError):
             phase_channel_mi(ChannelParams(0.0, 1, 0.01), 20_000, rng_seed=0)
+
+    def test_working_memory(self):
+        # one chunk's uniform phases (1 MiB) and one row block; drawing whole
+        # chunks traced 17.3 MiB
+        params = ChannelParams(20.0, 4, 0.5)
+        assert traced_peak_mib(phase_channel_mi, params, 500_000, 1) < 4.0
+
+
+class TestRowBlockSize:
+    """The row-block size is not part of the reproducibility key: with row
+    blocks of `SMALL` elements, whose row counts divide no chunk, every field
+    of each estimate is unchanged.  Each budget spans two whole chunks and a
+    partial third."""
+
+    SMALL = 1000
+
+    def small_blocks(self, monkeypatch, chunk, width):
+        rows = self.SMALL // width
+        assert chunk % rows and 0 < rows < chunk
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", self.SMALL)
+
+    @pytest.mark.parametrize("big_l", [1, 4, 16])
+    def test_amplitude(self, big_l, monkeypatch):
+        params = ChannelParams(20.0, big_l, 0.5)
+        chunk = _CHUNK // big_l
+        n = 2 * chunk + 12_345
+        want = amplitude_channel_mi(params, n, rng_seed=17)
+        self.small_blocks(monkeypatch, chunk, 2 + 3 * big_l)
+        assert amplitude_channel_mi(params, n, rng_seed=17) == want
+
+    @pytest.mark.parametrize("big_l", [1, 4, 16])
+    def test_phase(self, big_l, monkeypatch):
+        params = ChannelParams(20.0, big_l, 0.5)
+        n = 2 * _CHUNK + 12_345
+        want = phase_channel_mi(params, n, rng_seed=18)
+        self.small_blocks(monkeypatch, _CHUNK, 9)
+        assert phase_channel_mi(params, n, rng_seed=18) == want
 
 
 class TestSandwichAgainstOuterBound:

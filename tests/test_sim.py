@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _memory import traced_peak_mib
+from owpnlab import sim
 from owpnlab.model import ChannelParams, McEstimate, derive_constants
 from owpnlab.sim import (
     FMoments,
@@ -334,6 +335,10 @@ class TestWorkingMemory:
         params = ChannelParams(1.0, 2, 4.0 * math.log(2.0))
         assert traced_peak_mib(estimate_F_moments, params, 500_000, 1) < 4.0
 
+    def test_log_abs_sq(self):
+        # drawing whole chunks traced 15.3 MiB
+        assert traced_peak_mib(estimate_log_abs_sq, 1.0, 500_000, 1) < 4.0
+
 
 class TestLogAbsSq:
     def test_unit_power(self):
@@ -352,6 +357,14 @@ class TestLogAbsSq:
         with pytest.raises(ValueError):
             estimate_log_abs_sq(0.0, 10_000, rng_seed=0)
 
+    def test_row_block_size_leaves_the_key(self, monkeypatch):
+        # 1000-element row blocks (500 rows, which divide neither a chunk nor
+        # a sum window) over two whole 2^19-row chunks and a partial third
+        n = 2 * 2**19 + 12_345
+        want = estimate_log_abs_sq(4.0, n, rng_seed=19)
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 1000)
+        assert _bits([estimate_log_abs_sq(4.0, n, rng_seed=19)]) == _bits([want])
+
 
 class TestBlockedSum:
     """The reduction order inside a chunk is part of the reproducibility key:
@@ -364,11 +377,10 @@ class TestBlockedSum:
     @classmethod
     def log_abs_sq_samples(cls):
         # the one chunk behind estimate_log_abs_sq(4.0, 100_000, 343), which is
-        # the power=4 row of `verify --seed 42`
+        # the power=4 row of `verify --seed 42`: one row (re, im) per sample
         rng = substream(343, 0)
-        half = math.sqrt(4.0 / 2.0)
-        re = rng.standard_normal(cls.N) * half
-        im = rng.standard_normal(cls.N) * half
+        z = rng.standard_normal((cls.N, 2)) * math.sqrt(4.0 / 2.0)
+        re, im = z[:, 0], z[:, 1]
         return np.log(re * re + im * im)
 
     @staticmethod
