@@ -44,14 +44,12 @@ from .model import (
     per_symbol_power,
 )
 from .riccati import (
-    FisherState,
     crb_argument,
     immse_entropy_quadrature,
     iterate_fixed_point,
     phase_rate_upper,
     posterior_crb_entropy_lower,
     riccati_fixed_point,
-    riccati_step,
 )
 from .sim import (
     FMoments,
@@ -72,7 +70,6 @@ __all__ = [
     "DerivedConstants",
     "EULER_MASCHERONI",
     "FMoments",
-    "FisherState",
     "GdofFamily",
     "GdofPoint",
     "GdofValue",
@@ -110,7 +107,6 @@ __all__ = [
     "posterior_crb_entropy_lower",
     "regime_gap_nats",
     "riccati_fixed_point",
-    "riccati_step",
     "sample_phase_path",
     "simulate_fading_integral",
     "substream",

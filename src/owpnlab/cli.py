@@ -273,7 +273,7 @@ def cmd_riccati(args) -> int:
     closed = riccati.riccati_fixed_point(x, ratio)
     lines = [f"x (input second moment)  : {_fmt(x)}", f"r (L / sigma2)           : {_fmt(ratio)}"]
     try:
-        fixed, steps = riccati.iterate_fixed_point(x, ratio, tol=1e-12, max_iter=args.max_iter)
+        fixed, steps = riccati.iterate_fixed_point(x, ratio, max_iter=args.max_iter)
     except RuntimeError as exc:
         sys.stderr.write(f"riccati: {exc}\n")
         return EXIT_VERIFY_FAIL
@@ -282,11 +282,11 @@ def cmd_riccati(args) -> int:
             f"riccati: the iteration lost precision (J < 0) at x={_fmt(x)}, r={_fmt(ratio)}\n"
         )
         return EXIT_VERIFY_FAIL
-    state = riccati.FisherState(0.0, x, ratio)
-    trace = [state.J]
-    for _ in range(min(steps, 9)):
-        state = riccati.riccati_step(state)
-        trace.append(state.J)
+    if abs(fixed - closed) > 1e-9 * max(abs(closed), 1.0):  # verify's tolerance for J*
+        sys.stderr.write(f"riccati: the iteration stopped after {steps} steps at J = "
+                         f"{_fmt(fixed)}, not within 1e-9 max(J*, 1) of J* = {_fmt(closed)}\n")
+        return EXIT_VERIFY_FAIL
+    trace = [0.0, *itertools.islice(riccati._iterates(x, ratio, 0.0), min(steps, 9))]
     lines.append("iteration trace (first 10):")
     for i, j in enumerate(trace):
         lines.append(f"  {i:4d}  {_fmt(j)}")

@@ -97,13 +97,6 @@ class ChannelParams:
             )
         object.__setattr__(self, "oversampling", int(self.oversampling))
 
-    @property
-    def xi(self) -> float:
-        """Per-sample coherence factor exp(-sigma2/(2L)); equals 1 iff sigma2 == 0."""
-        if self.freq_noise_var == 0.0:
-            return 1.0
-        return math.exp(-self.freq_noise_var / (2.0 * self.oversampling))
-
 
 def per_symbol_power(params: ChannelParams) -> float:
     """Per-sample input power budget P/L implied by the average power constraint."""
@@ -219,15 +212,11 @@ class RateSplit:
     """Amplitude-rate / phase-rate pair in nats per channel use.
 
     Individual terms may be negative where the underlying formula carries no
-    clamp; only the total is clamped at zero.
+    clamp.  A bound's total is ``BoundResult.total``, clamped by its kernel.
     """
 
     amplitude_rate: float
     phase_rate: float
-
-    @property
-    def clamped_total(self) -> float:
-        return max(self.amplitude_rate + self.phase_rate, 0.0)
 
 
 @dataclass(frozen=True)

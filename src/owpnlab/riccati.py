@@ -11,46 +11,32 @@ so the information recursion specializes to the scalar Riccati map
     J' = x + r - r^2 / (J + r),      x = E|X|^2,  r = L/sigma2,
 
 whose stationary point J* = x/2 + sqrt(x^2 + 4 r x)/2 is a global attractor.
+The map is written once, as the private iterator ``_iterates``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
 
 import numpy as np
 
 from .model import ChannelParams, _point
 from .sim import _blocked_sum
 
-LOG_2PI = math.log(2.0 * math.pi)
 LOG_2PIE = math.log(2.0 * math.pi * math.e)
 _LOG_2PI_OVER_E = math.log(2.0 * math.pi / math.e)
+_N_GRID = 100_000  # points and upper limit of the I-MMSE quadrature grid
+_RHO_MAX = 1e6
 
 
-@dataclass(frozen=True)
-class FisherState:
-    """Posterior Fisher information J (rad^-2) together with the two constants
-    that drive the recursion: the input second moment and L/sigma2."""
-
-    J: float
-    x_mean_sq: float
-    l_over_sigma2: float
-
-    def __post_init__(self) -> None:
-        if self.J < 0.0:
+def _iterates(x: float, r: float, j: float) -> Iterator[float]:
+    # J_1, J_2, ... from J_0 = j; rounding can drive J below 0 once r/x passes ~1e16
+    while True:
+        j = (x + r) - r * r / (j + r)
+        if j < 0.0:
             raise ValueError("posterior Fisher information must be >= 0")
-        if self.x_mean_sq < 0.0:
-            raise ValueError("x_mean_sq must be >= 0")
-        if self.l_over_sigma2 <= 0.0:
-            raise ValueError("l_over_sigma2 must be > 0")
-
-
-def riccati_step(state: FisherState) -> FisherState:
-    """Advance the phase-tracking Fisher information by one observation."""
-    r = state.l_over_sigma2
-    next_j = (state.x_mean_sq + r) - r * r / (state.J + r)
-    return FisherState(next_j, state.x_mean_sq, r)
+        yield j
 
 
 def riccati_fixed_point(x_mean_sq: float, l_over_sigma2: float) -> float:
@@ -73,15 +59,13 @@ def iterate_fixed_point(
 
     Returns (J, steps).  The map is a contraction near the fixed point; the
     iteration cap guards against misuse and raises RuntimeError when hit.
-    Each step is :func:`riccati_step` on plain floats, with the same
-    ValueError if rounding drives J below 0.
+    Raises ValueError unless j0 >= 0, x_mean_sq >= 0 and l_over_sigma2 > 0, or
+    if rounding drives J below 0.
     """
-    FisherState(j0, x_mean_sq, l_over_sigma2)  # validates the inputs
-    j, x, r = j0, x_mean_sq, l_over_sigma2
-    for step in range(1, max_iter + 1):
-        nxt = (x + r) - r * r / (j + r)
-        if nxt < 0.0:
-            raise ValueError("posterior Fisher information must be >= 0")
+    if j0 < 0.0 or x_mean_sq < 0.0 or l_over_sigma2 <= 0.0:
+        raise ValueError("need j0 >= 0, x_mean_sq >= 0 and l_over_sigma2 > 0")
+    j = j0
+    for step, nxt in zip(range(1, max_iter + 1), _iterates(x_mean_sq, l_over_sigma2, j0)):
         if abs(nxt - j) <= tol * (1.0 + abs(nxt)):
             return nxt, step
         j = nxt
@@ -152,30 +136,24 @@ def phase_rate_upper(params: ChannelParams) -> float:
     return float(_phase_rate_upper(*point)[0])
 
 
-def immse_entropy_quadrature(
-    prior_std: float, n_grid: int = 100_000, rho_max: float = 1e6
-) -> float:
+def immse_entropy_quadrature(prior_std: float) -> float:
     """Gaussian-prior self-check of the I-MMSE entropy identity.
 
     Numerically evaluates
 
         (1/2) int_0^rho_max ( s/(1 + s rho) - 1/(2 pi e + rho) ) d rho,
 
-    with s = prior_std^2 and the Gaussian mmse s/(1+s rho), on a log-spaced
-    grid, plus the analytic 1/rho^2 tail correction (2 pi e - 1/s)/(2 rho_max).
-    The exact value is h(N(0, s)) = (1/2) ln(2 pi e s).
+    with s = prior_std^2, rho_max = 1e6 and the Gaussian mmse s/(1+s rho), on a
+    log-spaced grid of 1e5 points, plus the analytic 1/rho^2 tail correction
+    (2 pi e - 1/s)/(2 rho_max).  The exact value is h(N(0, s)) = (1/2) ln(2 pi e s).
     """
     if prior_std <= 0.0:
         raise ValueError("prior_std must be > 0")
-    if n_grid < 10:
-        raise ValueError(f"n_grid must be >= 10, got {n_grid}")
-    if rho_max <= 1.0:
-        raise ValueError("rho_max must be > 1")
     s = prior_std * prior_std
-    rho = np.concatenate(([0.0], np.logspace(-8.0, math.log10(rho_max), n_grid - 1)))
+    rho = np.concatenate(([0.0], np.logspace(-8.0, math.log10(_RHO_MAX), _N_GRID - 1)))
     integrand = s / (1.0 + s * rho) - 1.0 / (2.0 * math.pi * math.e + rho)
     # np.trapezoid's own terms, summed in the fixed order of _blocked_sum
     terms = np.diff(rho) * (integrand[1:] + integrand[:-1]) / 2.0
     body = 0.5 * _blocked_sum(terms)
-    tail = 0.5 * (2.0 * math.pi * math.e - 1.0 / s) / rho_max
+    tail = 0.5 * (2.0 * math.pi * math.e - 1.0 / s) / _RHO_MAX
     return body + tail

@@ -210,10 +210,22 @@ class TestRiccatiCommand:
         closed = next(l for l in text.splitlines() if l.startswith("closed-form"))
         assert float(closed.split(":")[1]) == pytest.approx(1000.500125, abs=1e-6)
 
+    @pytest.mark.parametrize("x, ratio, digest", [
+        ("3", "1", "cc6624f5d24ce25baf50b2611c0acbd64e60de8667402b2ef7f3efcd9a981464"),
+        # a trace shorter than 10 rows
+        ("0.1", "1e-3", "40eacb14cbd35978fff4e71d8742c63e8aa4ba30dc1887c5e6fba74f5c55b7c5"),
+        ("1", "1e6", "c44b12c0634b4a614207f8275857c8b98ae29a6e44c4cbccdaee1d87c39935c6"),
+    ])
+    def test_report_bytes(self, x, ratio, digest, capsys):
+        # the whole report, the iteration trace included
+        assert _sha256_of(["riccati", "--x", x, "--ratio", ratio], capsys) == digest
+
     @pytest.mark.parametrize("argv", [
         ["--x", "1", "--ratio", "1", "--max-iter", "3"],  # no convergence
         ["--x", "1", "--ratio", "2.795042811515355e16"],  # rounding drives J below 0
         ["--x", "5e-324", "--ratio", "0.1"],
+        ["--x", "1", "--ratio", "1e17"],  # (x + r) - r^2/(J + r) cancels to J = 0
+        ["--x", "1", "--ratio", "1e8"],  # stops 3.7x the tolerance from J*
     ])
     def test_failed_iteration_exits_2(self, argv, capsys):
         assert main(["riccati", *argv]) == EXIT_VERIFY_FAIL

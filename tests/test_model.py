@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from owpnlab.model import (
@@ -12,7 +12,6 @@ from owpnlab.model import (
     ChannelParams,
     GdofPoint,
     McEstimate,
-    RateSplit,
     Units,
     _coherence,
     convert_rate,
@@ -75,10 +74,10 @@ class TestChannelParams:
         assert per_symbol_power(ChannelParams(7.0, 1, 1.0)) == 7.0
 
     def test_xi_definition(self):
-        p = ChannelParams(1.0, 4, 2.0)
-        assert p.xi == pytest.approx(math.exp(-2.0 / 8.0), rel=1e-15)
-        assert ChannelParams(1.0, 4, 0.0).xi == 1.0
-        assert 0.0 < ChannelParams(1.0, 2, 50.0).xi < 1.0
+        xi = derive_constants(ChannelParams(1.0, 4, 2.0)).xi
+        assert xi == pytest.approx(math.exp(-2.0 / 8.0), rel=1e-15)
+        assert derive_constants(ChannelParams(1.0, 4, 0.0)).xi == 1.0
+        assert 0.0 < derive_constants(ChannelParams(1.0, 2, 50.0)).xi < 1.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -210,8 +209,10 @@ class TestDeriveConstants:
         ),
     )
     @settings(max_examples=200, deadline=None)
+    @example(big_l=4, sigma2=2.0)
     def test_constants_in_unit_interval(self, big_l, sigma2):
         xi, kappa, phi = derive_constants(ChannelParams(1.0, big_l, sigma2))
+        assert xi == pytest.approx(math.exp(-sigma2 / (2.0 * big_l)), rel=1e-15)
         assert 0.0 <= xi <= 1.0
         assert 0.0 <= kappa <= 1.0
         assert 0.0 <= phi <= 1.0
@@ -222,11 +223,6 @@ class TestDeriveConstants:
 
 
 class TestValueTypes:
-    def test_rate_split_clamps_total_only(self):
-        assert RateSplit(-0.3, 0.1).clamped_total == 0.0
-        assert RateSplit(0.5, 0.25).clamped_total == 0.75
-        assert RateSplit(-0.1, 0.4).clamped_total == pytest.approx(0.3)
-
     def test_units_round_trip(self):
         for nats in (0.81229, 1.0, 13.8, 1e-9):
             bits = convert_rate(nats, Units.BITS)
