@@ -8,10 +8,17 @@ Axes are given as comma lists (``--P 1,10,100``) or log ranges
 (``--P log:1:1e6:7``); grids are emitted in ascending lexicographic order of
 the axes, one row per point, with a mandatory header, LF line endings and
 17-significant-digit decimals.  Output is bit-identical for a given sweep and
-seed.  Each kernel runs once over the whole grid; the rows are then formatted
-and written ``_ROW_BLOCK`` at a time by one writer, so the text of a grid is
-never held whole.  A grid that is refused (a non-finite bounds cell) is
-refused before any byte is written or any ``--out`` file is created.
+seed.  A grid is never held whole: one writer takes it ``_ROW_BLOCK`` rows at
+a time, makes the block's axis values, runs the kernels on them and formats
+and writes its rows, so working memory is set by the block size and not by
+the number of rows.  Every kernel is elementwise, so the block size changes
+no byte.  A grid of more than ``GRID_CAP`` rows is refused before any axis is
+expanded.  A grid that is refused (a non-finite bounds cell) is refused
+before any byte is written or any ``--out`` file is created: `bounds` runs
+its kernels over every block once to check, and again to write.  The
+branch-consistency errors of `gdof` and `regimes` check invariants of the
+region tables, not input, so they are not refusals: one raised in a later
+block would leave the rows before it written.
 
 Each subcommand takes exactly the options it reads (``_COMMANDS``), plus
 ``--out`` and ``--config``, each by its full name only (no prefixes).  A
@@ -148,16 +155,21 @@ def _write_lines(out_path: str | None, blocks: Iterable[list[str]]) -> None:
             fh.write("\n".join(lines) + "\n")
 
 
+def _row_blocks(n_rows: int) -> Iterator[tuple[int, int]]:
+    # (lo, hi) of each block of _ROW_BLOCK rows
+    for lo in range(0, n_rows, _ROW_BLOCK):
+        yield lo, min(lo + _ROW_BLOCK, n_rows)
+
+
 def _write_grid(out_path: str | None, header: list[str], keys: Iterator[str], n_rows: int,
                 cells: Callable[[int, int], list[Iterable[str]]]) -> None:
     """Write a grid's CSV: the header, then `n_rows` rows, each its axis key
     from `keys` followed by its cells.  ``cells(lo, hi)`` gives the cell
-    columns of rows ``lo`` to ``hi``; rows are formatted and written
-    `_ROW_BLOCK` at a time."""
+    columns of rows ``lo`` to ``hi``; it is called, and the rows are formatted
+    and written, `_ROW_BLOCK` at a time."""
     def blocks():
         yield [",".join(header)]
-        for lo in range(0, n_rows, _ROW_BLOCK):
-            hi = min(lo + _ROW_BLOCK, n_rows)
+        for lo, hi in _row_blocks(n_rows):
             yield list(map(",".join, zip(itertools.islice(keys, hi - lo), *cells(lo, hi))))
 
     _write_lines(out_path, blocks())
@@ -174,15 +186,49 @@ def _fmt_column(values: np.ndarray) -> list[str]:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _grid(axes: list[list]) -> tuple[Iterator[str], list[np.ndarray]]:
-    # each row's axis cells, made as they are read, and one float array per
-    # axis, rows in product order
-    total = math.prod(len(axis) for axis in axes)
+_PLS_AXES = (("P", {"nonnegative": True}), ("L", {"integer": True}),
+             ("sigma2", {"nonnegative": True}))
+_GDOF_AXES = (("alpha", {"nonnegative": True}), ("beta", {}))
+
+
+def _axis_length(text: str) -> int:
+    # the number of values of an axis spec, read from its text without
+    # expanding it; 1 for a malformed log range, which parse_axis refuses
+    text = text.strip()
+    if not text.startswith("log:"):
+        return sum(1 for v in text.split(",") if v.strip() != "")
+    parts = text.split(":")
+    try:
+        return max(int(parts[3]), 1) if len(parts) == 4 else 1
+    except ValueError:
+        return 1
+
+
+def _grid(args, axes) -> tuple[int, Iterator[str], Callable[[int, int], list[np.ndarray]]]:
+    """The grid over `axes`, (name, parse_axis keywords) pairs whose specs are
+    read from `args`: its row count, each row's axis cells (made as they are
+    read), and ``values(lo, hi)``, the axis values of rows ``lo`` to ``hi`` as
+    one float array per axis.  Rows are in product order, the last axis
+    varying fastest.  A grid of more than GRID_CAP rows is refused before any
+    axis is expanded."""
+    specs = [getattr(args, name) for name, _ in axes]
+    total = math.prod(_axis_length(spec) for spec in specs)
     if total > GRID_CAP:
         raise UsageError(f"grid size {total} exceeds the cap {GRID_CAP}")
-    keys = map(",".join, itertools.product(*([_fmt(v) for v in axis] for axis in axes)))
-    mesh = np.meshgrid(*(np.array(axis, dtype=float) for axis in axes), indexing="ij")
-    return keys, [g.ravel() for g in mesh]
+    parsed = [parse_axis(spec, name, **keywords) for spec, (name, keywords) in zip(specs, axes)]
+    keys = map(",".join, itertools.product(*([_fmt(v) for v in axis] for axis in parsed)))
+    arrays = [np.array(axis, dtype=float) for axis in parsed]
+
+    def values(lo: int, hi: int) -> list[np.ndarray]:
+        # each axis value copied by its index in the product order
+        index = np.arange(lo, hi)
+        columns = []
+        for axis in reversed(arrays):
+            columns.append(axis[index % axis.size])
+            index //= axis.size
+        return columns[::-1]
+
+    return total, keys, values
 
 
 _BOUNDS_KERNELS = (
@@ -193,21 +239,20 @@ _BOUNDS_KERNELS = (
 
 
 def cmd_bounds(args) -> int:
-    ps = parse_axis(args.P, "P", nonnegative=True)
-    ls = parse_axis(args.L, "L", integer=True)
-    s2s = parse_axis(args.sigma2, "sigma2", nonnegative=True)
-    keys, grid = _grid([ps, ls, s2s])
-    columns = []
-    with np.errstate(all="ignore"):  # overflow shows as nan or inf, rejected below
-        for kernel in _BOUNDS_KERNELS:
-            columns.extend(kernel(*grid))  # total, amplitude, phase
-    undefined = np.flatnonzero(~np.isfinite(columns).all(axis=0))
-    if undefined.size:
-        p, big_l, s2 = (g[undefined[0]] for g in grid)
-        raise UsageError(
-            f"bounds overflow the float range at P={_fmt(p)}, L={int(big_l)}, sigma2={_fmt(s2)}"
-        )
-    columns = [convert_rate(c, args.units) for c in columns]
+    n_rows, keys, values = _grid(args, _PLS_AXES)
+
+    def columns(grid):  # total, amplitude, phase of each kernel, in nats
+        with np.errstate(all="ignore"):  # overflow shows as nan or inf, refused below
+            return [column for kernel in _BOUNDS_KERNELS for column in kernel(*grid)]
+
+    for lo, hi in _row_blocks(n_rows):  # refuse before any byte is written
+        grid = values(lo, hi)
+        undefined = np.flatnonzero(~np.isfinite(columns(grid)).all(axis=0))
+        if undefined.size:
+            p, big_l, s2 = (g[undefined[0]] for g in grid)
+            raise UsageError(
+                f"bounds overflow the float range at P={_fmt(p)}, L={int(big_l)}, sigma2={_fmt(s2)}"
+            )
     units = itertools.repeat(args.units.value)
     header = [
         "P", "L", "sigma2",
@@ -216,47 +261,40 @@ def cmd_bounds(args) -> int:
         "cc_total", "cc_amp", "cc_phase",
         "units",
     ]
-    _write_grid(args.out, header, keys, grid[0].size,
-                lambda lo, hi: [*(_fmt_column(c[lo:hi]) for c in columns), units])
+    _write_grid(args.out, header, keys, n_rows, lambda lo, hi: [
+        *(_fmt_column(convert_rate(c, args.units)) for c in columns(values(lo, hi))), units])
     return EXIT_OK
 
 
 def cmd_gdof(args) -> int:
-    alphas = parse_axis(args.alpha, "alpha", nonnegative=True)
-    betas = parse_axis(args.beta, "beta")
-    keys, grid = _grid([alphas, betas])
-    *families, regimes = gdof_mod._regions(*grid)
-    totals = [total for total, _, _ in families]
+    n_rows, keys, values = _grid(args, _GDOF_AXES)
 
     def cells(lo, hi):
-        texts = [_fmt_column(total[lo:hi]) for total in totals]
-        texts[-1] = [text if regime else "" for text, regime in zip(texts[-1], regimes[lo:hi])]
-        return [*texts, regimes[lo:hi]]
+        *families, regimes = gdof_mod._regions(*values(lo, hi))
+        texts = [_fmt_column(total) for total, _, _ in families]
+        texts[-1] = [text if regime else "" for text, regime in zip(texts[-1], regimes)]
+        return [*texts, regimes]
 
     header = [
         "alpha", "beta",
         "d_outer", "d_inner_pc", "d_inner_cc", "d_inner_combined",
         "d_exact", "regime_of_exactness",
     ]
-    _write_grid(args.out, header, keys, len(regimes), cells)
+    _write_grid(args.out, header, keys, n_rows, cells)
     return EXIT_OK
 
 
 def cmd_regimes(args) -> int:
-    ps = parse_axis(args.P, "P", nonnegative=True)
-    ls = parse_axis(args.L, "L", integer=True)
-    s2s = parse_axis(args.sigma2, "sigma2", nonnegative=True)
-    keys, grid = _grid([ps, ls, s2s])
+    n_rows, keys, values = _grid(args, _PLS_AXES)
     cells = []  # "regime,gap" for each entry of gdof._REGIMES
     for regime in gdof_mod._REGIMES:
         gap = gdof_mod.regime_gap_nats(regime)
         gap_text = "" if math.isnan(gap) else _fmt(convert_rate(gap, args.units))
         cells.append(f"{regime.value},{gap_text}")
     header = ["P", "L", "sigma2", "regime", "gap", "units"]
-    which = gdof_mod._classify(*grid)
     units = itertools.repeat(args.units.value)
-    _write_grid(args.out, header, keys, which.size,
-                lambda lo, hi: [[cells[i] for i in which[lo:hi].tolist()], units])
+    _write_grid(args.out, header, keys, n_rows, lambda lo, hi: [
+        [cells[i] for i in gdof_mod._classify(*values(lo, hi)).tolist()], units])
     return EXIT_OK
 
 

@@ -109,6 +109,20 @@ class TestBoundsCommand:
         err = capsys.readouterr().err
         assert err.startswith("owpnlab: bounds overflow") and err.count("\n") == 1
 
+    def test_refused_in_the_last_block(self, capsys, tmp_path):
+        # 2 * _ROW_BLOCK + 1 rows whose only non-finite row is the last one:
+        # the grid is refused before any block is written
+        ps = parse_axis(f"log:1:1e150:{2 * cli._ROW_BLOCK}", "P") + [1e200]
+        argv = ["bounds", "--P", ",".join(map(repr, ps)), "--L", "1", "--sigma2", "1e-10"]
+        out = tmp_path / "b.csv"
+        for extra in ([], ["--out", str(out)]):
+            assert main([*argv, *extra]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("owpnlab: bounds overflow the float range at "
+                                    "P=9.9999999999999997e+199, L=1, sigma2=1e-10\n")
+        assert not out.exists()
+
     def test_infinite_cells_are_refused(self, capsys, tmp_path):
         # pc squares P + 2, which overflows to inf here; the row is refused
         # before any byte is written or the --out file is created
@@ -269,6 +283,40 @@ class TestGridBytes:
             "818f4d2ff606bc9e53b08872d7c225b0456131dafefa2ec87d9b998afebf3250"
         )
 
+    def test_gdof_lattice_over_blocks(self, capsys):
+        # every region boundary of alpha = k/16, beta = k/64 - 2: 12,593 rows,
+        # more than two row blocks
+        alphas = ",".join(repr(k / 16) for k in range(49))
+        betas = ",".join(repr(k / 64 - 2.0) for k in range(257))
+        assert 49 * 257 > 2 * cli._ROW_BLOCK
+        assert _sha256_of(["gdof", f"--alpha={alphas}", f"--beta={betas}"], capsys) == (
+            "f2ff21fa7df86323864062e8f031dd87a0b5ce37295b1cd18340a653a1bf18aa"
+        )
+
+    def test_regimes_on_both_thresholds_over_blocks(self, capsys):
+        # sigma2 on 1/(2P) for each P and on (2 pi / e) L ln(L + 1) for each L,
+        # and the float just below each: 12,288 rows, more than two row blocks
+        ps = [1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 10.0, 100.0]
+        ls = range(1, 25)
+        sigma2 = []
+        for p in ps:
+            edge = 1.0 / (2.0 * p)
+            sigma2 += [math.nextafter(edge, 0.0), edge]
+        for big_l in ls:
+            threshold = 2.0 * math.pi / math.e * math.log(big_l + 1.0)
+            edge = threshold * big_l  # the least sigma2 with sigma2 / L >= threshold
+            while edge / big_l < threshold:
+                edge = math.nextafter(edge, math.inf)
+            while math.nextafter(edge, 0.0) / big_l >= threshold:
+                edge = math.nextafter(edge, 0.0)
+            sigma2 += [math.nextafter(edge, 0.0), edge]
+        assert len(ps) * len(ls) * len(sigma2) > 2 * cli._ROW_BLOCK
+        argv = ["regimes", "--P", ",".join(map(repr, ps)), "--L", ",".join(map(str, ls)),
+                "--sigma2", ",".join(map(repr, sigma2)), "--units", "bits"]
+        assert _sha256_of(argv, capsys) == (
+            "e2262fd010e44dbb8d6ed63d63025fa4bca673443782f4a624ff9b7718974bd8"
+        )
+
     def test_fmt_column_formats_each_value(self):
         assert cli._fmt_column(np.array([-0.0, 0.0, -0.0])) == ["-0", "0", "-0"]
         rng = np.random.default_rng(3)
@@ -322,6 +370,28 @@ class TestBlockWriter:
                 "--sigma2", "log:1e-6:1e2:40", "--out", str(tmp_path / "b.csv")]
         assert traced_peak_mib(main, argv) < 12.0
         assert (tmp_path / "b.csv").read_text(encoding="utf-8").count("\n") == 28_001
+
+    def test_kernels_run_per_block(self, tmp_path):
+        # the same grid with its kernels run one row block at a time; with the
+        # nine float columns held whole it traces ~6.6 MiB
+        argv = ["bounds", "--P", "log:1:1e12:100", "--L", "1,2,3,5,8,13,21",
+                "--sigma2", "log:1e-6:1e2:40", "--out", str(tmp_path / "b.csv")]
+        assert traced_peak_mib(main, argv) < 5.0
+
+    @pytest.mark.parametrize("n_alpha, n_beta", [(300, 150), (600, 600)])
+    def test_gdof_memory_does_not_grow_with_the_grid(self, n_alpha, n_beta, tmp_path):
+        # the shape of the gdof-grid benchmark workload (45,000 rows), and a
+        # grid 8 times larger: region boundaries plus uniform points.  With the
+        # region columns and the axis mesh held whole they trace ~8 and ~64 MiB.
+        rng = np.random.default_rng(5)
+        alphas = [k / 4 for k in range(13)] + rng.uniform(0.0, 3.0, n_alpha - 13).tolist()
+        betas = [k / 8 - 2.0 for k in range(33)] + rng.uniform(-2.0, 2.0, n_beta - 33).tolist()
+        out = tmp_path / "g.csv"
+        argv = ["gdof", "--alpha=" + ",".join(map(repr, alphas)),
+                "--beta=" + ",".join(map(repr, betas)), "--out", str(out)]
+        assert traced_peak_mib(main, argv) < 3.0
+        with out.open(encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == n_alpha * n_beta + 1
 
 
 class TestVerifyCommand:
@@ -443,6 +513,20 @@ class TestConfigAndErrors:
         assert main(["bounds", "--P", "log:1:10:500", "--L",
                      ",".join(str(i) for i in range(1, 200)),
                      "--sigma2", "log:0.1:10:200"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--P", "log:1:2:10000000", "--L", "1", "--sigma2", "log:1:2:10000000"],
+        ["gdof", "--alpha", "log:1:2:10000000", "--beta", "log:1:2:10000000"],
+        ["regimes", "--P", "1,2", "--L", "log:1:1e6:10000000", "--sigma2", "nan"],
+    ])
+    def test_grid_cap_before_any_axis_is_expanded(self, argv, capsys):
+        # each axis is within the cap, the grid is not; a bad value too
+        # leaves the exit code at 1
+        codes = []
+        peak = traced_peak_mib(lambda: codes.append(main(argv)))
+        assert codes == [EXIT_USAGE]
+        assert capsys.readouterr().err.startswith("owpnlab: grid size ")
+        assert peak < 1.0
 
 
 # Any argv over the five subcommands exits with a documented code and never
