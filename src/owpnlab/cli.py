@@ -8,12 +8,14 @@ Axes are given as comma lists (``--P 1,10,100``) or log ranges
 (``--P log:1:1e6:7``); grids are emitted in ascending lexicographic order of
 the axes, one row per point, with a mandatory header, LF line endings and
 17-significant-digit decimals.  Output is bit-identical for a given sweep and
-seed.  A grid is never held whole: one writer takes it ``_ROW_BLOCK`` rows at
-a time, makes the block's axis values, runs the kernels on them and formats
-and writes its rows, so working memory is set by the block size and not by
-the number of rows.  Every kernel is elementwise, so the block size changes
-no byte.  A grid of more than ``GRID_CAP`` rows is refused before any axis is
-expanded.  A grid that is refused (a non-finite bounds cell) is refused
+seed.  A grid is never held whole: it is one stream of blocks of axis values,
+``_ROW_BLOCK`` rows each, made by index arithmetic from one float array per
+axis (``_grid``).  The writer runs the kernels on each block and formats and
+writes its rows, so working memory is set by the block size and the axis
+lengths, not by the number of rows.  Every number, axis cells included, is
+formatted by ``_fmt_column``.  Every kernel is elementwise, so the block size
+changes no byte.  A grid of more than ``GRID_CAP`` rows is refused before any
+axis is expanded.  A grid that is refused (a non-finite bounds cell) is refused
 before any byte is written or any ``--out`` file is created: `bounds` runs
 its kernels over every block once to check, and again to write.  The
 branch-consistency errors of `gdof` and `regimes` check invariants of the
@@ -48,7 +50,7 @@ from . import mioracle, riccati, sim
 from .model import ChannelParams, Units, convert_rate, derive_constants
 
 GRID_CAP = 10**7
-# Rows formatted and written at a time by _write_grid.
+# Rows of a grid block, made, computed, formatted and written at a time.
 _ROW_BLOCK = 4096
 
 EXIT_OK = 0
@@ -77,8 +79,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, int):
-        return str(value)
     return format(float(value), ".17g")
 
 
@@ -155,24 +155,18 @@ def _write_lines(out_path: str | None, blocks: Iterable[list[str]]) -> None:
             fh.write("\n".join(lines) + "\n")
 
 
-def _row_blocks(n_rows: int) -> Iterator[tuple[int, int]]:
-    # (lo, hi) of each block of _ROW_BLOCK rows
-    for lo in range(0, n_rows, _ROW_BLOCK):
-        yield lo, min(lo + _ROW_BLOCK, n_rows)
-
-
-def _write_grid(out_path: str | None, header: list[str], keys: Iterator[str], n_rows: int,
-                cells: Callable[[int, int], list[Iterable[str]]]) -> None:
-    """Write a grid's CSV: the header, then `n_rows` rows, each its axis key
-    from `keys` followed by its cells.  ``cells(lo, hi)`` gives the cell
-    columns of rows ``lo`` to ``hi``; it is called, and the rows are formatted
-    and written, `_ROW_BLOCK` at a time."""
-    def blocks():
+def _write_grid(out_path: str | None, header: list[str], blocks: Iterable[list[np.ndarray]],
+                cells: Callable[[list[np.ndarray]], list[Iterable[str]]]) -> None:
+    """Write a grid's CSV: the header, then the rows of each block of axis
+    columns from `blocks`, one block at a time.  A row is its axis values,
+    formatted by `_fmt_column`, followed by its cells; ``cells(columns)``
+    gives the cell columns of a block."""
+    def lines():
         yield [",".join(header)]
-        for lo, hi in _row_blocks(n_rows):
-            yield list(map(",".join, zip(itertools.islice(keys, hi - lo), *cells(lo, hi))))
+        for columns in blocks:
+            yield list(map(",".join, zip(*map(_fmt_column, columns), *cells(columns))))
 
-    _write_lines(out_path, blocks())
+    _write_lines(out_path, lines())
 
 
 def _fmt_column(values: np.ndarray) -> list[str]:
@@ -204,31 +198,31 @@ def _axis_length(text: str) -> int:
         return 1
 
 
-def _grid(args, axes) -> tuple[int, Iterator[str], Callable[[int, int], list[np.ndarray]]]:
+def _grid(args, axes) -> Callable[[], Iterator[list[np.ndarray]]]:
     """The grid over `axes`, (name, parse_axis keywords) pairs whose specs are
-    read from `args`: its row count, each row's axis cells (made as they are
-    read), and ``values(lo, hi)``, the axis values of rows ``lo`` to ``hi`` as
-    one float array per axis.  Rows are in product order, the last axis
-    varying fastest.  A grid of more than GRID_CAP rows is refused before any
-    axis is expanded."""
+    read from `args`, as a generator function: each call yields the grid's
+    rows `_ROW_BLOCK` at a time, as one float array of axis values per axis.
+    Rows are in product order, the last axis varying fastest.  A grid of more
+    than GRID_CAP rows is refused before any axis is expanded."""
     specs = [getattr(args, name) for name, _ in axes]
     total = math.prod(_axis_length(spec) for spec in specs)
     if total > GRID_CAP:
         raise UsageError(f"grid size {total} exceeds the cap {GRID_CAP}")
-    parsed = [parse_axis(spec, name, **keywords) for spec, (name, keywords) in zip(specs, axes)]
-    keys = map(",".join, itertools.product(*([_fmt(v) for v in axis] for axis in parsed)))
-    arrays = [np.array(axis, dtype=float) for axis in parsed]
+    arrays = [np.array(parse_axis(spec, name, **keywords), dtype=float)
+              for spec, (name, keywords) in zip(specs, axes)]
+    size = math.prod(axis.size for axis in arrays)
 
-    def values(lo: int, hi: int) -> list[np.ndarray]:
-        # each axis value copied by its index in the product order
-        index = np.arange(lo, hi)
-        columns = []
-        for axis in reversed(arrays):
-            columns.append(axis[index % axis.size])
-            index //= axis.size
-        return columns[::-1]
+    def blocks() -> Iterator[list[np.ndarray]]:
+        for lo in range(0, size, _ROW_BLOCK):
+            # each axis value copied by its index in the product order
+            index = np.arange(lo, min(lo + _ROW_BLOCK, size))
+            columns = []
+            for axis in reversed(arrays):
+                columns.append(axis[index % axis.size])
+                index //= axis.size
+            yield columns[::-1]
 
-    return total, keys, values
+    return blocks
 
 
 _BOUNDS_KERNELS = (
@@ -239,19 +233,18 @@ _BOUNDS_KERNELS = (
 
 
 def cmd_bounds(args) -> int:
-    n_rows, keys, values = _grid(args, _PLS_AXES)
+    blocks = _grid(args, _PLS_AXES)
 
     def columns(grid):  # total, amplitude, phase of each kernel, in nats
         with np.errstate(all="ignore"):  # overflow shows as nan or inf, refused below
             return [column for kernel in _BOUNDS_KERNELS for column in kernel(*grid)]
 
-    for lo, hi in _row_blocks(n_rows):  # refuse before any byte is written
-        grid = values(lo, hi)
+    for grid in blocks():  # refuse before any byte is written
         undefined = np.flatnonzero(~np.isfinite(columns(grid)).all(axis=0))
         if undefined.size:
             p, big_l, s2 = (g[undefined[0]] for g in grid)
             raise UsageError(
-                f"bounds overflow the float range at P={_fmt(p)}, L={int(big_l)}, sigma2={_fmt(s2)}"
+                f"bounds overflow the float range at P={_fmt(p)}, L={_fmt(big_l)}, sigma2={_fmt(s2)}"
             )
     units = itertools.repeat(args.units.value)
     header = [
@@ -261,16 +254,16 @@ def cmd_bounds(args) -> int:
         "cc_total", "cc_amp", "cc_phase",
         "units",
     ]
-    _write_grid(args.out, header, keys, n_rows, lambda lo, hi: [
-        *(_fmt_column(convert_rate(c, args.units)) for c in columns(values(lo, hi))), units])
+    _write_grid(args.out, header, blocks(), lambda grid: [
+        *(_fmt_column(convert_rate(c, args.units)) for c in columns(grid)), units])
     return EXIT_OK
 
 
 def cmd_gdof(args) -> int:
-    n_rows, keys, values = _grid(args, _GDOF_AXES)
+    blocks = _grid(args, _GDOF_AXES)
 
-    def cells(lo, hi):
-        *families, regimes = gdof_mod._regions(*values(lo, hi))
+    def cells(grid):
+        *families, regimes = gdof_mod._regions(*grid)
         texts = [_fmt_column(total) for total, _, _ in families]
         texts[-1] = [text if regime else "" for text, regime in zip(texts[-1], regimes)]
         return [*texts, regimes]
@@ -280,12 +273,12 @@ def cmd_gdof(args) -> int:
         "d_outer", "d_inner_pc", "d_inner_cc", "d_inner_combined",
         "d_exact", "regime_of_exactness",
     ]
-    _write_grid(args.out, header, keys, n_rows, cells)
+    _write_grid(args.out, header, blocks(), cells)
     return EXIT_OK
 
 
 def cmd_regimes(args) -> int:
-    n_rows, keys, values = _grid(args, _PLS_AXES)
+    blocks = _grid(args, _PLS_AXES)
     cells = []  # "regime,gap" for each entry of gdof._REGIMES
     for regime in gdof_mod._REGIMES:
         gap = gdof_mod.regime_gap_nats(regime)
@@ -293,8 +286,8 @@ def cmd_regimes(args) -> int:
         cells.append(f"{regime.value},{gap_text}")
     header = ["P", "L", "sigma2", "regime", "gap", "units"]
     units = itertools.repeat(args.units.value)
-    _write_grid(args.out, header, keys, n_rows, lambda lo, hi: [
-        [cells[i] for i in gdof_mod._classify(*values(lo, hi)).tolist()], units])
+    _write_grid(args.out, header, blocks(), lambda grid: [
+        [cells[i] for i in gdof_mod._classify(*grid).tolist()], units])
     return EXIT_OK
 
 

@@ -317,6 +317,29 @@ class TestGridBytes:
             "e2262fd010e44dbb8d6ed63d63025fa4bca673443782f4a624ff9b7718974bd8"
         )
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["bounds", "--P", "-0,0,1e-300,1,1e150", "--L", "1,2,1000,9007199254740991",
+          "--sigma2", "-0,0,0.5,1e10", "--units", "bits"],
+         "1445e2b4c0ae0c04af12427685ab5054a30eb0f2a2724848362e47861743f93b"),
+        (["regimes", "--P", "-0,0,1,1e300", "--L", "1,2,9007199254740991",
+          "--sigma2", "-0,0,5e-324,1e300"],
+         "1b26b19e5716d41860564c2d90889f8da13aba2c4297834604174edd08de2835"),
+        (["gdof", "--alpha", "-0,0,5e-324,0.5,1e300", "--beta=-0,0,-5e-324,5e-324,-1,1e300"],
+         "35ee2567deb690a3a16c9c300fd1d555e013025793ace6751a2d30a2d835db37"),
+    ])
+    def test_edge_valued_axis_cells(self, argv, digest, capsys):
+        # signed zeros, subnormals, the largest integer L and values near the
+        # float range's ends, each formatted as an axis cell
+        assert _sha256_of(argv, capsys) == digest
+
+    def test_refusal_names_the_largest_integer_l(self, capsys):
+        argv = ["bounds", "--P", "1e-300", "--L", "9007199254740991", "--sigma2", "1e-300"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("owpnlab: bounds overflow the float range at "
+                                "P=1e-300, L=9007199254740991, sigma2=1e-300\n")
+
     def test_fmt_column_formats_each_value(self):
         assert cli._fmt_column(np.array([-0.0, 0.0, -0.0])) == ["-0", "0", "-0"]
         rng = np.random.default_rng(3)
@@ -392,6 +415,19 @@ class TestBlockWriter:
         assert traced_peak_mib(main, argv) < 3.0
         with out.open(encoding="utf-8") as fh:
             assert sum(1 for _ in fh) == n_alpha * n_beta + 1
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--P", "log:1:1e6:200000", "--L", "1", "--sigma2", "1"],
+        ["gdof", "--alpha", "log:1e-3:3:200000", "--beta", "0.5"],
+    ])
+    def test_memory_does_not_keep_axis_texts(self, argv, tmp_path):
+        # a 200,000-value axis is held as one float array; with its formatted
+        # cells kept as well (a list of strings and a list of floats per axis)
+        # it traces ~22 MiB
+        out = tmp_path / "grid.csv"
+        assert traced_peak_mib(main, [*argv, "--out", str(out)]) < 10.0
+        with out.open(encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == 200_001
 
 
 class TestVerifyCommand:

@@ -10,6 +10,7 @@ from owpnlab.bounds import (
     lower_partially_coherent,
     upper_outer,
 )
+from owpnlab import bounds as bounds_mod
 from owpnlab import gdof
 from owpnlab.gdof import (
     GdofFamily,
@@ -319,6 +320,43 @@ class TestRegimeClassifier:
             for big_l in (1, 2, 16, 256):
                 for s2 in np.logspace(-8, 4, 25):
                     classify_regime(ChannelParams(p, big_l, float(s2)))
+
+
+class TestTablesAgainstKernelSlopes:
+    """The total of each region table against the slope of the bound kernel it
+    summarizes, (B(P2) - B(P1)) / ln(P2 / P1) along L = floor(P^alpha),
+    sigma2 = P^beta, on alpha = k/16 (k = 0..6) and beta = -2..2 in steps of
+    1/8.  The slopes approach the tables as P grows."""
+
+    ALPHAS = np.repeat([k / 16 for k in range(7)], 33)
+    BETAS = np.tile([k / 8 - 2.0 for k in range(33)], 7)
+    KERNELS = {
+        "outer": bounds_mod._upper_outer,
+        "pc": bounds_mod._lower_partially_coherent,
+        "cc": bounds_mod._lower_coherent_combining,
+    }
+
+    def max_errors(self, p1, p2):
+        outer, pc, cc, *_ = gdof._regions(self.ALPHAS, self.BETAS)
+        # The cc table is the alpha -> 0+ limit; at alpha = 0 (L = 1) the cc
+        # kernel's slope is up to 0.5 off it, so alpha = 0 is left out for cc.
+        points = {"outer": slice(None), "pc": slice(None), "cc": self.ALPHAS > 0.0}
+        errors = {}
+        for (name, kernel), (table, _, _) in zip(self.KERNELS.items(), (outer, pc, cc)):
+            totals = []
+            for p in (p1, p2):
+                big_l = np.floor(np.power(p, self.ALPHAS))
+                totals.append(kernel(np.full_like(big_l, p), big_l, np.power(p, self.BETAS))[0])
+            slope = (totals[1] - totals[0]) / math.log(p2 / p1)
+            errors[name] = float(np.max(np.abs(slope - table)[points[name]]))
+        return errors
+
+    def test_slopes_approach_the_tables(self):
+        far = self.max_errors(1e20, 1e40)
+        near = self.max_errors(1e8, 1e12)
+        for name in self.KERNELS:
+            assert far[name] < 0.005, (name, far[name])
+            assert near[name] > far[name], (name, near[name], far[name])
 
 
 class TestEmpiricalPrelog:
