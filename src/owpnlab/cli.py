@@ -82,11 +82,13 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def parse_axis(text: str, name: str, integer: bool = False, nonnegative: bool = False) -> list:
-    """Parse one axis spec: 'v1,v2,...' or 'log:start:stop:n'.
+def parse_axis(text: str, name: str, integer: bool = False, nonnegative: bool = False) -> np.ndarray:
+    """Parse one axis spec: 'v1,v2,...' or 'log:start:stop:n', into a sorted
+    float64 array.
 
     Every value must be finite; `nonnegative` also requires >= 0, and an
-    integer axis holds integers from 1 to 2^53 - 1 (see `_as_integer`)."""
+    integer axis holds integers from 1 to 2^53 - 1 (see `_as_integers`).  A
+    log range is computed straight into the array, one value at a time."""
     text = text.strip()
     log_range = text.startswith("log:")
     if log_range:
@@ -104,30 +106,33 @@ def parse_axis(text: str, name: str, integer: bool = False, nonnegative: bool = 
         if count > GRID_CAP:
             raise UsageError(f"axis {name}: log range n exceeds the cap {GRID_CAP}")
         if integer:
-            for v in (start, stop):
-                _as_integer(v, name, 0.0)
+            _as_integers(np.array([start, stop]), name, 0.0)
         if count == 1:
-            values = [start]
+            values = np.array([start])
         else:
             ratio = math.log(stop / start)
-            values = [start * math.exp(ratio * i / (count - 1)) for i in range(count)]
+            values = np.fromiter(
+                (start * math.exp(ratio * i / (count - 1)) for i in range(count)),
+                dtype=np.float64, count=count)
             if integer:  # exp may miss a large integer stop; keep it exact
                 values[-1] = stop
     else:
         try:
-            values = [float(v) for v in text.split(",") if v.strip() != ""]
+            values = np.array([float(v) for v in text.split(",") if v.strip() != ""])
         except ValueError as exc:
             raise UsageError(f"axis {name}: bad value list {text!r}") from exc
-    if not values:
+    if not values.size:
         raise UsageError(f"axis {name}: empty")
-    for v in values:
-        if not math.isfinite(v) or (nonnegative and v < 0.0):
-            bound = "finite and >= 0" if nonnegative else "finite"
-            raise UsageError(f"axis {name}: values must be {bound}, got {v}")
+    bad = ~np.isfinite(values)
+    if nonnegative:
+        bad |= values < 0.0
+    if bad.any():
+        bound = "finite and >= 0" if nonnegative else "finite"
+        raise UsageError(f"axis {name}: values must be {bound}, got {float(values[bad.argmax()])}")
     if integer:
-        rel = _LOG_POINT_REL if log_range else 0.0
-        return sorted(_as_integer(v, name, rel) for v in values)
-    return sorted(values)
+        values = _as_integers(values, name, _LOG_POINT_REL if log_range else 0.0)
+    values.sort(kind="stable")
+    return values
 
 
 # Relative distance from an integer within which a computed point of a log
@@ -137,13 +142,16 @@ _LOG_POINT_REL = 1e-12
 _INT_LIMIT = 2.0**53  # from here on, a float no longer holds every integer
 
 
-def _as_integer(v: float, name: str, rel: float) -> int:
-    """`v` as an integer from 1 to 2^53 - 1; `v` must be that integer exactly,
-    or within `rel` of it relative to `v`."""
-    iv = round(v) if 1.0 <= v < _INT_LIMIT else 0
-    if iv < 1 or abs(v - iv) > rel * v:
-        raise UsageError(f"axis {name}: values must be integers from 1 to 2^53 - 1, got {v}")
-    return iv
+def _as_integers(values: np.ndarray, name: str, rel: float) -> np.ndarray:
+    """`values` rounded to integers from 1 to 2^53 - 1; each value must be
+    that integer exactly, or within `rel` of it relative to the value."""
+    rounded = np.round(values)
+    bad = ~((values >= 1.0) & (values < _INT_LIMIT))
+    bad |= np.abs(values - rounded) > rel * values
+    if bad.any():
+        raise UsageError(f"axis {name}: values must be integers from 1 to 2^53 - 1, "
+                         f"got {float(values[bad.argmax()])}")
+    return rounded
 
 
 def _write_lines(out_path: str | None, blocks: Iterable[list[str]]) -> None:
@@ -208,8 +216,7 @@ def _grid(args, axes) -> Callable[[], Iterator[list[np.ndarray]]]:
     total = math.prod(_axis_length(spec) for spec in specs)
     if total > GRID_CAP:
         raise UsageError(f"grid size {total} exceeds the cap {GRID_CAP}")
-    arrays = [np.array(parse_axis(spec, name, **keywords), dtype=float)
-              for spec, (name, keywords) in zip(specs, axes)]
+    arrays = [parse_axis(spec, name, **keywords) for spec, (name, keywords) in zip(specs, axes)]
     size = math.prod(axis.size for axis in arrays)
 
     def blocks() -> Iterator[list[np.ndarray]]:

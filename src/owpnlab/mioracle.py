@@ -15,21 +15,25 @@ The phase estimator marginalizes over the amplitude |X_1| of the probed
 symbol rather than conditioning on it; that only loosens the empirical
 target, so the lower-bound inequality direction is preserved.
 
-Both oracles run the real-arithmetic channel kernel of :mod:`owpnlab.sim`:
-|X|^2 is xr^2 + xi^2, the block norm the row sum of yr^2 + yi^2, and each
-angle ``arctan2(imag, real)``.  An estimate depends on its samples only
-through bin indices and equal-mass ranks, so it is byte-stable under
-last-ulp changes in ``cos``/``sin``/``arctan2`` except where such a change
-moves a sample across a bin edge or reorders two samples at an edge.
+Both oracles simulate only the law their statistic depends on.  The noise
+is circularly symmetric and independent of the phase, so noise rotated by
+the phase is again i.i.d. CN(0, 2): the block norm ||Y||^2 has the law of
+sum_k |X + W_k|^2, and in the two-sample phase statistic the absolute phase
+cancels.  Neither oracle draws a uniform phase, builds a phase path or calls
+``cos``/``sin``; the amplitude oracle needs no sigma2 at all.  |X|^2 is
+xr^2 + xi^2, the block norm the row sum of yr^2 + yi^2, and each angle
+``arctan2(imag, real)``.  An estimate depends on its samples only through
+bin indices and equal-mass ranks, so it is byte-stable under last-ulp
+changes in ``arctan2`` except where such a change moves a sample across a
+bin edge or reorders two samples at an edge.
 
 Memory: both oracles draw through :func:`owpnlab.sim._blocks`, one row
 block of about ``sim._BLOCK_ELEMENTS`` normals at a time, so a chunk is
-never held whole; only its uniform phases (one per row, 1 MiB for a
-2^17-row chunk) are drawn at once.  The phase oracle adds each block to its
-joint histogram and keeps no per-sample arrays.  The amplitude oracle keeps
-its two per-sample arrays for the equal-mass ranks (8 MB at 5e5 samples),
-bins the first and lets it go before ranking the second.  Bins are int16 and
-the joint bin index is one intp array.
+never held whole.  The phase oracle adds each block to its joint histogram
+and keeps no per-sample arrays.  The amplitude oracle keeps its two
+per-sample arrays for the equal-mass ranks (8 MB at 5e5 samples), bins the
+first and lets it go before ranking the second.  Bins are int16 and the
+joint bin index is one intp array.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ChannelParams, per_symbol_power
-from .sim import _blocks, _channel
+from .sim import _blocks
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,32 +169,28 @@ def amplitude_channel_mi(
 ) -> MiEstimate:
     """MC estimate of I(|X|^2 ; ||Y||^2) under CN(0, P/L) inputs.
 
-    Each sample is one symbol interval: the input is rotated by a fresh
-    Wiener phase trajectory and buried in CN(0, 2) noise, then the squared
-    norm of the L-sample output block is recorded.  A sample's normals are
-    one row of 2 + 3L: the input's real and imaginary parts, the L path
-    increments, the L noise real parts and the L noise imaginary parts; each
-    chunk first draws the starting phases of all its rows.
+    Each sample is one symbol interval: Y_k = X e^{j theta_k} + W_k for the
+    L samples of the block.  The noise is circularly symmetric and independent
+    of the phase, so W_k e^{-j theta_k} is again i.i.d. CN(0, 2) and
+    ||Y||^2 = sum_k |X + W_k e^{-j theta_k}|^2 has the law of
+    sum_k |X + W_k|^2, whatever sigma2 is; only that law is simulated.  A
+    sample's normals are one row of 2 + 2L: the input's real and imaginary
+    parts, the L noise real parts and the L noise imaginary parts.
     """
     _validate(n_samples, n_samples, n_bins)
     big_l = params.oversampling
-    scale = math.sqrt(params.freq_noise_var / big_l)
     amp = math.sqrt(per_symbol_power(params) / 2.0)
     samples = [np.empty(n_samples), np.empty(n_samples)]
     x2, ynorm = samples
-    width = 2 + 3 * big_l
-    for rng, start, m, lo, hi in _blocks(rng_seed, n_samples, max(1, _CHUNK // big_l), width):
-        if lo == 0:
-            theta0 = rng.uniform(0.0, TWO_PI, m)
+    width = 2 + 2 * big_l
+    for rng, start, _, lo, hi in _blocks(rng_seed, n_samples, max(1, _CHUNK // big_l), width):
         # one sample per column: every part below is a contiguous row
         z = np.ascontiguousarray(rng.standard_normal((hi - lo, width)).T)
         z[:2] *= amp
         xr, xi = z[0], z[1]
-        theta = z[2 : 2 + big_l]
-        theta *= scale
-        np.cumsum(theta, axis=0, out=theta)
-        theta += theta0[lo:hi]
-        yr, yi = _channel(xr, xi, theta, z[2 + big_l : 2 + 2 * big_l], z[2 + 2 * big_l :])
+        yr, yi = z[2 : 2 + big_l], z[2 + big_l :]
+        yr += xr
+        yi += xi
         rows = slice(start + lo, start + hi)
         np.multiply(xr, xr, out=x2[rows])
         xi *= xi
@@ -212,12 +212,15 @@ def phase_channel_mi(
 
     where Y_last is the final output sample of the pilot symbol X_0 and
     Y_first the first sample of the probed symbol X_1.  Only these two
-    adjacent samples enter the statistic, so only they are simulated; the
-    phase at Y_last is exactly uniform and the two samples are separated by a
-    single N(0, sigma2/L) increment.  A sample's normals are one row of 9:
-    X_0 and X_1 (real, imaginary), the increment, then the noise of Y_last
-    and of Y_first (real, imaginary); each chunk first draws the uniform
-    phases of all its rows.  Circular binning on [0, 2pi); the histogram is
+    adjacent samples enter the statistic, and they are separated by a single
+    N(0, sigma2/L) increment Delta.  Their absolute phase cancels: with noise
+    rotated back by it (again i.i.d. CN(0, 2)),
+
+        psi = Delta + angle(X_1 + W_first) - angle(X_0 + W_last) + angle(X_0),
+
+    so only that is simulated.  A sample's normals are one row of 9: X_0 and
+    X_1 (real, imaginary), the increment, then the noise of Y_last and of
+    Y_first (real, imaginary).  Circular binning on [0, 2pi); the histogram is
     accumulated row block by row block."""
     if params.avg_power <= 0.0:
         raise ValueError("phase statistic needs P > 0")
@@ -226,19 +229,18 @@ def phase_channel_mi(
     amp = math.sqrt(per_symbol_power(params) / 2.0)
     inc_std = math.sqrt(params.freq_noise_var / big_l)
     joint = np.zeros((n_bins, n_bins), dtype=np.int64)
-    for rng, _, m, lo, hi in _blocks(rng_seed, n_samples, _CHUNK, 9):
-        if lo == 0:
-            theta_last = rng.uniform(0.0, TWO_PI, m)
+    for rng, _, _, lo, hi in _blocks(rng_seed, n_samples, _CHUNK, 9):
         # one sample per column: every part below is a contiguous row
         z = np.ascontiguousarray(rng.standard_normal((hi - lo, 9)).T)
         z[:4] *= amp
         z[4] *= inc_std
-        x0r, x0i, x1r, x1i, theta_first, wlr, wli, wfr, wfi = z
-        theta_first += theta_last[lo:hi]
-        ylr, yli = _channel(x0r, x0i, theta_last[lo:hi], wlr, wli)
-        yfr, yfi = _channel(x1r, x1i, theta_first, wfr, wfi)
+        x0r, x0i, x1r, x1i, psi, ylr, yli, yfr, yfi = z
+        ylr += x0r
+        yli += x0i
+        yfr += x1r
+        yfi += x1i
         # each angle goes into a buffer that is not read again
-        psi = np.arctan2(yfi, yfr, out=yfr)
+        psi += np.arctan2(yfi, yfr, out=yfr)
         psi -= np.arctan2(yli, ylr, out=ylr)
         psi += np.arctan2(x0i, x0r, out=x0r)
         ix = _circular_bins(np.arctan2(x1i, x1r, out=x1r), n_bins)

@@ -2,12 +2,13 @@
 used to cross-check every closed-form constant.
 
 One engine serves every Monte Carlo path here and in :mod:`owpnlab.mioracle`:
-:func:`_chunks` splits a sample budget into chunks, :func:`_blocks` walks each
-chunk one row block at a time, :func:`_wiener_rows` builds Wiener phase paths
-and :func:`_channel` rotates symbols by a block of phases and adds noise.  The
-channel kernel works in real arithmetic on separate real and imaginary parts,
-with ``cos``/``sin`` of the phases; the MI oracles use its parts directly and
-:func:`transmit` assembles its complex output from them.
+:func:`_chunks` splits a sample budget into chunks and :func:`_blocks` walks
+each chunk one row block at a time.  :func:`_wiener_rows` builds Wiener phase
+paths and :func:`_channel` rotates symbols by a block of phases and adds
+noise, in real arithmetic on separate real and imaginary parts, with
+``cos``/``sin`` of the phases; :func:`transmit` assembles its complex output
+from them.  The MI oracles need neither: they simulate only the law of their
+statistics, in which the phase is rotated out of the noise (see there).
 
 Randomness discipline: a master seed names a family of independent substreams
 via ``SeedSequence(seed, spawn_key=(index,))``.  Monte Carlo estimators split
@@ -17,15 +18,14 @@ fixed counts in the MI oracles), and that chunk geometry is part of the
 reproducibility key.  Every estimator lays its draws out the same way: a
 sample's standard normals are one row, and a chunk's normals are the rows of
 one ``standard_normal((m, k))`` draw, made one row block at a time by
-:func:`_blocks` (the MI oracles first draw one uniform phase per row of the
-chunk).  The reduction order is fixed in full: inside a
-chunk, the per-sample values are cut into consecutive 8192-element blocks,
-each block is summed by ``np.sum`` and the block sums are added left to right
+:func:`_blocks`.  The reduction order is fixed in full: inside a chunk, the
+per-sample values are cut into consecutive 8192-element blocks, each block is
+summed by ``np.sum`` and the block sums are added left to right
 (:func:`_blocked_sum`); the chunk sums are then added in ascending chunk
 order.  Results are therefore bit-identical for a given (seed, n_samples)
 regardless of how the chunks would be scheduled and of the numpy version on
-either side of 2.3, where ``np.sum`` of a long array stopped
-working in 8192-element buffers.  Not covered: a different numpy
+either side of 2.3, where ``np.sum`` of a long array stopped working in
+8192-element buffers.  Not covered: a different numpy
 ``Generator`` stream, or elementwise ``exp``/``cos``/``sin``/``log``/``power``
 results that differ in another numpy or libm build.  The MI estimates of
 :mod:`owpnlab.mioracle` are sturdier: they see their samples only through

@@ -17,7 +17,7 @@ from owpnlab.mioracle import (
     histogram_mi,
     phase_channel_mi,
 )
-from owpnlab import sim
+from owpnlab import mioracle, sim
 from owpnlab.model import ChannelParams, per_symbol_power
 from owpnlab.sim import _chunks, substream
 
@@ -121,11 +121,10 @@ def test_equal_mass_bins_are_stable_rank_bins(seed, n_bins, extra, kind):
     assert np.array_equal(_equal_mass_bins(x, n_bins), _stable_rank_bins(x, n_bins))
 
 
-# The oracles in complex arithmetic, each chunk drawn at once: its uniform
-# phases, then one (m, k) array of standard normals, one row per sample;
-# x e^{j theta} + w formed as complex arrays, |.|^2 by np.abs and angles by
-# np.angle, binned by stable ranks.  The row-blocked real-arithmetic oracles
-# must reproduce them exactly.
+# The oracles in complex arithmetic, each chunk drawn at once as one (m, k)
+# array of standard normals, one row per sample; X + W formed as complex
+# arrays, |.|^2 by np.abs and angles by np.angle, binned by stable ranks.  The
+# row-blocked real-arithmetic oracles must reproduce them exactly.
 
 
 def _reference_plugin_mi(ix, iy, n_bins):
@@ -150,15 +149,12 @@ def _reference_amplitude_mi(params, n_samples, seed, n_bins=64):
     big_l = params.oversampling
     x2 = np.empty(n_samples)
     ynorm = np.empty(n_samples)
-    scale = math.sqrt(params.freq_noise_var / big_l)
     amp = math.sqrt(per_symbol_power(params) / 2.0)
     for rng, start, m in _chunks(seed, n_samples, max(1, _CHUNK // big_l)):
-        theta0 = rng.uniform(0.0, TWO_PI, m)
-        z = rng.standard_normal((m, 2 + 3 * big_l))
+        z = rng.standard_normal((m, 2 + 2 * big_l))
         x = (z[:, 0] + 1j * z[:, 1]) * amp
-        theta = theta0[:, None] + np.cumsum(z[:, 2 : 2 + big_l] * scale, axis=1)
-        noise = z[:, 2 + big_l : 2 + 2 * big_l] + 1j * z[:, 2 + 2 * big_l :]
-        y = x[:, None] * np.exp(1j * theta) + noise
+        noise = z[:, 2 : 2 + big_l] + 1j * z[:, 2 + big_l :]
+        y = x[:, None] + noise
         x2[start : start + m] = np.abs(x) ** 2
         ynorm[start : start + m] = np.sum(np.abs(y) ** 2, axis=1)
     return _reference_plugin_mi(
@@ -173,17 +169,14 @@ def _reference_phase_mi(params, n_samples, seed, n_bins=64):
     angles = np.empty(n_samples)
     psi = np.empty(n_samples)
     for rng, start, m in _chunks(seed, n_samples, _CHUNK):
-        theta_last = rng.uniform(0.0, TWO_PI, m)
         z = rng.standard_normal((m, 9))
         x0 = (z[:, 0] + 1j * z[:, 1]) * amp
         x1 = (z[:, 2] + 1j * z[:, 3]) * amp
         step = z[:, 4] * inc_std
         w_last = z[:, 5] + 1j * z[:, 6]
         w_first = z[:, 7] + 1j * z[:, 8]
-        y_last = x0 * np.exp(1j * theta_last) + w_last
-        y_first = x1 * np.exp(1j * (theta_last + step)) + w_first
         angles[start : start + m] = np.angle(x1)
-        psi[start : start + m] = np.angle(y_first) - np.angle(y_last) + np.angle(x0)
+        psi[start : start + m] = step + np.angle(x1 + w_first) - np.angle(x0 + w_last) + np.angle(x0)
     return _reference_plugin_mi(
         _reference_circular_bins(angles, n_bins), _reference_circular_bins(psi, n_bins), n_bins
     )
@@ -213,6 +206,94 @@ def test_phase_mi_matches_complex_reference(p, big_l, s2, seed):
     assert got == want  # value and std_error included
 
 
+# The whole channel, simulated in test code: a uniform start phase, a Wiener
+# path of N(0, sigma2/L) steps and the rotation of sim._channel, in chunks of
+# _LAW_ROWS rows.  The oracles simulate only the law of their statistics; the
+# MI they report must match the one measured on these samples.
+_LAW_ROWS = 1 << 14
+_LAW_SAMPLES = 200_000
+
+
+def _full_channel_amplitude(params, n_samples, seed):
+    """|X|^2 and the block norm ||Y||^2 of `n_samples` symbol intervals."""
+    big_l = params.oversampling
+    amp = math.sqrt(per_symbol_power(params) / 2.0)
+    step_std = math.sqrt(params.freq_noise_var / big_l)
+    x2 = np.empty(n_samples)
+    ynorm = np.empty(n_samples)
+    for rng, start, m in _chunks(seed, n_samples, _LAW_ROWS):
+        xr = amp * rng.standard_normal((m, 1))
+        xi = amp * rng.standard_normal((m, 1))
+        theta = rng.uniform(0.0, TWO_PI, (m, 1)) + sim._wiener_rows(rng, m, big_l + 1, step_std)[:, 1:]
+        yr, yi = sim._channel(
+            xr, xi, theta, rng.standard_normal((m, big_l)), rng.standard_normal((m, big_l))
+        )
+        x2[start : start + m] = (xr * xr + xi * xi)[:, 0]
+        ynorm[start : start + m] = np.sum(yr * yr + yi * yi, axis=1)
+    return x2, ynorm
+
+
+def _full_channel_phase_mi(params, n_samples, seed, n_bins=64):
+    """The MI of angle(X_1) and psi, measured on the last output sample of
+    X_0 and the first of X_1, as the phase oracle bins them."""
+    big_l = params.oversampling
+    amp = math.sqrt(per_symbol_power(params) / 2.0)
+    step_std = math.sqrt(params.freq_noise_var / big_l)
+    angles = np.empty(n_samples)
+    psi = np.empty(n_samples)
+    for rng, start, m in _chunks(seed, n_samples, _LAW_ROWS):
+        # column 0: X_0 and its last output sample; column 1: X_1 and its first
+        xr = amp * rng.standard_normal((m, 2))
+        xi = amp * rng.standard_normal((m, 2))
+        theta = rng.uniform(0.0, TWO_PI, (m, 1)) + sim._wiener_rows(rng, m, 2, step_std)
+        yr, yi = sim._channel(
+            xr, xi, theta, rng.standard_normal((m, 2)), rng.standard_normal((m, 2))
+        )
+        angles[start : start + m] = np.arctan2(xi[:, 1], xr[:, 1])
+        psi[start : start + m] = (
+            np.arctan2(yi[:, 1], yr[:, 1]) - np.arctan2(yi[:, 0], yr[:, 0])
+            + np.arctan2(xi[:, 0], xr[:, 0])
+        )
+    return _reference_plugin_mi(
+        _reference_circular_bins(angles, n_bins), _reference_circular_bins(psi, n_bins), n_bins
+    )
+
+
+def _within_4_se(a, b):
+    return abs(a.value - b.value) <= 4.0 * math.hypot(a.std_error, b.std_error)
+
+
+_LAW_POINTS = [(20.0, 4, 0.5), (100.0, 1, 0.01), (3.0, 16, 2.0)]
+
+
+class TestLawAgainstFullChannel:
+    @pytest.mark.parametrize("p,big_l,s2", _LAW_POINTS)
+    def test_amplitude(self, p, big_l, s2, monkeypatch):
+        params = ChannelParams(p, big_l, s2)
+        seen = []
+        ranked_mi = mioracle._ranked_mi
+
+        def keep_norms(samples, n_bins):  # the oracle's ||Y||^2, before binning
+            seen.append(samples[1].copy())
+            return ranked_mi(samples, n_bins)
+
+        monkeypatch.setattr(mioracle, "_ranked_mi", keep_norms)
+        got = amplitude_channel_mi(params, _LAW_SAMPLES, rng_seed=31)
+        x2, ynorm = _full_channel_amplitude(params, _LAW_SAMPLES, seed=32)
+        assert _within_4_se(got, histogram_mi(x2, ynorm))
+        for moment in (1, 2):
+            a = seen[0] ** moment
+            b = ynorm**moment
+            se = math.hypot(float(np.std(a)), float(np.std(b))) / math.sqrt(_LAW_SAMPLES)
+            assert abs(float(np.mean(a)) - float(np.mean(b))) <= 4.0 * se
+
+    @pytest.mark.parametrize("p,big_l,s2", _LAW_POINTS)
+    def test_phase(self, p, big_l, s2):
+        params = ChannelParams(p, big_l, s2)
+        got = phase_channel_mi(params, _LAW_SAMPLES, rng_seed=33)
+        assert _within_4_se(got, _full_channel_phase_mi(params, _LAW_SAMPLES, seed=34))
+
+
 class TestAmplitudeChannelMi:
     def test_zero_power_degenerate(self):
         est = amplitude_channel_mi(ChannelParams(0.0, 2, 0.5), 20_000, rng_seed=1)
@@ -223,6 +304,12 @@ class TestAmplitudeChannelMi:
         a = amplitude_channel_mi(ChannelParams(20.0, 1, 10.0), 200_000, rng_seed=7)
         b = amplitude_channel_mi(ChannelParams(20.0, 1, 1e4), 200_000, rng_seed=8)
         assert abs(a.value - b.value) <= 4.0 * math.hypot(a.std_error, b.std_error)
+
+    def test_independent_of_sigma2(self):
+        # the block norm's law holds no sigma2, and neither does the oracle
+        a = amplitude_channel_mi(ChannelParams(20.0, 4, 0.01), 50_000, rng_seed=19)
+        b = amplitude_channel_mi(ChannelParams(20.0, 4, 5.0), 50_000, rng_seed=19)
+        assert a == b
 
     def test_dominates_closed_form_lower_bound(self):
         params = ChannelParams(20.0, 4, 0.5)
@@ -264,8 +351,8 @@ class TestPhaseChannelMi:
             phase_channel_mi(ChannelParams(0.0, 1, 0.01), 20_000, rng_seed=0)
 
     def test_working_memory(self):
-        # one chunk's uniform phases (1 MiB) and one row block; drawing whole
-        # chunks traced 17.3 MiB
+        # one row block (2.3 MiB); drawing whole chunks traced 17.3 MiB, and
+        # drawing a chunk's uniform phases first 3.3 MiB
         params = ChannelParams(20.0, 4, 0.5)
         assert traced_peak_mib(phase_channel_mi, params, 500_000, 1) < 4.0
 
@@ -289,7 +376,7 @@ class TestRowBlockSize:
         chunk = _CHUNK // big_l
         n = 2 * chunk + 12_345
         want = amplitude_channel_mi(params, n, rng_seed=17)
-        self.small_blocks(monkeypatch, chunk, 2 + 3 * big_l)
+        self.small_blocks(monkeypatch, chunk, 2 + 2 * big_l)
         assert amplitude_channel_mi(params, n, rng_seed=17) == want
 
     @pytest.mark.parametrize("big_l", [1, 4, 16])

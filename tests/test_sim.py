@@ -419,7 +419,9 @@ class TestBlockedSum:
 class TestHadamardIdentity:
     """Under any fixed input amplitude the output-block norm has the same law
     as one amplified sample plus L-1 noise-only samples; compare the first two
-    empirical moments."""
+    empirical moments.  Its phase-free law is what `amplitude_channel_mi`
+    simulates; `tests/test_mioracle.py::TestLawAgainstFullChannel` checks the
+    oracle itself against this full channel."""
 
     @pytest.mark.parametrize("big_l", [1, 2, 4])
     def test_first_two_moments(self, big_l):
@@ -428,7 +430,7 @@ class TestHadamardIdentity:
         params = ChannelParams(p, big_l, 0.8)
         amp = math.sqrt(p / big_l)
 
-        # the channel block of amplitude_channel_mi, through the same kernels
+        # the whole channel: a uniform start phase, a Wiener path, a rotation
         rng = substream(123 + big_l, 0)
         theta0 = rng.uniform(0.0, TWO_PI, n)
         theta = theta0[:, None] + _wiener_rows(rng, n, big_l + 1, math.sqrt(0.8 / big_l))[:, 1:]
