@@ -55,10 +55,8 @@ from .sim import (
     FMoments,
     estimate_F_moments,
     estimate_log_abs_sq,
-    sample_phase_path,
     simulate_fading_integral,
     substream,
-    transmit,
 )
 
 __version__ = "0.1.0"
@@ -107,9 +105,7 @@ __all__ = [
     "posterior_crb_entropy_lower",
     "regime_gap_nats",
     "riccati_fixed_point",
-    "sample_phase_path",
     "simulate_fading_integral",
     "substream",
-    "transmit",
     "upper_outer",
 ]

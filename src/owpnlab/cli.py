@@ -88,7 +88,9 @@ def parse_axis(text: str, name: str, integer: bool = False, nonnegative: bool = 
 
     Every value must be finite; `nonnegative` also requires >= 0, and an
     integer axis holds integers from 1 to 2^53 - 1 (see `_as_integers`).  A
-    log range is computed straight into the array, one value at a time."""
+    log range is computed straight into the array, one value at a time; where
+    stop / start is not a normal float, it steps in the log domain between
+    the exact endpoints."""
     text = text.strip()
     log_range = text.startswith("log:")
     if log_range:
@@ -109,13 +111,20 @@ def parse_axis(text: str, name: str, integer: bool = False, nonnegative: bool = 
             _as_integers(np.array([start, stop]), name, 0.0)
         if count == 1:
             values = np.array([start])
-        else:
+        elif sys.float_info.min <= stop / start < math.inf:
             ratio = math.log(stop / start)
             values = np.fromiter(
                 (start * math.exp(ratio * i / (count - 1)) for i in range(count)),
                 dtype=np.float64, count=count)
             if integer:  # exp may miss a large integer stop; keep it exact
                 values[-1] = stop
+        else:  # the ratio is not a normal float: step in the log domain
+            low, span = math.log(start), math.log(stop) - math.log(start)
+            values = np.empty(count)
+            values[0], values[-1] = start, stop
+            values[1:-1] = np.fromiter(
+                (math.exp(low + span * i / (count - 1)) for i in range(1, count - 1)),
+                dtype=np.float64, count=count - 2)
     else:
         try:
             values = np.array([float(v) for v in text.split(",") if v.strip() != ""])

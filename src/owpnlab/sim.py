@@ -1,14 +1,10 @@
-"""Sampling machinery for the OWPN channel and the Monte Carlo estimators
-used to cross-check every closed-form constant.
+"""Monte Carlo estimators used to cross-check every closed-form constant.
 
 One engine serves every Monte Carlo path here and in :mod:`owpnlab.mioracle`:
 :func:`_chunks` splits a sample budget into chunks and :func:`_blocks` walks
-each chunk one row block at a time.  :func:`_wiener_rows` builds Wiener phase
-paths and :func:`_channel` rotates symbols by a block of phases and adds
-noise, in real arithmetic on separate real and imaginary parts, with
-``cos``/``sin`` of the phases; :func:`transmit` assembles its complex output
-from them.  The MI oracles need neither: they simulate only the law of their
-statistics, in which the phase is rotated out of the noise (see there).
+each chunk one row block at a time.  The path estimators here share the
+Wiener-path builder :func:`_wiener_rows`; the MI oracles simulate only the
+law of their statistics, with no phase path (see there).
 
 Randomness discipline: a master seed names a family of independent substreams
 via ``SeedSequence(seed, spawn_key=(index,))``.  Monte Carlo estimators split
@@ -46,15 +42,12 @@ a "resample to smaller L" helper would be unsound and is deliberately absent.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import ChannelParams, McEstimate, per_symbol_power
-
-TWO_PI = 2.0 * math.pi
+from .model import ChannelParams, McEstimate
 
 # Per-chunk element budget; rows per chunk shrink as the row width grows so
 # memory stays bounded.  Chunk geometry is part of the reproducibility key.
@@ -209,91 +202,6 @@ def _cos_rows(theta: np.ndarray) -> np.ndarray:
     cos[:, 0] = 1.0
     np.cos(theta[:, 1:], out=cos[:, 1:])
     return cos
-
-
-def _channel(
-    xr: np.ndarray, xi: np.ndarray, theta: np.ndarray, nr: np.ndarray, ni: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the outputs ``x e^{j theta} + w``, elementwise
-    over broadcast arrays (symbols of shape ``(M, 1)`` against an ``(M, L)``
-    block of phases, say), in real arithmetic: the rotation is
-    ``(xr cos - xi sin, xr sin + xi cos)``, the product numpy's complex
-    multiply forms.  `theta` is overwritten with its sines; the noise parts
-    `nr` and `ni` are overwritten with the outputs and returned."""
-    cos = np.cos(theta)
-    sin = np.sin(theta, out=theta)
-    rot = xr * cos
-    rot -= xi * sin
-    nr += rot
-    np.multiply(xr, sin, out=rot)
-    cos *= xi
-    rot += cos
-    ni += rot
-    return nr, ni
-
-
-def sample_phase_path(params: ChannelParams, n_symbols: int, rng_seed: int) -> np.ndarray:
-    """Draw one phase trajectory covering `n_symbols` symbol intervals:
-    theta[0] uniform on [0, 2pi), increments i.i.d. N(0, sigma2/L), length
-    n_symbols * L + 1."""
-    if n_symbols < 1:
-        raise ValueError(f"n_symbols must be >= 1, got {n_symbols}")
-    big_l = params.oversampling
-    rng = substream(rng_seed, 0)
-    theta0 = rng.uniform(0.0, TWO_PI)
-    step_std = math.sqrt(params.freq_noise_var / big_l)
-    return theta0 + _wiener_rows(rng, 1, n_symbols * big_l + 1, step_std)[0]
-
-
-def transmit(
-    params: ChannelParams,
-    inputs: np.ndarray,
-    theta: np.ndarray,
-    rng_seed: int,
-    noise: np.ndarray | None = None,
-) -> np.ndarray:
-    """Push a symbol sequence through the channel: Y_n = X_{ceil(n/L)} e^{j Theta_n} + W_n.
-
-    `theta` is a phase path from :func:`sample_phase_path`; returns the M*L
-    outputs.  Inputs violating the per-sample power budget P/L are allowed
-    but warned about (verification probes must be free to go off-constraint).
-    `noise` overrides the CN(0, 2) additive noise draw, for deterministic
-    injection.
-    """
-    inputs = np.asarray(inputs, dtype=np.complex128).reshape(-1)
-    theta = np.asarray(theta, dtype=float)
-    big_l = params.oversampling
-    n_out = inputs.size * big_l
-    if theta.size != n_out + 1:
-        raise ValueError(
-            f"path length {theta.size} does not match {inputs.size} symbols at L={big_l}"
-        )
-    mean_power = float(np.mean(np.abs(inputs) ** 2)) if inputs.size else 0.0
-    budget = per_symbol_power(params)
-    if mean_power > budget * (1.0 + 1e-9) + 1e-300:
-        warnings.warn(
-            f"input power {mean_power:.6g} exceeds the per-sample budget {budget:.6g}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if noise is None:
-        rng = substream(rng_seed, 0)
-        nr = rng.standard_normal(n_out)
-        ni = rng.standard_normal(n_out)
-    else:
-        noise = np.asarray(noise, dtype=np.complex128)
-        if noise.size != n_out:
-            raise ValueError(f"noise length {noise.size} != {n_out}")
-        nr, ni = noise.real.copy(), noise.imag.copy()
-    block = (inputs.size, big_l)
-    yr, yi = _channel(
-        inputs.real[:, None], inputs.imag[:, None], theta[1:].reshape(block).copy(),
-        nr.reshape(block), ni.reshape(block),
-    )
-    out = np.empty(n_out, dtype=np.complex128)
-    out.real = yr.reshape(-1)
-    out.imag = yi.reshape(-1)
-    return out
 
 
 class FMoments(NamedTuple):

@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,21 @@ class TestAxisParsing:
         # one float64 array of 200,000 values (1.5 MiB); a list of Python
         # floats on the way to it traced 7.7 MiB
         assert traced_peak_mib(parse_axis, "log:1:1e6:200000", "P") < 4.0
+
+    @pytest.mark.parametrize("start,stop", [(1e-300, 1.7e308), (1.7e308, 1e-300)])
+    def test_log_range_whose_ratio_leaves_the_float_range(self, start, stop):
+        # stop / start overflows (ascending) or underflows (descending); the
+        # endpoints are kept exact, the interior follows the exact log range
+        values = parse_axis(f"log:{start!r}:{stop!r}:5", "alpha", nonnegative=True).tolist()
+        assert all(0.0 < v < math.inf for v in values)
+        assert values == sorted(values) and len(set(values)) == 5
+        assert values[0] == min(start, stop) and values[-1] == max(start, stop)
+        with mpmath.workdps(40):
+            for i in range(1, 4):
+                want = mpmath.mpf(start) * (mpmath.mpf(stop) / mpmath.mpf(start)) ** (
+                    mpmath.mpf(i) / 4)
+                got = values[i] if start < stop else values[4 - i]
+                assert abs(got - want) <= 1e-12 * want
 
     def test_rejects_bad_specs(self):
         for bad in ("", "log:1:10", "log:-1:10:3", "log:1:10:0", "a,b"):
@@ -631,6 +647,18 @@ def test_any_argv_exits_with_documented_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, EXIT_IO)
+
+
+@pytest.mark.parametrize("alpha", ["log:1e-300:1.7e308:5", "log:1.7e308:1e-300:5"])
+def test_log_range_at_the_float_range_ends_exits_ok(alpha):
+    # the ratio of the endpoints overflows, or underflows, the float range
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["gdof", "--alpha", alpha, "--beta", "0"])
+    assert code == EXIT_OK and err.getvalue() == ""
+    alphas = [float(line.split(",")[0]) for line in out.getvalue().splitlines()[1:]]
+    assert len(alphas) == 5 and all(0.0 < a < math.inf for a in alphas)
+    assert alphas == sorted(alphas)
 
 
 # Over the whole float range a bounds call either refuses its grid with one

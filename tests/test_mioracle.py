@@ -207,9 +207,10 @@ def test_phase_mi_matches_complex_reference(p, big_l, s2, seed):
 
 
 # The whole channel, simulated in test code: a uniform start phase, a Wiener
-# path of N(0, sigma2/L) steps and the rotation of sim._channel, in chunks of
-# _LAW_ROWS rows.  The oracles simulate only the law of their statistics; the
-# MI they report must match the one measured on these samples.
+# path of N(0, sigma2/L) steps and Y = X e^{j Theta} + W in complex
+# arithmetic, in chunks of _LAW_ROWS rows.  The oracles simulate only the law
+# of their statistics; the MI they report must match the one measured on these
+# samples.
 _LAW_ROWS = 1 << 14
 _LAW_SAMPLES = 200_000
 
@@ -225,11 +226,10 @@ def _full_channel_amplitude(params, n_samples, seed):
         xr = amp * rng.standard_normal((m, 1))
         xi = amp * rng.standard_normal((m, 1))
         theta = rng.uniform(0.0, TWO_PI, (m, 1)) + sim._wiener_rows(rng, m, big_l + 1, step_std)[:, 1:]
-        yr, yi = sim._channel(
-            xr, xi, theta, rng.standard_normal((m, big_l)), rng.standard_normal((m, big_l))
-        )
+        w = rng.standard_normal((m, big_l)) + 1j * rng.standard_normal((m, big_l))
+        y = (xr + 1j * xi) * np.exp(1j * theta) + w
         x2[start : start + m] = (xr * xr + xi * xi)[:, 0]
-        ynorm[start : start + m] = np.sum(yr * yr + yi * yi, axis=1)
+        ynorm[start : start + m] = np.sum(np.abs(y) ** 2, axis=1)
     return x2, ynorm
 
 
@@ -246,14 +246,11 @@ def _full_channel_phase_mi(params, n_samples, seed, n_bins=64):
         xr = amp * rng.standard_normal((m, 2))
         xi = amp * rng.standard_normal((m, 2))
         theta = rng.uniform(0.0, TWO_PI, (m, 1)) + sim._wiener_rows(rng, m, 2, step_std)
-        yr, yi = sim._channel(
-            xr, xi, theta, rng.standard_normal((m, 2)), rng.standard_normal((m, 2))
-        )
-        angles[start : start + m] = np.arctan2(xi[:, 1], xr[:, 1])
-        psi[start : start + m] = (
-            np.arctan2(yi[:, 1], yr[:, 1]) - np.arctan2(yi[:, 0], yr[:, 0])
-            + np.arctan2(xi[:, 0], xr[:, 0])
-        )
+        w = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+        x = xr + 1j * xi
+        y = x * np.exp(1j * theta) + w
+        angles[start : start + m] = np.angle(x[:, 1])
+        psi[start : start + m] = np.angle(y[:, 1]) - np.angle(y[:, 0]) + np.angle(x[:, 0])
     return _reference_plugin_mi(
         _reference_circular_bins(angles, n_bins), _reference_circular_bins(psi, n_bins), n_bins
     )

@@ -7,5 +7,5 @@ def test_public_names():
     assert names == sorted(names)
     for name in names:
         assert getattr(owpnlab, name) is not None, name
-    for gone in ("FisherState", "riccati_step"):
+    for gone in ("FisherState", "riccati_step", "transmit", "sample_phase_path"):
         assert not hasattr(owpnlab, gone)

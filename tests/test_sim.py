@@ -5,133 +5,20 @@ import pytest
 
 from _memory import traced_peak_mib
 from owpnlab import sim
-from owpnlab.model import ChannelParams, McEstimate, derive_constants
+from owpnlab.model import ChannelParams, McEstimate
 from owpnlab.sim import (
     FMoments,
     _blocked_sum,
-    _channel,
     _chunks,
     _wiener_rows,
     estimate_F_moments,
     estimate_log_abs_sq,
-    sample_phase_path,
     simulate_fading_integral,
     substream,
-    transmit,
 )
 
 TWO_PI = 2.0 * math.pi
 EULER_MASCHERONI = 0.57721566490153286061
-
-
-class TestPhasePath:
-    def test_shape_and_start(self):
-        params = ChannelParams(1.0, 4, 0.5)
-        theta = sample_phase_path(params, 25, rng_seed=1)
-        assert theta.shape == (101,)
-        assert 0.0 <= theta[0] < TWO_PI
-
-    def test_zero_variance_is_constant(self):
-        theta = sample_phase_path(ChannelParams(1.0, 3, 0.0), 10, rng_seed=5)
-        assert np.all(theta == theta[0])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            sample_phase_path(ChannelParams(1.0, 2, 1.0), 0, rng_seed=0)
-
-    @pytest.mark.parametrize("sigma2,big_l,n_symbols", [(1.0, 1, 100_000), (2.0, 4, 25_000)])
-    def test_increment_variance(self, sigma2, big_l, n_symbols):
-        theta = sample_phase_path(ChannelParams(1.0, big_l, sigma2), n_symbols, rng_seed=7)
-        increments = np.diff(theta)
-        target = sigma2 / big_l
-        sample_var = float(np.var(increments))
-        # variance-of-variance for Gaussians: 2 var^2 / n
-        se = target * math.sqrt(2.0 / increments.size)
-        assert abs(sample_var - target) <= 4.0 * se
-
-    def test_seed_determinism(self):
-        params = ChannelParams(1.0, 2, 0.3)
-        a = sample_phase_path(params, 50, rng_seed=11)
-        b = sample_phase_path(params, 50, rng_seed=11)
-        c = sample_phase_path(params, 50, rng_seed=12)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-
-class TestTransmit:
-    def test_zero_input_is_pure_noise(self):
-        params = ChannelParams(4.0, 2, 1.0)
-        n_symbols = 50_000
-        theta = sample_phase_path(params, n_symbols, rng_seed=3)
-        outputs = transmit(params, np.zeros(n_symbols, dtype=complex), theta, rng_seed=4)
-        power = np.abs(outputs) ** 2
-        se = float(np.std(power)) / math.sqrt(power.size)
-        assert abs(float(np.mean(power)) - 2.0) <= 4.0 * se
-
-    def test_noiseless_constant_input(self):
-        params = ChannelParams(4.0, 4, 0.0)
-        theta = sample_phase_path(params, 8, rng_seed=1)
-        c = 0.7 - 0.2j
-        outputs = transmit(params, np.full(8, c), theta, rng_seed=2, noise=np.zeros(32))
-        expected = c * np.exp(1j * theta[0])
-        assert np.allclose(outputs, expected, atol=1e-12)
-
-    def test_heavy_phase_noise_decorrelates(self):
-        params = ChannelParams(1.0, 1, 1e6)
-        n = 100_000
-        rng = substream(99, 0)
-        inputs = np.exp(1j * rng.uniform(0.0, TWO_PI, n))
-        theta = sample_phase_path(params, n, rng_seed=98)
-        outputs = transmit(params, inputs, theta, rng_seed=97)
-        corr = outputs * np.conj(inputs)
-        se = float(np.std(corr.real)) / math.sqrt(n)
-        assert abs(float(np.mean(corr.real))) <= 4.0 * se
-        assert abs(float(np.mean(corr.imag))) <= 4.0 * se
-
-    def test_phase_wrap_invariance(self):
-        params = ChannelParams(1.0, 2, 0.4)
-        theta = sample_phase_path(params, 20, rng_seed=8)
-        noise = substream(1, 0).standard_normal(40) + 1j * substream(1, 1).standard_normal(40)
-        inputs = np.ones(20, dtype=complex) * 0.5
-        a = transmit(params, inputs, theta, rng_seed=0, noise=noise)
-        b = transmit(params, inputs, theta + TWO_PI, rng_seed=0, noise=noise)
-        assert np.allclose(a, b, atol=1e-12)
-
-    def test_power_violation_warns(self):
-        params = ChannelParams(1.0, 1, 0.1)
-        theta = sample_phase_path(params, 10, rng_seed=0)
-        with pytest.warns(RuntimeWarning):
-            transmit(params, np.full(10, 5.0 + 0j), theta, rng_seed=1)
-
-    def test_matches_complex_kernel(self):
-        # the real-arithmetic kernel against x e^{j theta} + w in complex
-        # arithmetic, on the same noise draws; the given noise and phase path
-        # are left alone
-        params = ChannelParams(2.0, 4, 0.7)
-        n_symbols = 2_000
-        rng = substream(9, 1)
-        inputs = (rng.standard_normal(n_symbols) + 1j * rng.standard_normal(n_symbols)) * 0.5
-        theta = sample_phase_path(params, n_symbols, rng_seed=10)
-        path = theta.copy()
-        drawn = transmit(params, inputs, theta, rng_seed=11)
-        assert np.array_equal(theta, path)
-        noise_rng = substream(11, 0)
-        noise = noise_rng.standard_normal(drawn.size) + 1j * noise_rng.standard_normal(drawn.size)
-        kept = noise.copy()
-        given = transmit(params, inputs, theta, rng_seed=0, noise=noise)
-        assert np.array_equal(noise, kept)
-        assert np.array_equal(drawn, given)
-        want = np.repeat(inputs, 4) * np.exp(1j * theta[1:]) + noise
-        assert np.allclose(drawn, want, rtol=0.0, atol=1e-14)
-
-    def test_length_mismatch_rejected(self):
-        params = ChannelParams(1.0, 2, 0.1)
-        theta = sample_phase_path(params, 10, rng_seed=0)
-        inputs_ok = np.full(10, 0.5 + 0j)
-        with pytest.raises(ValueError):
-            transmit(params, inputs_ok[:9], theta, rng_seed=1)
-        with pytest.raises(ValueError):
-            transmit(params, inputs_ok, theta, rng_seed=1, noise=np.zeros(3))
 
 
 class TestChunks:
@@ -436,8 +323,8 @@ class TestHadamardIdentity:
         theta = theta0[:, None] + _wiener_rows(rng, n, big_l + 1, math.sqrt(0.8 / big_l))[:, 1:]
         wr = rng.standard_normal((n, big_l))
         wi = rng.standard_normal((n, big_l))
-        yr, yi = _channel(np.full((n, 1), amp), np.zeros((n, 1)), theta, wr, wi)
-        norm_sq = np.sum(yr * yr + yi * yi, axis=1)
+        y = amp * np.exp(1j * theta) + (wr + 1j * wi)
+        norm_sq = np.sum(np.abs(y) ** 2, axis=1)
 
         rng2 = substream(321 + big_l, 0)
         w0 = rng2.standard_normal(n) + 1j * rng2.standard_normal(n)
