@@ -6,7 +6,6 @@ that cross-checks every closed form.
 """
 
 from .bounds import (
-    BoundKind,
     BoundResult,
     EULER_MASCHERONI,
     entropy_chi2_lower,
@@ -16,7 +15,6 @@ from .bounds import (
     upper_outer,
 )
 from .gdof import (
-    GdofFamily,
     GdofValue,
     NEAR_AWGN_GAP_NATS,
     NEAR_ONC_GAP_NATS,
@@ -47,7 +45,6 @@ from .riccati import (
     crb_argument,
     immse_entropy_quadrature,
     iterate_fixed_point,
-    phase_rate_upper,
     posterior_crb_entropy_lower,
     riccati_fixed_point,
 )
@@ -62,13 +59,11 @@ from .sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundKind",
     "BoundResult",
     "ChannelParams",
     "DerivedConstants",
     "EULER_MASCHERONI",
     "FMoments",
-    "GdofFamily",
     "GdofPoint",
     "GdofValue",
     "McEstimate",
@@ -101,7 +96,6 @@ __all__ = [
     "lower_partially_coherent",
     "per_symbol_power",
     "phase_channel_mi",
-    "phase_rate_upper",
     "posterior_crb_entropy_lower",
     "regime_gap_nats",
     "riccati_fixed_point",

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -43,23 +42,16 @@ _HALF_LOG_E_OVER_PI = 0.5 * math.log(math.e / math.pi)
 _LOG2 = math.log(2.0)
 _E_SQ = math.e**2
 _PI_SQ = math.pi**2
-
-
-class BoundKind(str, Enum):
-    UPPER_OUTER = "upper-outer"
-    LOWER_PARTIALLY_COHERENT = "lower-partially-coherent"
-    LOWER_COHERENT_COMBINING = "lower-coherent-combining"
+_LOG_PI_SQ = math.log(_PI_SQ)
+_LOG_6_PI_SQ = math.log(6.0 * _PI_SQ)
 
 
 @dataclass(frozen=True)
 class BoundResult:
     """A bound evaluation: the clamped total in nats plus its raw rate split."""
 
-    kind: BoundKind
-    params: ChannelParams
     rate_split: RateSplit
     total: float
-    note: str = ""
 
 
 # Array kernels: each takes broadcast float arrays (P, L, sigma2) and returns
@@ -108,42 +100,49 @@ def _lower_coherent_combining(
         - 0.5 * np.log(2.0 * (1.0 + p * phi) + p * (p * (one_minus_phi * (1.0 + phi)))),
         0.0,
     )
-    denom = (
-        2.0 * s2 * p
-        + _PI_SQ * one_minus_kappa * big_l * p
-        + 6.0 * _PI_SQ * big_l / (phi * np.sqrt(phi))
-    )
     # separated logs: 2*L*p can underflow for subnormal p
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
+        denom = (
+            2.0 * s2 * p
+            + _PI_SQ * one_minus_kappa * big_l * p
+            + 6.0 * _PI_SQ * big_l / (phi * np.sqrt(phi))
+        )
+        log_denom = np.log(denom)
+        out = ~np.isfinite(denom)
+        if out.any():  # 2 sigma2 P overflows: add the three terms' logs there
+            ln_s2, ln_omk, ln_l, ln_p, ln_phi = (np.log(v[out]) for v in np.broadcast_arrays(
+                s2, one_minus_kappa, big_l, p, phi))
+            log_denom[out] = np.logaddexp(np.logaddexp(
+                _LOG2 + ln_s2 + ln_p, _LOG_PI_SQ + ln_omk + ln_l + ln_p),
+                _LOG_6_PI_SQ + ln_l - 1.5 * ln_phi)
         phase = 0.5 * _LOG_PHASE_CONST + 0.5 * (
-            _LOG2 + np.log(big_l) + np.log(p) - np.log(denom)
+            _LOG2 + np.log(big_l) + np.log(p) - log_denom
         )
     phase = np.where(p == 0.0, 0.0, phase)
     return np.maximum(amplitude + phase, 0.0), amplitude, phase
 
 
-def _at_point(kernel, kind: BoundKind, params: ChannelParams, note: str = "") -> BoundResult:
+def _at_point(kernel, params: ChannelParams) -> BoundResult:
     point = _point(params.avg_power, params.oversampling, params.freq_noise_var)
     total, amplitude, phase = (float(v[0]) for v in kernel(*point))
-    return BoundResult(kind, params, RateSplit(amplitude, phase), total, note)
+    return BoundResult(RateSplit(amplitude, phase), total)
 
 
 def upper_outer(params: ChannelParams) -> BoundResult:
     """Capacity outer bound; the min of a power-only branch and an
     amplitude+phase branch whose phase summand comes from the stationary
-    posterior Fisher information (:func:`owpnlab.riccati.phase_rate_upper`).
+    posterior Fisher information (:func:`owpnlab.riccati.crb_argument`).
 
     At sigma2 == 0 the phase summand diverges, so the power-only branch
-    ln(P+2) is returned with the note "sigma-zero-limit".
+    ln(P+2) is returned, with a phase term of 0.
     """
-    note = "sigma-zero-limit" if params.freq_noise_var == 0.0 else ""
-    return _at_point(_upper_outer, BoundKind.UPPER_OUTER, params, note)
+    return _at_point(_upper_outer, params)
 
 
 def lower_partially_coherent(params: ChannelParams) -> BoundResult:
     """Achievable-rate lower bound for norm-based amplitude detection plus
     two-sample phase detection, under CN(0, P/L) inputs."""
-    return _at_point(_lower_partially_coherent, BoundKind.LOWER_PARTIALLY_COHERENT, params)
+    return _at_point(_lower_partially_coherent, params)
 
 
 def lower_coherent_combining(params: ChannelParams) -> BoundResult:
@@ -156,7 +155,7 @@ def lower_coherent_combining(params: ChannelParams) -> BoundResult:
     reported as 0 there.  1 - kappa and 1 - phi come from
     :func:`owpnlab.model.derive_constants`'s kernel without cancellation.
     """
-    return _at_point(_lower_coherent_combining, BoundKind.LOWER_COHERENT_COMBINING, params)
+    return _at_point(_lower_coherent_combining, params)
 
 
 def entropy_chi2_lower(k: int) -> float:

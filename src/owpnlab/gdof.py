@@ -28,20 +28,11 @@ if TYPE_CHECKING:
 _TIE_TOL = 1e-12
 
 
-class GdofFamily(str, Enum):
-    OUTER_BOUND = "outer"
-    INNER_PC = "inner-pc"
-    INNER_CC = "inner-cc"
-    INNER_COMBINED = "inner-combined"
-    EXACT_WHERE_KNOWN = "exact"
-
-
 @dataclass(frozen=True)
 class GdofValue:
     total: float
     amplitude: float
     phase: float
-    family: GdofFamily
     regime: Optional[str] = None
 
 
@@ -148,7 +139,7 @@ def gdof_outer(point: GdofPoint) -> GdofValue:
         (1-beta)/4   for -1 <= beta <= min(2 alpha - 1, 1)
         1/2          for beta <= -1.
     """
-    return GdofValue(*_outer(point.alpha, point.beta, _pick), GdofFamily.OUTER_BOUND)
+    return GdofValue(*_outer(point.alpha, point.beta, _pick))
 
 
 def gdof_inner_pc(point: GdofPoint) -> GdofValue:
@@ -163,7 +154,7 @@ def gdof_inner_pc(point: GdofPoint) -> GdofValue:
     Split: the amplitude share is (1/2) min(max(2 - alpha, 0), 1); the phase
     share is (1/2) [min(alpha - beta, 1 - alpha)]^+ for alpha <= 1, else 0.
     """
-    return GdofValue(*_inner_pc(point.alpha, point.beta, _pick), GdofFamily.INNER_PC)
+    return GdofValue(*_inner_pc(point.alpha, point.beta, _pick))
 
 
 def gdof_inner_cc(point: GdofPoint) -> GdofValue:
@@ -173,7 +164,7 @@ def gdof_inner_cc(point: GdofPoint) -> GdofValue:
 
     Amplitude and phase each contribute half.
     """
-    return GdofValue(*_inner_cc(point.alpha, point.beta, _pick), GdofFamily.INNER_CC)
+    return GdofValue(*_inner_cc(point.alpha, point.beta, _pick))
 
 
 def gdof_inner_combined(point: GdofPoint) -> GdofValue:
@@ -192,7 +183,7 @@ def gdof_inner_combined(point: GdofPoint) -> GdofValue:
     total = _inner_combined_total(a, b, _pick)
     pc, cc = _inner_pc(a, b, _pick), _inner_cc(a, b, _pick)
     amplitude = pc[1] if pc[0] >= cc[0] else cc[1]
-    return GdofValue(total, amplitude, total - amplitude, GdofFamily.INNER_COMBINED)
+    return GdofValue(total, amplitude, total - amplitude)
 
 
 def gdof_exact_if_known(point: GdofPoint) -> Optional[GdofValue]:
@@ -211,7 +202,7 @@ def gdof_exact_if_known(point: GdofPoint) -> Optional[GdofValue]:
     """
     for applies, regime, value in _exact(point.alpha, point.beta):
         if applies:
-            return GdofValue(*value, GdofFamily.EXACT_WHERE_KNOWN, regime)
+            return GdofValue(*value, regime)
     return None
 
 

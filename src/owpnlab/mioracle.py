@@ -164,9 +164,7 @@ def _ranked_mi(samples: list[np.ndarray], n_bins: int) -> MiEstimate:
     return _plugin_mi(_joint_counts(ix, iy, n_bins))
 
 
-def amplitude_channel_mi(
-    params: ChannelParams, n_samples: int, rng_seed: int, n_bins: int = DEFAULT_BINS
-) -> MiEstimate:
+def amplitude_channel_mi(params: ChannelParams, n_samples: int, rng_seed: int) -> MiEstimate:
     """MC estimate of I(|X|^2 ; ||Y||^2) under CN(0, P/L) inputs.
 
     Each sample is one symbol interval: Y_k = X e^{j theta_k} + W_k for the
@@ -175,9 +173,10 @@ def amplitude_channel_mi(
     ||Y||^2 = sum_k |X + W_k e^{-j theta_k}|^2 has the law of
     sum_k |X + W_k|^2, whatever sigma2 is; only that law is simulated.  A
     sample's normals are one row of 2 + 2L: the input's real and imaginary
-    parts, the L noise real parts and the L noise imaginary parts.
+    parts, the L noise real parts and the L noise imaginary parts.  Both
+    statistics take DEFAULT_BINS equal-mass bins.
     """
-    _validate(n_samples, n_samples, n_bins)
+    _validate(n_samples, n_samples, DEFAULT_BINS)
     big_l = params.oversampling
     amp = math.sqrt(per_symbol_power(params) / 2.0)
     samples = [np.empty(n_samples), np.empty(n_samples)]
@@ -200,12 +199,10 @@ def amplitude_channel_mi(
         yr += yi
         np.sum(yr, axis=0, out=ynorm[rows])
     del x2, ynorm  # the list holds the only references, so each goes once binned
-    return _ranked_mi(samples, n_bins)
+    return _ranked_mi(samples, DEFAULT_BINS)
 
 
-def phase_channel_mi(
-    params: ChannelParams, n_samples: int, rng_seed: int, n_bins: int = DEFAULT_BINS
-) -> MiEstimate:
+def phase_channel_mi(params: ChannelParams, n_samples: int, rng_seed: int) -> MiEstimate:
     """MC estimate of the information carried by the two-sample phase statistic
 
         psi = angle(Y_first) - angle(Y_last) + angle(X_0)   (mod 2pi),
@@ -220,15 +217,15 @@ def phase_channel_mi(
 
     so only that is simulated.  A sample's normals are one row of 9: X_0 and
     X_1 (real, imaginary), the increment, then the noise of Y_last and of
-    Y_first (real, imaginary).  Circular binning on [0, 2pi); the histogram is
-    accumulated row block by row block."""
+    Y_first (real, imaginary).  Circular binning into DEFAULT_BINS bins on
+    [0, 2pi); the histogram is accumulated row block by row block."""
     if params.avg_power <= 0.0:
         raise ValueError("phase statistic needs P > 0")
-    _validate(n_samples, n_samples, n_bins)
+    _validate(n_samples, n_samples, DEFAULT_BINS)
     big_l = params.oversampling
     amp = math.sqrt(per_symbol_power(params) / 2.0)
     inc_std = math.sqrt(params.freq_noise_var / big_l)
-    joint = np.zeros((n_bins, n_bins), dtype=np.int64)
+    joint = np.zeros((DEFAULT_BINS, DEFAULT_BINS), dtype=np.int64)
     for rng, _, _, lo, hi in _blocks(rng_seed, n_samples, _CHUNK, 9):
         # one sample per column: every part below is a contiguous row
         z = np.ascontiguousarray(rng.standard_normal((hi - lo, 9)).T)
@@ -243,6 +240,6 @@ def phase_channel_mi(
         psi += np.arctan2(yfi, yfr, out=yfr)
         psi -= np.arctan2(yli, ylr, out=ylr)
         psi += np.arctan2(x0i, x0r, out=x0r)
-        ix = _circular_bins(np.arctan2(x1i, x1r, out=x1r), n_bins)
-        joint += _joint_counts(ix, _circular_bins(psi, n_bins), n_bins)
+        ix = _circular_bins(np.arctan2(x1i, x1r, out=x1r), DEFAULT_BINS)
+        joint += _joint_counts(ix, _circular_bins(psi, DEFAULT_BINS), DEFAULT_BINS)
     return _plugin_mi(joint)

@@ -21,7 +21,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .model import ChannelParams, _point
+from .model import _point
 from .sim import _blocked_sum
 
 LOG_2PIE = math.log(2.0 * math.pi * math.e)
@@ -51,21 +51,20 @@ def riccati_fixed_point(x_mean_sq: float, l_over_sigma2: float) -> float:
 def iterate_fixed_point(
     x_mean_sq: float,
     l_over_sigma2: float,
-    j0: float = 0.0,
     tol: float = 1e-12,
     max_iter: int = 10**6,
 ) -> tuple[float, int]:
-    """Iterate the Riccati map from `j0` until |J' - J| <= tol (1 + |J'|).
+    """Iterate the Riccati map from J = 0 until |J' - J| <= tol (1 + |J'|).
 
     Returns (J, steps).  The map is a contraction near the fixed point; the
     iteration cap guards against misuse and raises RuntimeError when hit.
-    Raises ValueError unless j0 >= 0, x_mean_sq >= 0 and l_over_sigma2 > 0, or
-    if rounding drives J below 0.
+    Raises ValueError unless x_mean_sq >= 0 and l_over_sigma2 > 0, or if
+    rounding drives J below 0.
     """
-    if j0 < 0.0 or x_mean_sq < 0.0 or l_over_sigma2 <= 0.0:
-        raise ValueError("need j0 >= 0, x_mean_sq >= 0 and l_over_sigma2 > 0")
-    j = j0
-    for step, nxt in zip(range(1, max_iter + 1), _iterates(x_mean_sq, l_over_sigma2, j0)):
+    if x_mean_sq < 0.0 or l_over_sigma2 <= 0.0:
+        raise ValueError("need x_mean_sq >= 0 and l_over_sigma2 > 0")
+    j = 0.0
+    for step, nxt in zip(range(1, max_iter + 1), _iterates(x_mean_sq, l_over_sigma2, j)):
         if abs(nxt - j) <= tol * (1.0 + abs(nxt)):
             return nxt, step
         j = nxt
@@ -115,25 +114,11 @@ def posterior_crb_entropy_lower(x_mean_sq: float, l_over_sigma2: float) -> float
 
 
 def _phase_rate_upper(p: np.ndarray, big_l: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    # array kernel of phase_rate_upper; log(0) = -inf clamps to 0 at P == 0,
-    # and sigma2 == 0 gives nan
+    # the outer bound's phase summand (see owpnlab.bounds); log(0) = -inf
+    # clamps to 0 at P == 0, and sigma2 == 0 gives nan
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = _crb_argument(p / big_l, big_l / s2)
         return np.maximum(0.5 * _LOG_2PI_OVER_E + 0.5 * np.log(arg), 0.0)
-
-
-def phase_rate_upper(params: ChannelParams) -> float:
-    """Upper bound on the phase-modulation rate in nats:
-
-        [ (1/2) ln(2 pi / e) + (1/2) ln( sqrt(P^2/L^2 + 4P/sigma2)/2 - P/(2L) ) ]^+
-
-    This is the phase summand of the capacity outer bound, exposed separately
-    for asymptotic-exponent analysis.  Requires sigma2 > 0.
-    """
-    if params.freq_noise_var <= 0.0:
-        raise ValueError("phase_rate_upper needs sigma2 > 0 (the argument diverges at 0)")
-    point = _point(params.avg_power, params.oversampling, params.freq_noise_var)
-    return float(_phase_rate_upper(*point)[0])
 
 
 def immse_entropy_quadrature(prior_std: float) -> float:

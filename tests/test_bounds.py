@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from scipy.special import digamma, gammaln
 import _oracles
 from owpnlab import bounds
 from owpnlab.bounds import (
-    BoundKind,
     EULER_MASCHERONI,
     entropy_chi2_lower,
     entropy_noncentral_chi2_upper,
@@ -18,7 +18,7 @@ from owpnlab.bounds import (
     upper_outer,
 )
 from owpnlab.model import ChannelParams, _coherence, derive_constants
-from owpnlab.riccati import _phase_rate_upper, phase_rate_upper
+from owpnlab.riccati import _phase_rate_upper
 from owpnlab.sim import substream
 
 FOUR_LN2 = 4.0 * math.log(2.0)
@@ -41,7 +41,6 @@ class TestUpperOuter:
         assert res.total == pytest.approx(0.81229199844750977, abs=1e-12)
         assert res.rate_split.amplitude_rate == pytest.approx(0.549306144334055, abs=1e-12)
         assert res.rate_split.phase_rate == pytest.approx(0.26298585411345488, abs=1e-12)
-        assert res.kind is BoundKind.UPPER_OUTER
 
     def test_zero_power(self):
         res = upper_outer(ChannelParams(0.0, 3, 0.5))
@@ -54,9 +53,9 @@ class TestUpperOuter:
             + 0.5 * math.log(10.0)
         assert res.total == pytest.approx(analytic, abs=1e-6)
 
-    def test_sigma_zero_tagged(self):
+    def test_sigma_zero_limit(self):
         res = upper_outer(ChannelParams(5.0, 2, 0.0))
-        assert res.note == "sigma-zero-limit"
+        assert res.rate_split.phase_rate == 0.0
         assert res.total == pytest.approx(math.log(7.0), rel=1e-15)
 
     def test_matches_oracle_on_grid(self):
@@ -143,6 +142,17 @@ class TestLowerCoherentCombining:
                     assert res.rate_split.phase_rate == pytest.approx(phase, rel=1e-12, abs=1e-12)
                     assert res.total == pytest.approx(total, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("p, big_l, s2", [
+        (1.0, 4, 9e307), (1e100, 16, 1e250), (1e-300, 1000, 1e308), (1e150, 10**6, 1e200),
+    ])
+    def test_phase_where_2_sigma2_p_overflows(self, p, big_l, s2):
+        # the phase's denominator overflows; the true phase is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = lower_coherent_combining(ChannelParams(p, big_l, s2))
+        _, phase, _ = _oracles.lower_cc(p, big_l, s2)
+        assert res.rate_split.phase_rate == pytest.approx(phase, rel=1e-12, abs=0.0)
+
 
 class TestSandwichAndShape:
     def test_sandwich_on_grid(self):
@@ -164,6 +174,23 @@ class TestSandwichAndShape:
                     totals = [fn(ChannelParams(p, big_l, s2)).total for p in POWER_GRID]
                     for lo, hi in zip(totals, totals[1:]):
                         assert hi >= lo - 1e-12, (fn.__name__, big_l, s2)
+
+    def test_refused_only_where_r_overflows(self):
+        # every cell of a row is finite exactly where r = L/sigma2 is, for
+        # 1e-300 <= P < 1.3e154 (from there on pc squares P + 2 into inf; at
+        # a subnormal P, P/L can round to 0 and the outer phase to 0 whatever
+        # r is); the sigma2 axis reaches the subnormals, where r overflows
+        p_axis = np.logspace(-300, 150, 91)
+        l_axis = [1.0, 2.0, 16.0, 1e3, 1e6]
+        s2_axis = np.concatenate(([5e-324, 1e-315, 1e-310, 1e-308], np.logspace(-300, 308, 153)))
+        p, big_l, s2 = (g.ravel() for g in np.meshgrid(p_axis, l_axis, s2_axis, indexing="ij"))
+        with np.errstate(all="ignore"):  # as the bounds command evaluates them
+            cells = [c for kernel in (bounds._upper_outer, bounds._lower_partially_coherent,
+                                      bounds._lower_coherent_combining)
+                     for c in kernel(p, big_l, s2)]
+            r_finite = np.isfinite(big_l / s2)
+        assert 0 < np.count_nonzero(~r_finite) < p.size
+        assert np.array_equal(np.isfinite(cells).all(axis=0), r_finite)
 
     def test_zero_power_degenerates(self):
         for fn in (upper_outer, lower_partially_coherent, lower_coherent_combining):
@@ -215,7 +242,7 @@ class TestArrayKernels:
             params = ChannelParams(float(p[i]), int(big_l[i]), float(s2[i]))
             assert tuple(derive_constants(params)) == (xi[i], kappa[i], phi[i])
             if s2[i] > 0.0:
-                assert phase_rate_upper(params) == rate[i]
+                assert upper_outer(params).rate_split.phase_rate == rate[i]
 
 
 class TestEntropyInequalities:

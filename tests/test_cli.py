@@ -124,6 +124,15 @@ class TestBoundsCommand:
         assert upper >= float(rows[0]["pc_total"])
         assert upper >= float(rows[0]["cc_total"])
 
+    def test_cc_phase_where_2_sigma2_p_overflows(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert main(["bounds", "--P", "1", "--L", "4", "--sigma2", "9e307",
+                     "--out", str(out)]) == EXIT_OK
+        header, rows = read_csv(out)
+        assert all(math.isfinite(float(rows[0][col])) for col in header[:-1])
+        assert float(rows[0]["cc_phase"]) == pytest.approx(
+            _oracles.lower_cc(1.0, 4, 9e307)[1], rel=1e-12, abs=0.0)
+
     def test_subnormal_sigma2_still_overflows(self, capsys):
         # r = L/sigma2 itself overflows here
         assert main(["bounds", "--P", "1e100", "--L", "1", "--sigma2", "5e-324"]) == EXIT_USAGE

@@ -13,7 +13,6 @@ from owpnlab.bounds import (
 from owpnlab import bounds as bounds_mod
 from owpnlab import gdof
 from owpnlab.gdof import (
-    GdofFamily,
     NEAR_AWGN_GAP_NATS,
     NEAR_ONC_GAP_NATS,
     Regime,
@@ -124,7 +123,6 @@ class TestExact:
         assert value is not None
         assert value.total == pytest.approx(expected, abs=1e-15)
         assert value.regime == regime
-        assert value.family is GdofFamily.EXACT_WHERE_KNOWN
 
     @pytest.mark.parametrize("alpha,beta", [(0.8, 0.1), (1.5, 0.0), (2.5, -0.5), (0.6, 0.3)])
     def test_open_region(self, alpha, beta):

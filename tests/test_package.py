@@ -1,3 +1,9 @@
+import importlib
+import inspect
+import json
+import math
+from pathlib import Path
+
 import owpnlab
 
 
@@ -7,5 +13,35 @@ def test_public_names():
     assert names == sorted(names)
     for name in names:
         assert getattr(owpnlab, name) is not None, name
-    for gone in ("FisherState", "riccati_step", "transmit", "sample_phase_path"):
+    for gone in ("FisherState", "riccati_step", "transmit", "sample_phase_path", "BoundKind",
+                 "GdofFamily", "phase_rate_upper"):
         assert not hasattr(owpnlab, gone)
+
+
+def test_benchmark_entry_points(monkeypatch, tmp_path):
+    # bench/ calls the package by name: every traced function must resolve, the
+    # traced MC estimators must take n_samples, and the mc-oracles workload
+    # must run and write its keys
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    tracing = importlib.import_module("tracing")
+    for dotted in tracing.TRACED:
+        module_name, fn_name = dotted.split(".")
+        fn = getattr(importlib.import_module(f"owpnlab.{module_name}"), fn_name)
+        assert callable(fn), dotted
+        if dotted in tracing.MC_ESTIMATORS:
+            assert "n_samples" in inspect.signature(fn).parameters, dotted
+
+    mc_oracles = importlib.import_module("mc_oracles")
+    monkeypatch.setattr(mc_oracles, "SAMPLES", 20_000)
+    out = tmp_path / "r.json"
+    assert mc_oracles.main(["--seed", "1", "--out", str(out)]) == 0
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert set(result) == {"moments", "mi"}
+    assert len(result["moments"]) == len(mc_oracles.F_POINTS)
+    assert len(result["mi"]) == len(mc_oracles.MI_POINTS)
+    for row in result["moments"]:
+        assert set(row) == {"L", "sigma2", "kappa", "phi", "m2", "m2_se", "re", "re_se"}
+    for row in result["mi"]:
+        assert set(row) == {"P", "L", "sigma2", "pc_amp", "pc_phase", "outer",
+                            "amp_mi", "amp_se", "phase_mi", "phase_se"}
+        assert all(math.isfinite(v) for v in row.values())

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 import _oracles
+from owpnlab.bounds import upper_outer
 from owpnlab.model import ChannelParams
 from owpnlab.riccati import (
     _iterates,
     crb_argument,
     immse_entropy_quadrature,
     iterate_fixed_point,
-    phase_rate_upper,
     posterior_crb_entropy_lower,
     riccati_fixed_point,
 )
@@ -40,9 +40,9 @@ class TestRecursion:
                 assert all(j >= 0.0 for j in itertools.islice(_iterates(x, r, 0.0), 50))
 
     def test_state_validation(self):
-        for x, r, j0 in ((1.0, 1.0, -0.1), (-0.1, 1.0, 0.0), (1.0, 0.0, 0.0)):
+        for x, r in ((-0.1, 1.0), (1.0, 0.0)):
             with pytest.raises(ValueError):
-                iterate_fixed_point(x, r, j0=j0)
+                iterate_fixed_point(x, r)
         with pytest.raises(ValueError):  # r - r^2 / r rounds below 0 at r = 0.1
             iterate_fixed_point(0.0, 0.1)
 
@@ -120,9 +120,9 @@ class TestPosteriorCrb:
 
 class TestPhaseRateUpper:
     def test_is_outer_bound_phase_summand(self):
-        assert phase_rate_upper(ChannelParams(2.0, 1, 1.0)) == pytest.approx(
-            0.26298585411345488, abs=1e-12
-        )
+        # the kernel riccati._phase_rate_upper, read through the outer bound
+        phase = upper_outer(ChannelParams(2.0, 1, 1.0)).rate_split.phase_rate
+        assert phase == pytest.approx(0.26298585411345488, abs=1e-12)
 
     def test_stable_argument_identity(self):
         # at P/L >> sqrt(4P/sigma2) the argument collapses to L/sigma2; the
@@ -153,16 +153,12 @@ class TestPhaseRateUpper:
 
     def test_large_grid_point(self):
         # the quoted 3.8723 is hand-rounded; the oracle gives 3.8728137
-        value = phase_rate_upper(ChannelParams(100.0, 10**4, 1e-4))
+        value = upper_outer(ChannelParams(100.0, 10**4, 1e-4)).rate_split.phase_rate
         assert value == pytest.approx(3.8728136727006834, abs=1e-9)
         assert value == pytest.approx(_oracles.phase_rate_upper(100.0, 10**4, 1e-4), abs=1e-12)
 
     def test_zero_power(self):
-        assert phase_rate_upper(ChannelParams(0.0, 1, 1.0)) == 0.0
-
-    def test_rejects_zero_noise(self):
-        with pytest.raises(ValueError):
-            phase_rate_upper(ChannelParams(1.0, 1, 0.0))
+        assert upper_outer(ChannelParams(0.0, 1, 1.0)).rate_split.phase_rate == 0.0
 
 
 class TestConcavityHelper:
