@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelParams, RateSplit, _coherence, _point
+from .model import ChannelParams, RateSplit, _coherence, _log_or, _point
 from .riccati import _phase_rate_upper
 
 EULER_MASCHERONI = 0.57721566490153286061
@@ -40,6 +40,7 @@ EULER_MASCHERONI = 0.57721566490153286061
 _LOG_PHASE_CONST = math.log(2.0 * math.pi) - (1.0 + EULER_MASCHERONI)  # ln(2pi/e^{1+g})
 _HALF_LOG_E_OVER_PI = 0.5 * math.log(math.e / math.pi)
 _LOG2 = math.log(2.0)
+_LOG_8_PI_E = math.log(8.0 * math.pi * math.e)
 _E_SQ = math.e**2
 _PI_SQ = math.pi**2
 _LOG_PI_SQ = math.log(_PI_SQ)
@@ -70,21 +71,22 @@ def _upper_outer(
 def _lower_partially_coherent(
     p: np.ndarray, big_l: np.ndarray, s2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    q = p + 2.0
-    amplitude = 0.5 * np.log(
-        (_E_SQ * (q * q) + 8.0 * math.pi * (big_l - 1.0))
-        / (8.0 * math.pi * math.e * (big_l + p))
-    )
-    # separated logs: p*L can underflow for subnormal p; log(0) = -inf
-    # clamps the phase to 0 at P == 0
-    with np.errstate(divide="ignore"):
-        phase = 0.5 * np.maximum(
-            _LOG_PHASE_CONST
-            + np.log(p)
-            + np.log(big_l)
-            - np.log(s2 * p + _PI_SQ * big_l * big_l),
-            0.0,
-        )
+    # where e^2 (P+2)^2 (8 pi (L-1) then below its ulp) or sigma2 P overflows,
+    # the log of the sum comes from its terms' logs.  Separated logs: p*L can
+    # underflow for subnormal p; log(0) = -inf clamps the phase to 0 at P == 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = p + 2.0
+        amplitude = 0.5 * _log_or(
+            (_E_SQ * (q * q) + 8.0 * math.pi * (big_l - 1.0))
+            / (8.0 * math.pi * math.e * (big_l + p)),
+            lambda p, big_l: 2.0 + 2.0 * np.log(p + 2.0) - _LOG_8_PI_E - np.log(big_l + p),
+            p, big_l)
+        log_denom = _log_or(
+            s2 * p + _PI_SQ * big_l * big_l,
+            lambda s2, p, big_l: np.logaddexp(
+                np.log(s2) + np.log(p), _LOG_PI_SQ + 2.0 * np.log(big_l)),
+            s2, p, big_l)
+        phase = 0.5 * np.maximum(_LOG_PHASE_CONST + np.log(p) + np.log(big_l) - log_denom, 0.0)
     return np.maximum(amplitude + phase, 0.0), amplitude, phase
 
 
@@ -93,31 +95,27 @@ def _lower_coherent_combining(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     _, _, phi, one_minus_kappa, one_minus_phi = _coherence(s2, big_l)
     # P^2 (1 - phi^2) from the cancellation-free 1 - phi, multiplied so that
-    # 1 - phi == 0 gives 0 for any finite P
-    amplitude = np.maximum(
-        np.maximum(np.log(phi * phi / 3.0) + np.log(p / 2.0 + 1.0), 0.0)
-        + _HALF_LOG_E_OVER_PI
-        - 0.5 * np.log(2.0 * (1.0 + p * phi) + p * (p * (one_minus_phi * (1.0 + phi)))),
-        0.0,
-    )
-    # separated logs: 2*L*p can underflow for subnormal p
-    with np.errstate(divide="ignore", over="ignore"):
-        denom = (
-            2.0 * s2 * p
-            + _PI_SQ * one_minus_kappa * big_l * p
-            + 6.0 * _PI_SQ * big_l / (phi * np.sqrt(phi))
-        )
-        log_denom = np.log(denom)
-        out = ~np.isfinite(denom)
-        if out.any():  # 2 sigma2 P overflows: add the three terms' logs there
-            ln_s2, ln_omk, ln_l, ln_p, ln_phi = (np.log(v[out]) for v in np.broadcast_arrays(
-                s2, one_minus_kappa, big_l, p, phi))
-            log_denom[out] = np.logaddexp(np.logaddexp(
-                _LOG2 + ln_s2 + ln_p, _LOG_PI_SQ + ln_omk + ln_l + ln_p),
-                _LOG_6_PI_SQ + ln_l - 1.5 * ln_phi)
-        phase = 0.5 * _LOG_PHASE_CONST + 0.5 * (
-            _LOG2 + np.log(big_l) + np.log(p) - log_denom
-        )
+    # 1 - phi == 0 gives 0 for any finite P.  Where a sum overflows, its log
+    # comes from the logs of its terms.  Separated logs: 2*L*p can underflow
+    # for subnormal p
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_amp_denom = _log_or(
+            2.0 * (1.0 + p * phi) + p * (p * (one_minus_phi * (1.0 + phi))),
+            lambda p, phi, omp: np.logaddexp(_LOG2 + np.log1p(p * phi),
+                                             2.0 * np.log(p) + np.log(omp) + np.log1p(phi)),
+            p, phi, one_minus_phi)
+        amplitude = np.maximum(
+            np.maximum(np.log(phi * phi / 3.0) + np.log(p / 2.0 + 1.0), 0.0)
+            + _HALF_LOG_E_OVER_PI - 0.5 * log_amp_denom, 0.0)
+        log_denom = _log_or(
+            2.0 * s2 * p + _PI_SQ * one_minus_kappa * big_l * p
+            + 6.0 * _PI_SQ * big_l / (phi * np.sqrt(phi)),
+            lambda s2, omk, big_l, p, phi: np.logaddexp(np.logaddexp(
+                _LOG2 + np.log(s2) + np.log(p),
+                _LOG_PI_SQ + np.log(omk) + np.log(big_l) + np.log(p)),
+                _LOG_6_PI_SQ + np.log(big_l) - 1.5 * np.log(phi)),
+            s2, one_minus_kappa, big_l, p, phi)
+        phase = 0.5 * _LOG_PHASE_CONST + 0.5 * (_LOG2 + np.log(big_l) + np.log(p) - log_denom)
     phase = np.where(p == 0.0, 0.0, phase)
     return np.maximum(amplitude + phase, 0.0), amplitude, phase
 

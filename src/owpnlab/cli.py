@@ -15,12 +15,10 @@ writes its rows, so working memory is set by the block size and the axis
 lengths, not by the number of rows.  Every number, axis cells included, is
 formatted by ``_fmt_column``.  Every kernel is elementwise, so the block size
 changes no byte.  A grid of more than ``GRID_CAP`` rows is refused before any
-axis is expanded.  A grid that is refused (a non-finite bounds cell) is refused
-before any byte is written or any ``--out`` file is created: `bounds` runs
-its kernels over every block once to check, and again to write.  The
+axis is expanded.  The finiteness check of `bounds` and the
 branch-consistency errors of `gdof` and `regimes` check invariants of the
-region tables, not input, so they are not refusals: one raised in a later
-block would leave the rows before it written.
+kernels, not input, so they are not refusals: one raised in a later block
+would leave the rows before it written.
 
 Each subcommand takes exactly the options it reads (``_COMMANDS``), plus
 ``--out`` and ``--config``, each by its full name only (no prefixes).  A
@@ -215,12 +213,12 @@ def _axis_length(text: str) -> int:
         return 1
 
 
-def _grid(args, axes) -> Callable[[], Iterator[list[np.ndarray]]]:
+def _grid(args, axes) -> Iterator[list[np.ndarray]]:
     """The grid over `axes`, (name, parse_axis keywords) pairs whose specs are
-    read from `args`, as a generator function: each call yields the grid's
-    rows `_ROW_BLOCK` at a time, as one float array of axis values per axis.
-    Rows are in product order, the last axis varying fastest.  A grid of more
-    than GRID_CAP rows is refused before any axis is expanded."""
+    read from `args`, parsed now: an iterator over its rows, `_ROW_BLOCK` at
+    a time, as one float array of axis values per axis, in product order, the
+    last axis varying fastest.  A grid of more than GRID_CAP rows is refused
+    before any axis is expanded."""
     specs = [getattr(args, name) for name, _ in axes]
     total = math.prod(_axis_length(spec) for spec in specs)
     if total > GRID_CAP:
@@ -238,7 +236,7 @@ def _grid(args, axes) -> Callable[[], Iterator[list[np.ndarray]]]:
                 index //= axis.size
             yield columns[::-1]
 
-    return blocks
+    return blocks()
 
 
 _BOUNDS_KERNELS = (
@@ -250,19 +248,16 @@ _BOUNDS_KERNELS = (
 
 def cmd_bounds(args) -> int:
     blocks = _grid(args, _PLS_AXES)
-
-    def columns(grid):  # total, amplitude, phase of each kernel, in nats
-        with np.errstate(all="ignore"):  # overflow shows as nan or inf, refused below
-            return [column for kernel in _BOUNDS_KERNELS for column in kernel(*grid)]
-
-    for grid in blocks():  # refuse before any byte is written
-        undefined = np.flatnonzero(~np.isfinite(columns(grid)).all(axis=0))
-        if undefined.size:
-            p, big_l, s2 = (g[undefined[0]] for g in grid)
-            raise UsageError(
-                f"bounds overflow the float range at P={_fmt(p)}, L={_fmt(big_l)}, sigma2={_fmt(s2)}"
-            )
     units = itertools.repeat(args.units.value)
+
+    def cells(grid):  # total, amplitude, phase of each kernel, in nats
+        columns = [column for kernel in _BOUNDS_KERNELS for column in kernel(*grid)]
+        undefined = np.flatnonzero(~np.isfinite(columns).all(axis=0))
+        for i in undefined[:1]:  # every bound is finite on its whole input domain
+            p, big_l, s2 = (_fmt(g[i]) for g in grid)
+            raise RuntimeError(f"a bound is not finite at (P={p}, L={big_l}, sigma2={s2})")
+        return [*(_fmt_column(convert_rate(c, args.units)) for c in columns), units]
+
     header = [
         "P", "L", "sigma2",
         "upper_total", "upper_amp", "upper_phase",
@@ -270,8 +265,7 @@ def cmd_bounds(args) -> int:
         "cc_total", "cc_amp", "cc_phase",
         "units",
     ]
-    _write_grid(args.out, header, blocks(), lambda grid: [
-        *(_fmt_column(convert_rate(c, args.units)) for c in columns(grid)), units])
+    _write_grid(args.out, header, blocks, cells)
     return EXIT_OK
 
 
@@ -289,7 +283,7 @@ def cmd_gdof(args) -> int:
         "d_outer", "d_inner_pc", "d_inner_cc", "d_inner_combined",
         "d_exact", "regime_of_exactness",
     ]
-    _write_grid(args.out, header, blocks(), cells)
+    _write_grid(args.out, header, blocks, cells)
     return EXIT_OK
 
 
@@ -302,7 +296,7 @@ def cmd_regimes(args) -> int:
         cells.append(f"{regime.value},{gap_text}")
     header = ["P", "L", "sigma2", "regime", "gap", "units"]
     units = itertools.repeat(args.units.value)
-    _write_grid(args.out, header, blocks(), lambda grid: [
+    _write_grid(args.out, header, blocks, lambda grid: [
         [cells[i] for i in gdof_mod._classify(*grid).tolist()], units])
     return EXIT_OK
 

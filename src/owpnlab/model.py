@@ -26,6 +26,7 @@ LN2 = math.log(2.0)
 # Below this value of sigma2/2 the closed forms for 1 - kappa and phi cancel
 # catastrophically (error ~1e-16/(sigma2/2)); power series take over there.
 _SERIES_CUTOFF = 0.5
+_TINY = np.finfo(float).tiny  # the least normal float
 
 # 1/(k+2)! for k = 0..16: the series of (e^-x - 1 + x)/x^2.
 _E2_RATIO_COEFFS = tuple(1 / math.factorial(k + 2) for k in range(17))
@@ -115,6 +116,16 @@ def _point(*values: float) -> list[np.ndarray]:
     return [np.array([v], dtype=np.float64) for v in values]
 
 
+def _log_or(value: np.ndarray, log_form, *operands: np.ndarray) -> np.ndarray:
+    """np.log(value), with log_form(*operands) on the cells where value is not
+    finite, evaluated on those cells only; the caller owns the np.errstate."""
+    out = np.log(value)
+    bad = ~np.isfinite(value)
+    if bad.any():
+        out[bad] = log_form(*(np.broadcast_to(v, bad.shape)[bad] for v in operands))
+    return out
+
+
 def _e2_ratio(x: np.ndarray) -> np.ndarray:
     # (e^-x - 1 + x) / x^2 = sum_k (-x)^k / (k+2)!, for 0 <= x <= _SERIES_CUTOFF
     neg = -x
@@ -164,12 +175,18 @@ def _coherence(
     step = half / big_l
     xi = np.exp(-step)
     one_minus_xi = -np.expm1(-step)
-    coherent = (sigma2 == 0.0) | (big_l == 1.0)
+    coherent = (half == 0.0) | (big_l == 1.0)
     series = half <= _SERIES_CUTOFF
+    tiny_step = step < _TINY  # not a normal float: kappa is 1, 1 - kappa its first term
     with np.errstate(all="ignore"):  # each branch is also evaluated where it is not selected
-        kappa = np.minimum(-np.expm1(-half) / (big_l * one_minus_xi), 1.0)
-        n_kappa = half * half * (_e2_ratio(half) - _e2_ratio(step) / big_l)
-        one_minus_kappa = np.where(series, n_kappa / (big_l * one_minus_xi), 1.0 - kappa)
+        kappa = np.where(tiny_step, 1.0, np.minimum(-np.expm1(-half) / (big_l * one_minus_xi), 1.0))
+        e2_diff = _e2_ratio(half) - _e2_ratio(step) / big_l
+        n_kappa = half * half * e2_diff  # where it is not normal, divide before the last * half
+        one_minus_kappa = np.select(
+            (~series, tiny_step, n_kappa < _TINY),
+            (1.0 - kappa, sigma2 * ((big_l - 1.0) / (4.0 * big_l)),
+             half * (half / (big_l * one_minus_xi) * e2_diff)),
+            n_kappa / (big_l * one_minus_xi))
         phi_closed = np.minimum(_phi_closed(half, big_l), 1.0)
         one_minus_phi = np.where(series, _one_minus_phi_series(half, big_l), 1.0 - phi_closed)
         phi = np.where(series, 1.0 - one_minus_phi, phi_closed)
@@ -192,7 +209,7 @@ def derive_constants(params: ChannelParams) -> DerivedConstants:
       phi   = E[|F|^2]           = (1/L^2)(L - 2 xi (L(xi-1) - xi^L + 1)/(1-xi)^2)
                                  = (1/L^2) sum_{i,k} xi^{|i-k|}.
 
-    The sigma2 == 0 case is the analytic limit kappa = phi = 1 (a removable
+    The sigma2/2 == 0 case is the analytic limit kappa = phi = 1 (a removable
     singularity, never evaluated by division).  All three lie in [0, 1].
     For sigma2/2 <= 1/2, where the closed form for phi cancels, phi is
     1 minus a power series in sigma2/2 whose coefficients are even

@@ -21,7 +21,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .model import _point
+from .model import _log_or, _point
 from .sim import _blocked_sum
 
 LOG_2PIE = math.log(2.0 * math.pi * math.e)
@@ -114,11 +114,16 @@ def posterior_crb_entropy_lower(x_mean_sq: float, l_over_sigma2: float) -> float
 
 
 def _phase_rate_upper(p: np.ndarray, big_l: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    # the outer bound's phase summand (see owpnlab.bounds); log(0) = -inf
-    # clamps to 0 at P == 0, and sigma2 == 0 gives nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        arg = _crb_argument(p / big_l, big_l / s2)
-        return np.maximum(0.5 * _LOG_2PI_OVER_E + 0.5 * np.log(arg), 0.0)
+    # the outer bound's phase summand (see owpnlab.bounds).  Where r overflows
+    # or x is not a normal float, the log of the CRB argument is
+    # ln sqrt(P/sigma2) - asinh(u/2), u = sqrt(P sigma2)/L; ln 0 = -inf clamps
+    # to 0 at P == 0, and sigma2 == 0 gives inf or nan
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = p / big_l
+        arg = np.where(x < np.finfo(float).tiny, np.nan, _crb_argument(x, big_l / s2))
+        log_arg = _log_or(arg, lambda p, big_l, s2: 0.5 * (np.log(p) - np.log(s2))
+                          - np.arcsinh(0.5 * np.sqrt(p) * np.sqrt(s2) / big_l), p, big_l, s2)
+        return np.maximum(0.5 * _LOG_2PI_OVER_E + 0.5 * log_arg, 0.0)
 
 
 def immse_entropy_quadrature(prior_std: float) -> float:

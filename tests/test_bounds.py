@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -154,6 +155,65 @@ class TestLowerCoherentCombining:
         assert res.rate_split.phase_rate == pytest.approx(phase, rel=1e-12, abs=0.0)
 
 
+MAX_FLOAT = np.finfo(float).max
+KERNELS = (bounds._upper_outer, bounds._lower_partially_coherent, bounds._lower_coherent_combining)
+SWEEP_L = (1.0, 2.0, 3.0, 16.0, 1e3, 1e6, 1e15, 2.0**53 - 1)
+COLUMNS = ("upper_total", "upper_amp", "upper_phase", "pc_total", "pc_amp", "pc_phase",
+           "cc_total", "cc_amp", "cc_phase")
+
+
+def _sweep():
+    # the float range: zero, subnormal, log-spaced and maximal P and sigma2,
+    # by L from 1 to 2^53 - 1, 200,976 rows in all
+    p_axis = np.concatenate(([0.0, 5e-324, 1e-320, 1e-310], np.logspace(-300, 308, 153),
+                             [MAX_FLOAT]))
+    l_axis = np.array(SWEEP_L)
+    s2_axis = np.concatenate(([0.0, 5e-324, 1e-315, 1e-310, 1e-308],
+                              np.logspace(-300, 308, 153), [MAX_FLOAT]))
+    return [g.ravel() for g in np.meshgrid(p_axis, l_axis, s2_axis, indexing="ij")]
+
+
+def _at(p, big_l, s2):
+    # the nine value columns of one row
+    point = [np.array([float(v)]) for v in (p, big_l, s2)]
+    return [float(c[0]) for kernel in KERNELS for c in kernel(*point)]
+
+
+def _oracle_points():
+    # 100 rows of the sweep with P up to 1e300, drawn once with a fixed seed,
+    # and the rows at P = 1e152 with sigma2 in {1e-160, 1e-164}, where
+    # half^2 (...) in 1 - kappa is subnormal
+    p, big_l, s2 = _sweep()
+    rows = np.random.default_rng(19).choice(np.flatnonzero(p <= 1e300), 100, replace=False)
+    return ([(float(p[i]), float(big_l[i]), float(s2[i])) for i in sorted(rows)]
+            + [(1e152, big_l, s2) for big_l in SWEEP_L for s2 in (1e-160, 1e-164)])
+
+
+class TestWholeFloatRange:
+    @pytest.mark.parametrize("p, big_l, s2", _oracle_points())
+    def test_matches_oracle(self, p, big_l, s2):
+        got, want = _at(p, big_l, s2), _oracles.bounds_row(p, int(big_l), s2)
+        for name, g, w in zip(COLUMNS, got, want):
+            assert abs(g - w) <= 1e-12 * max(abs(w), 1.0), (name, g, w)
+
+    @pytest.mark.parametrize("p, big_l, s2, column, want", [
+        # e^2 (P + 2)^2 overflows
+        (1e200, 1, 1e-10, "pc_amp", 229.14642358563995),
+        # sigma2 P overflows, and ln(inf) would clamp the phase to 0
+        (1e300, 1e15, 1e12, "pc_phase", 3.5842083402449747),
+        # 2 (1 + P phi) + P^2 (1 - phi^2) overflows, which would clamp the amplitude to 0
+        (1e160, 2, 1e-8, "cc_amp", 8.039363138820873),
+        # P/L rounds to 0, which would clamp the outer phase to 0
+        (5e-324, 2, 5e-324, "upper_phase", 0.4189385332046727),
+        # half^2 (...) in 1 - kappa underflows to 0, which would give 210.82
+        (1e284, 1e15, 1e-168, "cc_phase", 193.44246939724425),
+    ])
+    def test_where_the_direct_form_leaves_the_float_range(self, p, big_l, s2, column, want):
+        i = COLUMNS.index(column)
+        assert _oracles.bounds_row(p, int(big_l), s2)[i] == pytest.approx(want, rel=1e-15)
+        assert _at(p, big_l, s2)[i] == pytest.approx(want, rel=1e-12)
+
+
 class TestSandwichAndShape:
     def test_sandwich_on_grid(self):
         for p in POWER_GRID:
@@ -175,22 +235,30 @@ class TestSandwichAndShape:
                     for lo, hi in zip(totals, totals[1:]):
                         assert hi >= lo - 1e-12, (fn.__name__, big_l, s2)
 
-    def test_refused_only_where_r_overflows(self):
-        # every cell of a row is finite exactly where r = L/sigma2 is, for
-        # 1e-300 <= P < 1.3e154 (from there on pc squares P + 2 into inf; at
-        # a subnormal P, P/L can round to 0 and the outer phase to 0 whatever
-        # r is); the sigma2 axis reaches the subnormals, where r overflows
-        p_axis = np.logspace(-300, 150, 91)
-        l_axis = [1.0, 2.0, 16.0, 1e3, 1e6]
-        s2_axis = np.concatenate(([5e-324, 1e-315, 1e-310, 1e-308], np.logspace(-300, 308, 153)))
-        p, big_l, s2 = (g.ravel() for g in np.meshgrid(p_axis, l_axis, s2_axis, indexing="ij"))
-        with np.errstate(all="ignore"):  # as the bounds command evaluates them
-            cells = [c for kernel in (bounds._upper_outer, bounds._lower_partially_coherent,
-                                      bounds._lower_coherent_combining)
-                     for c in kernel(p, big_l, s2)]
-            r_finite = np.isfinite(big_l / s2)
-        assert 0 < np.count_nonzero(~r_finite) < p.size
-        assert np.array_equal(np.isfinite(cells).all(axis=0), r_finite)
+    def test_finite_on_the_whole_float_range(self):
+        # every cell of the 200,976-row sweep is finite, and both lower bounds
+        # lie below the outer bound; no kernel warns, as each owns its errstate
+        p, big_l, s2 = _sweep()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = np.array([c for kernel in KERNELS for c in kernel(p, big_l, s2)])
+        assert p.size == 200_976
+        assert np.isfinite(cells).all()
+        upper, pc, cc = cells[0], cells[3], cells[6]
+        assert np.all(np.maximum(pc, cc) <= upper + 1e-9)
+
+    def test_scalar_wrappers_raise_no_warning(self):
+        # edge points of the sweep: zero, subnormal and maximal P and sigma2,
+        # and the least and largest L
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p, big_l, s2 in itertools.product((0.0, 5e-324, 1e-310, 1e154, MAX_FLOAT),
+                                                  (1, 2**53 - 1), (0.0, 5e-324, MAX_FLOAT)):
+                params = ChannelParams(p, big_l, s2)
+                derive_constants(params)
+                for fn in (upper_outer, lower_partially_coherent, lower_coherent_combining):
+                    assert math.isfinite(fn(params).total), (fn.__name__, p, big_l, s2)
+            upper_outer(ChannelParams(1e-320, 4, 1e-322))
 
     def test_zero_power_degenerates(self):
         for fn in (upper_outer, lower_partially_coherent, lower_coherent_combining):

@@ -29,6 +29,15 @@ from owpnlab.cli import (
 LN2 = math.log(2.0)
 
 
+def assert_rows_match_oracle(lines):
+    # each bounds CSV row's nine value cells within 1e-12 max(|ref|, 1) of the oracles
+    for line in lines:
+        cells = line.split(",")
+        want = _oracles.bounds_row(float(cells[0]), int(cells[1]), float(cells[2]))
+        for got, ref in zip(map(float, cells[3:12]), want):
+            assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0), (line, got, ref)
+
+
 def read_csv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
@@ -134,37 +143,55 @@ class TestBoundsCommand:
             _oracles.lower_cc(1.0, 4, 9e307)[1], rel=1e-12, abs=0.0)
 
     def test_subnormal_sigma2_still_overflows(self, capsys):
-        # r = L/sigma2 itself overflows here
-        assert main(["bounds", "--P", "1e100", "--L", "1", "--sigma2", "5e-324"]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("owpnlab: bounds overflow") and err.count("\n") == 1
+        # r = L/sigma2 itself overflows here, and at L = 2 sigma2/2 rounds to
+        # 0; the outer phase comes from the logs of P, L and sigma2
+        for p, big_l in (("1e100", "1"), ("1", "2")):
+            assert main(["bounds", "--P", p, "--L", big_l, "--sigma2", "5e-324"]) == EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert_rows_match_oracle(captured.out.splitlines()[1:])
 
-    def test_refused_in_the_last_block(self, capsys, tmp_path):
-        # 2 * _ROW_BLOCK + 1 rows whose only non-finite row is the last one:
-        # the grid is refused before any block is written
+    def test_refused_in_the_last_block(self, tmp_path):
+        # 2 * _ROW_BLOCK + 1 rows whose last row squares P + 2 past the float
+        # range: every block is written, the last row from the log form
         ps = parse_axis(f"log:1:1e150:{2 * cli._ROW_BLOCK}", "P").tolist() + [1e200]
         argv = ["bounds", "--P", ",".join(map(repr, ps)), "--L", "1", "--sigma2", "1e-10"]
         out = tmp_path / "b.csv"
-        for extra in ([], ["--out", str(out)]):
-            assert main([*argv, *extra]) == EXIT_USAGE
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == ("owpnlab: bounds overflow the float range at "
-                                    "P=9.9999999999999997e+199, L=1, sigma2=1e-10\n")
-        assert not out.exists()
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2 * cli._ROW_BLOCK + 2
+        assert lines[-1].startswith("9.9999999999999997e+199,1,1e-10,")
+        assert np.isfinite(np.array([line.split(",")[3:12] for line in lines[1:]],
+                                    dtype=float)).all()
+        assert_rows_match_oracle(lines[-1:])
 
     def test_infinite_cells_are_refused(self, capsys, tmp_path):
-        # pc squares P + 2, which overflows to inf here; the row is refused
-        # before any byte is written or the --out file is created
+        # pc squares P + 2, which overflows to inf here; the row is printed
+        # from the log form, to stdout or to the --out file
         argv = ["bounds", "--P", "1e200", "--L", "1", "--sigma2", "1e-10"]
         out = tmp_path / "b.csv"
-        for extra in ([], ["--out", str(out)]):
-            assert main([*argv, *extra]) == EXIT_USAGE
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("owpnlab: bounds overflow")
-            assert captured.err.count("\n") == 1
-        assert not out.exists()
+        assert main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert_rows_match_oracle(captured.out.splitlines()[1:])
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert out.read_text(encoding="utf-8") == captured.out
+
+    def test_each_kernel_runs_once_per_block(self, monkeypatch, tmp_path):
+        # 2 * _ROW_BLOCK + 1 rows are 3 blocks; a check pass would double the calls
+        kernels, calls = cli._BOUNDS_KERNELS, []
+
+        def counted(kernel):
+            def run(*grid):
+                calls.append(kernel)
+                return kernel(*grid)
+            return run
+
+        monkeypatch.setattr(cli, "_BOUNDS_KERNELS", tuple(map(counted, kernels)))
+        argv = ["bounds", "--P", f"log:1:1e6:{2 * cli._ROW_BLOCK + 1}", "--L", "2",
+                "--sigma2", "0.5", "--out", str(tmp_path / "b.csv")]
+        assert main(argv) == EXIT_OK
+        assert [calls.count(kernel) for kernel in kernels] == [3, 3, 3]
 
     def test_bits_conversion(self, tmp_path):
         nats_out, bits_out = tmp_path / "n.csv", tmp_path / "b.csv"
@@ -363,12 +390,14 @@ class TestGridBytes:
         assert _sha256_of(argv, capsys) == digest
 
     def test_refusal_names_the_largest_integer_l(self, capsys):
+        # P/L is not a normal float and r = L/sigma2 overflows; the row prints
         argv = ["bounds", "--P", "1e-300", "--L", "9007199254740991", "--sigma2", "1e-300"]
-        assert main(argv) == EXIT_USAGE
+        assert main(argv) == EXIT_OK
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("owpnlab: bounds overflow the float range at "
-                                "P=1e-300, L=9007199254740991, sigma2=1e-300\n")
+        assert captured.err == ""
+        lines = captured.out.splitlines()[1:]
+        assert lines[0].startswith("1e-300,9007199254740991,1e-300,")
+        assert_rows_match_oracle(lines)
 
     def test_fmt_column_formats_each_value(self):
         assert cli._fmt_column(np.array([-0.0, 0.0, -0.0])) == ["-0", "0", "-0"]
@@ -670,17 +699,17 @@ def test_log_range_at_the_float_range_ends_exits_ok(alpha):
     assert alphas == sorted(alphas)
 
 
-# Over the whole float range a bounds call either refuses its grid with one
-# line, or every cell it prints is finite and both lower bounds lie below the
-# outer bound.
+# Over the whole float range every cell a bounds call prints is finite and
+# both lower bounds lie below the outer bound.
 _DECADES = st.floats(min_value=0.0, max_value=300.0).map(lambda e: 10.0**e)
 _SIGMA2 = st.floats(min_value=-300.0, max_value=10.0).map(lambda e: 10.0**e)
 
 
 @given(
-    st.lists(_DECADES, min_size=1, max_size=3),
-    st.lists(st.sampled_from([1, 2, 16, 1000, 1000000]), min_size=1, max_size=2),
-    st.lists(_SIGMA2, min_size=1, max_size=3),
+    st.lists(st.one_of(_DECADES, st.just(0.0)), min_size=1, max_size=3),
+    st.lists(st.sampled_from([1, 2, 16, 1000, 1000000, 2**53 - 1]), min_size=1, max_size=2),
+    st.lists(st.one_of(_SIGMA2, st.sampled_from([5e-324, 1e-320, 1e-310])), min_size=1,
+             max_size=3),
 )
 @settings(max_examples=200, deadline=None)
 def test_bounds_finite_and_sandwiched_or_refused(ps, ls, s2s):
@@ -689,11 +718,6 @@ def test_bounds_finite_and_sandwiched_or_refused(ps, ls, s2s):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    if code == EXIT_USAGE:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("owpnlab: bounds overflow")
-        assert err.getvalue().count("\n") == 1
-        return
     assert code == EXIT_OK and err.getvalue() == ""
     lines = out.getvalue().splitlines()
     assert len(lines) == 1 + len(ps) * len(ls) * len(s2s)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from owpnlab.model import (
     _ONE_MINUS_PHI_COEFFS,
     ChannelParams,
@@ -174,6 +175,31 @@ class TestDeriveConstants:
                 ) / big_l**2
                 assert abs(om_kappa[i] - ref_kappa) <= 1e-14 * ref_kappa, s2
                 assert abs(om_phi[i] - ref_phi) <= 1e-14 * ref_phi, s2
+
+    @pytest.mark.parametrize("big_l", [2, 16, 2**53 - 1])
+    def test_subnormal_noise(self, big_l):
+        # sigma2/2 rounds to 0 at 5e-324, and sigma2/(2L) is no normal float
+        # in any of these cells, so 1 - xi carries no relative accuracy
+        s2s = [5e-324, 1e-320, 1e-310]
+        _, _, _, om_kappa, om_phi = _coherence(np.array(s2s), np.full(len(s2s), float(big_l)))
+        assert np.all(np.isfinite(om_kappa) & (om_kappa >= 0.0)), om_kappa
+        assert np.all(np.isfinite(om_phi) & (om_phi >= 0.0)), om_phi
+        for s2 in s2s:
+            _, kappa, phi = derive_constants(ChannelParams(1.0, big_l, s2))
+            assert 0.0 <= kappa <= 1.0 and 0.0 <= phi <= 1.0, (s2, kappa, phi)
+
+    @pytest.mark.parametrize("big_l", [2, 3, 16, 1000])
+    def test_constants_where_the_step_is_subnormal(self, big_l):
+        # k smallest subnormals: 1 - xi rounds to a few ulps, so its closed
+        # form quotient for kappa was off by up to 44%; 1 - kappa is within
+        # two subnormal ulps of its value
+        s2s = [k * 5e-324 for k in range(1, 41)] + [1e-320, 1e-310, 4e-308]
+        _, kappa, phi, om_kappa, _ = _coherence(np.array(s2s), np.full(len(s2s), float(big_l)))
+        for i, s2 in enumerate(s2s):
+            _, ref_kappa, ref_phi = _oracles.coherence_constants(big_l, s2)
+            ref_om_kappa, _ = _oracles.one_minus_coherence(big_l, s2)
+            assert (kappa[i], phi[i]) == (ref_kappa, ref_phi) == (1.0, 1.0), s2
+            assert abs(om_kappa[i] - ref_om_kappa) <= 1e-12 * ref_om_kappa + 1e-323, s2
 
     def test_huge_oversampling(self):
         # closed forms must stay accurate for GDoF-scale L
