@@ -8,10 +8,11 @@ For the phase-tracking problem the score constants are
 
 so the information recursion specializes to the scalar Riccati map
 
-    J' = x + r - r^2 / (J + r),      x = E|X|^2,  r = L/sigma2,
+    J' = x + r - r^2 / (J + r) = x + J / (1 + J/r),      x = E|X|^2,  r = L/sigma2,
 
 whose stationary point J* = x/2 + sqrt(x^2 + 4 r x)/2 is a global attractor.
-The map is written once, as the private iterator ``_iterates``.
+The map is written once, in the second form, which has no negative term and
+forms no r^2, as the private iterator ``_iterates``.
 """
 
 from __future__ import annotations
@@ -31,11 +32,9 @@ _RHO_MAX = 1e6
 
 
 def _iterates(x: float, r: float, j: float) -> Iterator[float]:
-    # J_1, J_2, ... from J_0 = j; rounding can drive J below 0 once r/x passes ~1e16
+    # J_1, J_2, ... from J_0 = j
     while True:
-        j = (x + r) - r * r / (j + r)
-        if j < 0.0:
-            raise ValueError("posterior Fisher information must be >= 0")
+        j = x + j / (1.0 + j / r)
         yield j
 
 
@@ -54,18 +53,22 @@ def iterate_fixed_point(
     tol: float = 1e-12,
     max_iter: int = 10**6,
 ) -> tuple[float, int]:
-    """Iterate the Riccati map from J = 0 until |J' - J| <= tol (1 + |J'|).
+    """Iterate the Riccati map from J = 0 until J is within tol J of J*.
 
-    Returns (J, steps).  The map is a contraction near the fixed point; the
-    iteration cap guards against misuse and raises RuntimeError when hit.
-    Raises ValueError unless x_mean_sq >= 0 and l_over_sigma2 > 0, or if
-    rounding drives J below 0.
+    f(J) = x + rJ/(J + r) is increasing and concave, so the iterates rise to J*
+    and J* - J' <= (J' - J) r^2/(J (J + 2r)), which is (J' - J) rho/(1 - rho)
+    for rho = f'(J).  The iteration stops once that bound is <= tol J', or at
+    an exact fixed point J' == J, so tol bounds the relative error of J
+    (rounding adds about 1e-16 sqrt(r/x)).  Returns (J, steps); the steps
+    grow like sqrt(r/x), and max_iter raises RuntimeError when hit.  Raises
+    ValueError unless x_mean_sq >= 0 and l_over_sigma2 > 0.
     """
     if x_mean_sq < 0.0 or l_over_sigma2 <= 0.0:
         raise ValueError("need x_mean_sq >= 0 and l_over_sigma2 > 0")
+    r = l_over_sigma2
     j = 0.0
-    for step, nxt in zip(range(1, max_iter + 1), _iterates(x_mean_sq, l_over_sigma2, j)):
-        if abs(nxt - j) <= tol * (1.0 + abs(nxt)):
+    for step, nxt in zip(range(1, max_iter + 1), _iterates(x_mean_sq, r, j)):
+        if nxt == j or (j > 0.0 and (nxt - j) / nxt * (r / j) / (j / r + 2.0) <= tol):
             return nxt, step
         j = nxt
     raise RuntimeError(

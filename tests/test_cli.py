@@ -267,13 +267,9 @@ class TestRiccatiCommand:
         assert "undefined at x = 0" in text
 
     def test_bound_where_2rx_underflows(self, capsys):
-        assert main(["riccati", "--x", "1e-200", "--ratio", "1e-150"]) == EXIT_OK
-        text = capsys.readouterr().out
-        line = next(l for l in text.splitlines() if l.startswith("posterior-CRB"))
-        bound = float(line.split(":")[1].split()[0])
-        assert bound == pytest.approx(
-            _oracles.posterior_crb_entropy_lower(1e-200, 1e-150), rel=1e-12, abs=0.0
-        )
+        # r/x = 1e50 needs far more than --max-iter steps; J* is 1e-175, so
+        # the closed-form check alone would pass J = 0 here
+        self.test_failed_iteration_exits_2(["--x", "1e-200", "--ratio", "1e-150"], capsys)
 
     def test_large_ratio(self, capsys):
         assert main(["riccati", "--x", "1", "--ratio", "1e6"]) == EXIT_OK
@@ -282,10 +278,10 @@ class TestRiccatiCommand:
         assert float(closed.split(":")[1]) == pytest.approx(1000.500125, abs=1e-6)
 
     @pytest.mark.parametrize("x, ratio, digest", [
-        ("3", "1", "cc6624f5d24ce25baf50b2611c0acbd64e60de8667402b2ef7f3efcd9a981464"),
+        ("3", "1", "aeecea3f476ba6e7d73d0c0732268b414a9d353e598c0982aac2d7750d058b3f"),
         # a trace shorter than 10 rows
-        ("0.1", "1e-3", "40eacb14cbd35978fff4e71d8742c63e8aa4ba30dc1887c5e6fba74f5c55b7c5"),
-        ("1", "1e6", "c44b12c0634b4a614207f8275857c8b98ae29a6e44c4cbccdaee1d87c39935c6"),
+        ("0.1", "1e-3", "11de05bc181b36963050e0cd1babde641a27617b571676b7ba85b1a1e3fa6955"),
+        ("1", "1e6", "e4424767b9e6e7048baf5dd322c159804537f785306922ca4dcb06ad4974b540"),
     ])
     def test_report_bytes(self, x, ratio, digest, capsys):
         # the whole report, the iteration trace included
@@ -293,16 +289,31 @@ class TestRiccatiCommand:
 
     @pytest.mark.parametrize("argv", [
         ["--x", "1", "--ratio", "1", "--max-iter", "3"],  # no convergence
-        ["--x", "1", "--ratio", "2.795042811515355e16"],  # rounding drives J below 0
+        # the step count grows like sqrt(r/x), past --max-iter from here on
+        ["--x", "1", "--ratio", "2.795042811515355e16"],
         ["--x", "5e-324", "--ratio", "0.1"],
-        ["--x", "1", "--ratio", "1e17"],  # (x + r) - r^2/(J + r) cancels to J = 0
-        ["--x", "1", "--ratio", "1e8"],  # stops 3.7x the tolerance from J*
+        ["--x", "1", "--ratio", "1e17"],
+        ["--x", "1", "--ratio", "1e200"],
     ])
     def test_failed_iteration_exits_2(self, argv, capsys):
         assert main(["riccati", *argv]) == EXIT_VERIFY_FAIL
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("riccati: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("x, ratio", [
+        ("1", "1e8"),  # 1.4e5 steps at a contraction ratio near 1
+        ("0", "0.1"),  # J = 0 is an exact fixed point
+        # x^2 + 4 x r overflows, J* does not
+        ("1e300", "1e300"), ("1e200", "1"), ("1.7e308", "5e-324"),
+    ])
+    def test_converged_j_matches_oracle(self, x, ratio, capsys):
+        assert main(["riccati", "--x", x, "--ratio", ratio]) == EXIT_OK
+        text = capsys.readouterr().out
+        line = next(l for l in text.splitlines() if l.startswith("converged"))
+        assert float(line.split("=")[1]) == pytest.approx(
+            _oracles.riccati_fixed_point(float(x), float(ratio)), rel=1e-11, abs=0.0
+        )
 
     def test_inputs_from_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -554,7 +565,7 @@ class TestConfigAndErrors:
         ["riccati", "--x", "-1", "--ratio", "1"],
         ["riccati", "--x", "nan", "--ratio", "1"],
         ["riccati", "--x", "1", "--ratio", "0"],
-        ["riccati", "--x", "1", "--ratio", "1e200"],
+        ["riccati", "--x", "1.7e308", "--ratio", "1.7e308"],  # J* overflows
         ["verify", "--seed", "-1", "--samples", "10000"],
         ["verify", "--tolerance-scale", "inf"],
         ["verify", "--tolerance-scale", "nan"],

@@ -30,6 +30,9 @@ def test_benchmark_entry_points(monkeypatch, tmp_path):
         assert callable(fn), dotted
         if dotted in tracing.MC_ESTIMATORS:
             assert "n_samples" in inspect.signature(fn).parameters, dotted
+    # the steps tag reads result[1]
+    j, steps = owpnlab.riccati.iterate_fixed_point(3.0, 1.0)
+    assert type(j) is float and type(steps) is int
 
     mc_oracles = importlib.import_module("mc_oracles")
     monkeypatch.setattr(mc_oracles, "SAMPLES", 20_000)

@@ -43,8 +43,26 @@ class TestRecursion:
         for x, r in ((-0.1, 1.0), (1.0, 0.0)):
             with pytest.raises(ValueError):
                 iterate_fixed_point(x, r)
-        with pytest.raises(ValueError):  # r - r^2 / r rounds below 0 at r = 0.1
-            iterate_fixed_point(0.0, 0.1)
+        for r in (1e-3, 0.1, 1.0, 1e6):  # J = 0 is an exact fixed point at x = 0
+            assert iterate_fixed_point(0.0, r) == (0.0, 1)
+
+    def test_converges_honestly(self):
+        # wherever the iteration returns, J lies within the relative error
+        # that tol = 1e-12 bounds, plus rounding of order 1e-16 sqrt(r/x)
+        rng = np.random.default_rng(20)
+        for x, ratio in zip(10.0 ** rng.uniform(-300.0, 300.0, 120),
+                            10.0 ** rng.uniform(-6.0, 6.0, 120)):
+            x, r = float(x), float(x * ratio)
+            j, _ = iterate_fixed_point(x, r)
+            want = _oracles.riccati_fixed_point(x, r)
+            assert j == pytest.approx(want, rel=1e-11, abs=0.0), (x, r)
+
+    @pytest.mark.parametrize("x, r", [(1e-3, 1e13), (1.0, 1e16), (1e3, 1e22), (1e-200, 1e-150)])
+    def test_refuses_where_it_cannot_converge(self, x, r):
+        # r/x >= 1e16 needs ~1e8 steps; a map that cancels returns J = 0 at
+        # (1e-200, 1e-150)
+        with pytest.raises(RuntimeError):
+            iterate_fixed_point(x, r)
 
 
 class TestFixedPoint:
@@ -97,6 +115,11 @@ class TestPosteriorCrb:
         )
         assert posterior_crb_entropy_lower(1.0, 1e6) == pytest.approx(
             _oracles.posterior_crb_entropy_lower(1.0, 1e6), abs=1e-12
+        )
+
+    def test_where_2rx_underflows(self):
+        assert posterior_crb_entropy_lower(1e-200, 1e-150) == pytest.approx(
+            _oracles.posterior_crb_entropy_lower(1e-200, 1e-150), rel=1e-12, abs=0.0
         )
 
     def test_no_observation_limit_exceeds_circle(self):
