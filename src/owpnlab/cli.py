@@ -318,9 +318,9 @@ def cmd_riccati(args) -> int:
     except RuntimeError as exc:
         sys.stderr.write(f"riccati: {exc}\n")
         return EXIT_VERIFY_FAIL
-    if abs(fixed - closed) > 1e-9 * max(abs(closed), 1.0):  # verify's tolerance for J*
+    if abs(fixed - closed) > 1e-9 * abs(closed):  # relative, even where J* is subnormal
         sys.stderr.write(f"riccati: the iteration stopped after {steps} steps at J = "
-                         f"{_fmt(fixed)}, not within 1e-9 max(J*, 1) of J* = {_fmt(closed)}\n")
+                         f"{_fmt(fixed)}, not within 1e-9 J* of J* = {_fmt(closed)}\n")
         return EXIT_VERIFY_FAIL
     trace = [0.0, *itertools.islice(riccati._iterates(x, ratio, 0.0), min(steps, 9))]
     lines.append("iteration trace (first 10):")

@@ -5,11 +5,12 @@ bounds must not exceed: a plug-in MI over a 2-D histogram, applied to the
 amplitude statistic (|X|^2 against the output block norm) and to the
 two-sample phase statistic.
 
-Binning: equal-mass (quantile) bins for unbounded real statistics -- the
-|X|^2 marginal is heavy-tailed -- and equal-width wrap-aware bins on
-[0, 2pi) for circular statistics.  The plug-in estimate carries a
-Miller-Madow style bias allowance (n_bins - 1)^2 / (2 n) and a delta-method
-standard error computed from the same histogram.
+Binning: equal-mass bins for unbounded real statistics -- the |X|^2
+marginal is heavy-tailed -- from sample ranks in :func:`histogram_mi` and
+from the exact marginal laws in the amplitude oracle, and equal-width
+wrap-aware bins on [0, 2pi) for circular statistics.  The plug-in estimate
+carries a Miller-Madow style bias allowance (n_bins - 1)^2 / (2 n)
+and a delta-method standard error computed from the same histogram.
 
 The phase estimator marginalizes over the amplitude |X_1| of the probed
 symbol rather than conditioning on it; that only loosens the empirical
@@ -23,17 +24,15 @@ cancels.  Neither oracle draws a uniform phase, builds a phase path or calls
 ``cos``/``sin``; the amplitude oracle needs no sigma2 at all.  |X|^2 is
 xr^2 + xi^2, the block norm the row sum of yr^2 + yi^2, and each angle
 ``arctan2(imag, real)``.  An estimate depends on its samples only through
-bin indices and equal-mass ranks, so it is byte-stable under last-ulp
-changes in ``arctan2`` except where such a change moves a sample across a
-bin edge or reorders two samples at an edge.
+bin indices (and, in :func:`histogram_mi`, ranks), so it is byte-stable
+under last-ulp changes in ``arctan2`` except where such a change moves a
+sample across a bin edge or reorders two samples at an edge.  ``exp``,
+``log`` and ``lgamma`` enter the amplitude oracle only through its edges.
 
 Memory: both oracles draw through :func:`owpnlab.sim._blocks`, one row
 block of about ``sim._BLOCK_ELEMENTS`` normals at a time, so a chunk is
-never held whole.  The phase oracle adds each block to its joint histogram
-and keeps no per-sample arrays.  The amplitude oracle keeps its two
-per-sample arrays for the equal-mass ranks (8 MB at 5e5 samples), bins the
-first and lets it go before ranking the second.  Bins are int16 and the
-joint bin index is one intp array.
+never held whole.  Each adds every block to its joint histogram and keeps
+no per-sample arrays.
 """
 
 from __future__ import annotations
@@ -146,22 +145,13 @@ def histogram_mi(
     x = np.asarray(x_samples, dtype=float)
     y = np.asarray(y_samples, dtype=float)
     _validate(x.size, y.size, n_bins)
-    return _ranked_mi([x, y], n_bins)
-
-
-def _ranked_mi(samples: list[np.ndarray], n_bins: int) -> MiEstimate:
-    """:func:`histogram_mi` of the list ``[x, y]``, which this empties: `x`
-    is binned and let go before `y` is ranked, so an array that nothing else
-    holds is released as soon as its bins exist."""
-    limits = [(s.min(), s.max()) for s in samples]
+    limits = [(s.min(), s.max()) for s in (x, y)]
     if not all(math.isfinite(v) for pair in limits for v in pair):
         raise ValueError("samples must be finite")
-    n = samples[0].size
     if any(lo == hi for lo, hi in limits):
-        return MiEstimate(0.0, n, n_bins, 0.0, 0.0, degenerate=True)
-    ix = _equal_mass_bins(samples.pop(0), n_bins)
-    iy = _equal_mass_bins(samples.pop(0), n_bins)
-    return _plugin_mi(_joint_counts(ix, iy, n_bins))
+        return MiEstimate(0.0, x.size, n_bins, 0.0, 0.0, degenerate=True)
+    ix = _equal_mass_bins(x, n_bins)
+    return _plugin_mi(_joint_counts(ix, _equal_mass_bins(y, n_bins), n_bins))
 
 
 def amplitude_channel_mi(params: ChannelParams, n_samples: int, rng_seed: int) -> MiEstimate:
@@ -173,16 +163,40 @@ def amplitude_channel_mi(params: ChannelParams, n_samples: int, rng_seed: int) -
     ||Y||^2 = sum_k |X + W_k e^{-j theta_k}|^2 has the law of
     sum_k |X + W_k|^2, whatever sigma2 is; only that law is simulated.  A
     sample's normals are one row of 2 + 2L: the input's real and imaginary
-    parts, the L noise real parts and the L noise imaginary parts.  Both
-    statistics take DEFAULT_BINS equal-mass bins.
+    parts, the L noise real parts and the L noise imaginary parts.
+
+    Both statistics take DEFAULT_BINS equal-mass bins of their exact laws
+    (:mod:`owpnlab._amplitude_bins`), and the histogram is accumulated row
+    block by row block.  |X|^2 is Exp(mean P/L).  Rotating the noise along
+    (1, ..., 1)/sqrt(L), ||Y||^2 = |sqrt(L) X + W'|^2 + (L - 1 further
+    |CN(0, 2)|^2): Exp(mean P + 2) plus Gamma(L - 1, scale 2).  Below a
+    normal P/L, |X|^2 underflows and the estimate is degenerate, as at
+    P = 0; where the ||Y||^2 edges overflow (P above about 3.7e307),
+    ValueError.
     """
+    # imported here: compiled at every start-up, its code raised the peak
+    # RSS of `verify`, which peaks before its MI rows, by about 0.06 MB
+    from ._amplitude_bins import _LEVELS, _EdgeBins, _norm_edges
+
     _validate(n_samples, n_samples, DEFAULT_BINS)
+    power = per_symbol_power(params)
+    if power < 2.0**-1022:  # the smallest normal float
+        return MiEstimate(0.0, n_samples, DEFAULT_BINS, 0.0, 0.0, degenerate=True)
+    norm_bins = _EdgeBins(_norm_edges(params.avg_power, params.oversampling))
+    x2_bins = _EdgeBins(-power * np.log1p(-_LEVELS))
+    joint = np.zeros((DEFAULT_BINS, DEFAULT_BINS), dtype=np.int64)
+    for x2, norm in _amplitude_blocks(params, n_samples, rng_seed):
+        joint += _joint_counts(x2_bins(x2), norm_bins(norm), DEFAULT_BINS)
+    return _plugin_mi(joint)
+
+
+def _amplitude_blocks(params: ChannelParams, n_samples: int, rng_seed: int):
+    """Yield |X|^2 and ||Y||^2 of the samples of :func:`amplitude_channel_mi`,
+    one row block of :func:`owpnlab.sim._blocks` at a time."""
     big_l = params.oversampling
     amp = math.sqrt(per_symbol_power(params) / 2.0)
-    samples = [np.empty(n_samples), np.empty(n_samples)]
-    x2, ynorm = samples
     width = 2 + 2 * big_l
-    for rng, start, _, lo, hi in _blocks(rng_seed, n_samples, max(1, _CHUNK // big_l), width):
+    for rng, _, _, lo, hi in _blocks(rng_seed, n_samples, max(1, _CHUNK // big_l), width):
         # one sample per column: every part below is a contiguous row
         z = np.ascontiguousarray(rng.standard_normal((hi - lo, width)).T)
         z[:2] *= amp
@@ -190,16 +204,13 @@ def amplitude_channel_mi(params: ChannelParams, n_samples: int, rng_seed: int) -
         yr, yi = z[2 : 2 + big_l], z[2 + big_l :]
         yr += xr
         yi += xi
-        rows = slice(start + lo, start + hi)
-        np.multiply(xr, xr, out=x2[rows])
+        x2 = xr * xr
         xi *= xi
-        x2[rows] += xi
+        x2 += xi
         yr *= yr
         yi *= yi
         yr += yi
-        np.sum(yr, axis=0, out=ynorm[rows])
-    del x2, ynorm  # the list holds the only references, so each goes once binned
-    return _ranked_mi(samples, DEFAULT_BINS)
+        yield x2, np.sum(yr, axis=0)
 
 
 def phase_channel_mi(params: ChannelParams, n_samples: int, rng_seed: int) -> MiEstimate:

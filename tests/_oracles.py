@@ -153,3 +153,34 @@ def gaussian_entropy(variance) -> float:
 
 def gaussian_mi(correlation) -> float:
     return float(-mp.log(1 - mp.mpf(correlation) ** 2) / 2)
+
+
+def _norm_law(p, big_l, t):
+    """(CDF, density) at t of ||Y||^2 = Exp(mean P + 2) + Gamma(L - 1, scale 2),
+    the block norm of the amplitude MI oracle, with k = L - 1:
+    F(t) = P_k(t/2) - e^{-t/(P+2)} ((P+2)/P)^k P_k(t P/(2(P+2))), with P_k the
+    regularized lower incomplete gamma function (P_0 = 1).  Differentiating,
+    the two P_k derivatives cancel, so f(t) is the second term over P + 2."""
+    p, t = mp.mpf(p), mp.mpf(t)
+    k = big_l - 1
+    if k == 0:
+        second = mp.exp(-t / (p + 2))
+        return 1 - second, second / (p + 2)
+    inner = mp.gammainc(k, 0, t * p / (2 * (p + 2)), regularized=True)
+    second = mp.exp(-t / (p + 2)) * ((p + 2) / p) ** k * inner
+    return mp.gammainc(k, 0, t / 2, regularized=True) - second, second / (p + 2)
+
+
+def norm_quantile(p, big_l, q, start) -> float:
+    """The q-quantile of the block norm law of :func:`_norm_law`, by Newton's
+    method from `start`, which must lie near it.  Newton converges
+    quadratically there, so a step below half the working digits leaves the
+    root good to all of them."""
+    q, t = mp.mpf(q), mp.mpf(start)
+    for _ in range(20):
+        cdf, density = _norm_law(p, big_l, t)
+        step = (cdf - q) / density
+        t -= step
+        if abs(step) <= t * mp.mpf(10) ** (-(mp.mp.dps // 2)):
+            return float(t)
+    raise ArithmeticError(f"no quantile convergence at P={p}, L={big_l}, q={q}")

@@ -271,6 +271,11 @@ class TestRiccatiCommand:
         # the closed-form check alone would pass J = 0 here
         self.test_failed_iteration_exits_2(["--x", "1e-200", "--ratio", "1e-150"], capsys)
 
+    @pytest.mark.parametrize("x, ratio", [("5e-324", "5e-324"), ("5e-324", "1e-320")])
+    def test_subnormal_fixed_point_off_by_ulps_exits_2(self, x, ratio, capsys):
+        # the map stalls an ulp of x short of a subnormal J*: 27-50% off it
+        self.test_failed_iteration_exits_2(["--x", x, "--ratio", ratio], capsys)
+
     def test_large_ratio(self, capsys):
         assert main(["riccati", "--x", "1", "--ratio", "1e6"]) == EXIT_OK
         text = capsys.readouterr().out

@@ -1,5 +1,8 @@
+import functools
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,16 +11,18 @@ from hypothesis import strategies as st
 import _oracles
 from _memory import traced_peak_mib
 from owpnlab.bounds import lower_partially_coherent, upper_outer
+from owpnlab._amplitude_bins import _LEVELS, _EdgeBins, _norm_edges
 from owpnlab.mioracle import (
     _CHUNK,
     MI_ALLOWANCE_NATS,
     MiEstimate,
+    _amplitude_blocks,
     _equal_mass_bins,
     amplitude_channel_mi,
     histogram_mi,
     phase_channel_mi,
 )
-from owpnlab import mioracle, sim
+from owpnlab import sim
 from owpnlab.model import ChannelParams, per_symbol_power
 from owpnlab.sim import _chunks, substream
 
@@ -123,7 +128,8 @@ def test_equal_mass_bins_are_stable_rank_bins(seed, n_bins, extra, kind):
 
 # The oracles in complex arithmetic, each chunk drawn at once as one (m, k)
 # array of standard normals, one row per sample; X + W formed as complex
-# arrays, |.|^2 by np.abs and angles by np.angle, binned by stable ranks.  The
+# arrays, |.|^2 by np.abs and angles by np.angle, and binned by
+# np.searchsorted against mpmath quantiles or as circular bins.  The
 # row-blocked real-arithmetic oracles must reproduce them exactly.
 
 
@@ -145,6 +151,17 @@ def _reference_circular_bins(x, n_bins):
     return np.minimum((wrapped / TWO_PI * n_bins).astype(np.int64), n_bins - 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _mp_amplitude_edges(p, big_l):
+    """The equal-mass edges of |X|^2 and ||Y||^2 at (P, L), from mpmath: the
+    quantiles -(P/L) ln(1 - j/64) of Exp(mean P/L), and those of the block
+    norm law, found by Newton's method from the oracle's own edges."""
+    x2 = [float(-mp.mpf(p) / big_l * mp.log(1 - mp.mpf(q))) for q in _LEVELS]
+    start = _norm_edges(p, big_l)
+    norm = [_oracles.norm_quantile(p, big_l, q, t) for q, t in zip(_LEVELS, start)]
+    return np.array(x2), np.array(norm)
+
+
 def _reference_amplitude_mi(params, n_samples, seed, n_bins=64):
     big_l = params.oversampling
     x2 = np.empty(n_samples)
@@ -157,8 +174,11 @@ def _reference_amplitude_mi(params, n_samples, seed, n_bins=64):
         y = x[:, None] + noise
         x2[start : start + m] = np.abs(x) ** 2
         ynorm[start : start + m] = np.sum(np.abs(y) ** 2, axis=1)
+    x2_edges, norm_edges = _mp_amplitude_edges(params.avg_power, big_l)
     return _reference_plugin_mi(
-        _stable_rank_bins(x2, n_bins), _stable_rank_bins(ynorm, n_bins), n_bins
+        np.searchsorted(x2_edges, x2, side="right"),
+        np.searchsorted(norm_edges, ynorm, side="right"),
+        n_bins,
     )
 
 
@@ -265,21 +285,15 @@ _LAW_POINTS = [(20.0, 4, 0.5), (100.0, 1, 0.01), (3.0, 16, 2.0)]
 
 class TestLawAgainstFullChannel:
     @pytest.mark.parametrize("p,big_l,s2", _LAW_POINTS)
-    def test_amplitude(self, p, big_l, s2, monkeypatch):
+    def test_amplitude(self, p, big_l, s2):
         params = ChannelParams(p, big_l, s2)
-        seen = []
-        ranked_mi = mioracle._ranked_mi
-
-        def keep_norms(samples, n_bins):  # the oracle's ||Y||^2, before binning
-            seen.append(samples[1].copy())
-            return ranked_mi(samples, n_bins)
-
-        monkeypatch.setattr(mioracle, "_ranked_mi", keep_norms)
         got = amplitude_channel_mi(params, _LAW_SAMPLES, rng_seed=31)
+        # the oracle's ||Y||^2, the values it binned
+        norms = np.concatenate([norm for _, norm in _amplitude_blocks(params, _LAW_SAMPLES, 31)])
         x2, ynorm = _full_channel_amplitude(params, _LAW_SAMPLES, seed=32)
         assert _within_4_se(got, histogram_mi(x2, ynorm))
         for moment in (1, 2):
-            a = seen[0] ** moment
+            a = norms**moment
             b = ynorm**moment
             se = math.hypot(float(np.std(a)), float(np.std(b))) / math.sqrt(_LAW_SAMPLES)
             assert abs(float(np.mean(a)) - float(np.mean(b))) <= 4.0 * se
@@ -322,10 +336,84 @@ class TestAmplitudeChannelMi:
         assert a.value == b.value
 
     def test_working_memory(self):
-        # the two sample arrays (7.6 MiB) and the ranking of one of them at a
-        # time; drawing whole chunks traced 20 MiB
-        params = ChannelParams(100.0, 1, 0.01)
-        assert traced_peak_mib(amplitude_channel_mi, params, 500_000, 1) < 16.0
+        # one row block and its bins (1.7 MiB at L = 1, 1.6 MiB at L = 4);
+        # ranking two per-sample arrays traced 13.6 MiB, and drawing whole
+        # chunks 20 MiB
+        for p, big_l in ((100.0, 1), (20.0, 4)):
+            params = ChannelParams(p, big_l, 0.01)
+            assert traced_peak_mib(amplitude_channel_mi, params, 500_000, 1) < 4.0
+
+    def test_subnormal_power_per_sample_degenerate(self):
+        # P/L = 1e-310 / 2 underflows |X|^2, as P = 0 does
+        est = amplitude_channel_mi(ChannelParams(1e-310, 2, 0.5), 20_000, rng_seed=1)
+        assert est.value == 0.0 and est.degenerate
+
+    def test_rejects_power_whose_edges_overflow(self):
+        with pytest.raises(ValueError, match="overflow"):
+            amplitude_channel_mi(ChannelParams(1e308, 1, 0.5), 20_000, rng_seed=1)
+
+
+_EDGE_P = [1e-6, 1e-2, 1.0, 20.0, 1e3, 1e6, 1e12]
+_EDGE_L = [1, 2, 4, 16, 64, 256, 1024]
+
+
+class TestAmplitudeEdges:
+    @pytest.mark.parametrize("p", _EDGE_P)
+    @pytest.mark.parametrize("big_l", _EDGE_L)
+    def test_norm_edges_are_mpmath_quantiles(self, p, big_l):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges = _norm_edges(p, big_l)
+        assert edges.shape == (63,) and np.all(np.isfinite(edges))
+        assert np.all(np.diff(edges) > 0)
+        want = [_oracles.norm_quantile(p, big_l, q, t) for q, t in zip(_LEVELS, edges)]
+        assert edges == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p,big_l", [(20.0, 4), (100.0, 1), (3.0, 16), (1e4, 64)])
+    def test_marginal_bins_hold_equal_mass(self, p, big_l):
+        # binned by np.searchsorted, the oracle's own draws of each statistic
+        # fall into the 64 bins with mass 1/64 each, within 4 SE per bin
+        n = 200_000
+        params = ChannelParams(p, big_l, 0.5)
+        edges = (-(p / big_l) * np.log1p(-_LEVELS), _norm_edges(p, big_l))
+        counts = np.zeros((2, 64), dtype=np.int64)
+        for block in _amplitude_blocks(params, n, 23):
+            for row, e, v in zip(counts, edges, block):
+                row += np.bincount(np.searchsorted(e, v, side="right"), minlength=64)
+        se = math.sqrt(n * (1.0 / 64.0) * (63.0 / 64.0))
+        assert np.all(np.abs(counts - n / 64.0) <= 4.0 * se)
+
+    @pytest.mark.parametrize("p,big_l", [(20.0, 4), (100.0, 1), (1e-6, 1024), (1e12, 2)])
+    def test_edge_bins_are_searchsorted(self, p, big_l):
+        rng = substream(24, 0)
+        for edges in (_norm_edges(p, big_l), -(p / big_l) * np.log1p(-_LEVELS)):
+            at = rng.choice(edges, 1 << 14)
+            v = np.concatenate([
+                at, np.nextafter(at, np.inf), np.nextafter(at, -np.inf),
+                rng.uniform(0.0, 1.5 * edges[-1], 1 << 18), [0.0, math.inf],
+            ])
+            assert np.array_equal(_EdgeBins(edges)(v), np.searchsorted(edges, v, side="right"))
+
+    def test_edge_bins_where_rounding_crosses_an_edge(self):
+        # Interior edges moved onto cell left ends keep the cell geometry.
+        # Values within ulps of them are where rounding can put a value in the
+        # cell above an edge it lies below, so that the bin needs lowering.
+        lowered = 0
+        for edges in (_norm_edges(100.0, 1), -(1e12 / 2) * np.log1p(-_LEVELS)):
+            table = _EdgeBins(edges)
+            lefts = table.origin + np.arange(table.last + 1.0) / table.per_width
+            edges = edges.copy()
+            edges[1:-1] = lefts[np.searchsorted(lefts, edges[1:-1])]
+            moved = _EdgeBins(edges)
+            assert (moved.origin, moved.per_width, moved.last) == (
+                table.origin, table.per_width, table.last
+            )
+            inner = edges[1:-1]
+            v = np.concatenate([inner + k * np.spacing(inner) for k in range(-4, 5)])
+            at = np.minimum(np.maximum((v - moved.origin) * moved.per_width, 0.0), moved.last)
+            lowered += int(np.sum(v < moved.below[at.astype(np.intp)]))
+            assert np.array_equal(moved(v), np.searchsorted(edges, v, side="right"))
+        assert lowered > 0
 
 
 class TestPhaseChannelMi:
