@@ -10,15 +10,18 @@ the axes, one row per point, with a mandatory header, LF line endings and
 17-significant-digit decimals.  Output is bit-identical for a given sweep and
 seed.  A grid is never held whole: it is one stream of blocks of axis values,
 ``_ROW_BLOCK`` rows each, made by index arithmetic from one float array per
-axis (``_grid``).  The writer runs the kernels on each block and formats and
-writes its rows, so working memory is set by the block size and the axis
-lengths, not by the number of rows.  Every number, axis cells included, is
-formatted by ``_fmt_column``.  Every kernel is elementwise, so the block size
-changes no byte.  A grid of more than ``GRID_CAP`` rows is refused before any
-axis is expanded.  The finiteness check of `bounds` and the
-branch-consistency errors of `gdof` and `regimes` check invariants of the
-kernels, not input, so they are not refusals: one raised in a later block
-would leave the rows before it written.
+axis (``_grid``).  The writer runs the kernels once on each block, then
+formats, joins and writes its rows ``_TEXT_ROWS`` at a time, so working
+memory is set by the block size and the axis lengths, not by the number of
+rows, and no text of a whole block is held.  Every number, axis cells
+included, is formatted as ``format(v, ".17g")`` by ``_fmt_bits``, once per
+distinct value of a block's column, or of a slice's where a column has more
+than ``_TEXT_ROWS`` distinct values.  Every kernel is elementwise and every
+cell is formatted on its own, so neither size changes a byte.  A grid
+of more than ``GRID_CAP`` rows is refused before any axis is expanded.  The
+finiteness check of `bounds` and the branch-consistency errors of `gdof` and
+`regimes` check invariants of the kernels, not input, so they are not
+refusals: one raised in a later block would leave the rows before it written.
 
 Each subcommand takes exactly the options it reads (``_COMMANDS``), plus
 ``--out`` and ``--config``, each by its full name only (no prefixes).  A
@@ -48,8 +51,10 @@ from . import mioracle, riccati, sim
 from .model import ChannelParams, Units, convert_rate, derive_constants
 
 GRID_CAP = 10**7
-# Rows of a grid block, made, computed, formatted and written at a time.
+# Rows of a grid block, made and computed at a time, and rows of a slice of
+# a block, formatted, joined and written at a time.
 _ROW_BLOCK = 4096
+_TEXT_ROWS = 1024
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -161,35 +166,66 @@ def _as_integers(values: np.ndarray, name: str, rel: float) -> np.ndarray:
     return rounded
 
 
-def _write_lines(out_path: str | None, blocks: Iterable[list[str]]) -> None:
+def _write_lines(out_path: str | None, blocks: Iterable[Iterable[str]]) -> None:
     """Write each block of lines, every line LF-terminated, to `out_path`
     (stdout when None), one block at a time."""
     with (open(out_path, "w", encoding="utf-8", newline="") if out_path is not None
           else contextlib.nullcontext(sys.stdout)) as fh:
         for lines in blocks:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join(lines))
+            fh.write("\n")
 
 
 def _write_grid(out_path: str | None, header: list[str], blocks: Iterable[list[np.ndarray]],
-                cells: Callable[[list[np.ndarray]], list[Iterable[str]]]) -> None:
+                cells: Callable[[list[np.ndarray]], list]) -> None:
     """Write a grid's CSV: the header, then the rows of each block of axis
-    columns from `blocks`, one block at a time.  A row is its axis values,
-    formatted by `_fmt_column`, followed by its cells; ``cells(columns)``
-    gives the cell columns of a block."""
+    columns from `blocks`.  ``cells(columns)`` runs the kernels on a block
+    and gives its cell columns, each a float array, a sequence of texts, or
+    a (float array, texts) pair whose floats are blank where the text is
+    empty.  A row is its axis values followed by its cells; the rows are
+    formatted, joined and written `_TEXT_ROWS` at a time (`_column_cells`),
+    so no text of a whole block is ever held."""
     def lines():
         yield [",".join(header)]
         for columns in blocks:
-            yield list(map(",".join, zip(*map(_fmt_column, columns), *cells(columns))))
+            parts = [_column_cells(column) for column in (*columns, *cells(columns))]
+            for lo in range(0, columns[0].size, _TEXT_ROWS):
+                rows = slice(lo, lo + _TEXT_ROWS)
+                yield map(",".join, zip(*(part(rows) for part in parts)))
 
     _write_lines(out_path, lines())
+
+
+def _column_cells(column) -> Callable[[slice], Iterable[str]]:
+    # the cells of a slice of rows of one block column of _write_grid.  A
+    # float column of at most _TEXT_ROWS distinct values has each formatted
+    # once for the block, not again in every slice; any other is formatted
+    # a slice at a time
+    if isinstance(column, tuple):
+        values, texts = column
+        floats = _column_cells(values)
+        return lambda rows: [cell if text else "" for cell, text in
+                             zip(floats(rows), texts[rows])]
+    if not isinstance(column, np.ndarray):
+        return column.__getitem__
+    column = np.ascontiguousarray(column, dtype=np.float64)
+    distinct, which = np.unique(column.view(np.int64), return_inverse=True)
+    if distinct.size > _TEXT_ROWS:
+        return lambda rows: _fmt_column(column[rows])
+    texts = _fmt_bits(distinct)
+    return lambda rows: texts[which[rows]].tolist()
 
 
 def _fmt_column(values: np.ndarray) -> list[str]:
     # format(v, ".17g") per value, once per distinct bit pattern (-0.0 is not 0.0)
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
     distinct, which = np.unique(bits, return_inverse=True)
-    texts = np.array([format(v, ".17g") for v in distinct.view(np.float64).tolist()], dtype=object)
-    return texts[which].tolist()
+    return _fmt_bits(distinct)[which].tolist()
+
+
+def _fmt_bits(bits: np.ndarray) -> np.ndarray:
+    # format(v, ".17g") of each float64 bit pattern, as an object array
+    return np.array([format(v, ".17g") for v in bits.view(np.float64).tolist()], dtype=object)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +284,6 @@ _BOUNDS_KERNELS = (
 
 def cmd_bounds(args) -> int:
     blocks = _grid(args, _PLS_AXES)
-    units = itertools.repeat(args.units.value)
 
     def cells(grid):  # total, amplitude, phase of each kernel, in nats
         columns = [column for kernel in _BOUNDS_KERNELS for column in kernel(*grid)]
@@ -256,7 +291,7 @@ def cmd_bounds(args) -> int:
         for i in undefined[:1]:  # every bound is finite on its whole input domain
             p, big_l, s2 = (_fmt(g[i]) for g in grid)
             raise RuntimeError(f"a bound is not finite at (P={p}, L={big_l}, sigma2={s2})")
-        return [*(_fmt_column(convert_rate(c, args.units)) for c in columns), units]
+        return [*(convert_rate(c, args.units) for c in columns), [args.units.value] * grid[0].size]
 
     header = [
         "P", "L", "sigma2",
@@ -272,11 +307,10 @@ def cmd_bounds(args) -> int:
 def cmd_gdof(args) -> int:
     blocks = _grid(args, _GDOF_AXES)
 
-    def cells(grid):
+    def cells(grid):  # each family's total; d_exact is blank where no regime applies
         *families, regimes = gdof_mod._regions(*grid)
-        texts = [_fmt_column(total) for total, _, _ in families]
-        texts[-1] = [text if regime else "" for text, regime in zip(texts[-1], regimes)]
-        return [*texts, regimes]
+        totals = [total for total, _, _ in families]
+        return [*totals[:-1], (totals[-1], regimes), regimes]
 
     header = [
         "alpha", "beta",
@@ -295,9 +329,9 @@ def cmd_regimes(args) -> int:
         gap_text = "" if math.isnan(gap) else _fmt(convert_rate(gap, args.units))
         cells.append(f"{regime.value},{gap_text}")
     header = ["P", "L", "sigma2", "regime", "gap", "units"]
-    units = itertools.repeat(args.units.value)
     _write_grid(args.out, header, blocks, lambda grid: [
-        [cells[i] for i in gdof_mod._classify(*grid).tolist()], units])
+        [cells[i] for i in gdof_mod._classify(*grid).tolist()],
+        [args.units.value] * grid[0].size])
     return EXIT_OK
 
 

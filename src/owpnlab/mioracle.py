@@ -172,7 +172,8 @@ def amplitude_channel_mi(params: ChannelParams, n_samples: int, rng_seed: int) -
     |CN(0, 2)|^2): Exp(mean P + 2) plus Gamma(L - 1, scale 2).  Below a
     normal P/L, |X|^2 underflows and the estimate is degenerate, as at
     P = 0; where the ||Y||^2 edges overflow (P above about 3.7e307),
-    ValueError.
+    ValueError.  Below that, from about 1.3e307, a sample's |X|^2 or
+    ||Y||^2 may overflow to inf, which lands in the top bin, silently.
     """
     # imported here: compiled at every start-up, its code raised the peak
     # RSS of `verify`, which peaks before its MI rows, by about 0.06 MB
@@ -185,8 +186,9 @@ def amplitude_channel_mi(params: ChannelParams, n_samples: int, rng_seed: int) -
     norm_bins = _EdgeBins(_norm_edges(params.avg_power, params.oversampling))
     x2_bins = _EdgeBins(-power * np.log1p(-_LEVELS))
     joint = np.zeros((DEFAULT_BINS, DEFAULT_BINS), dtype=np.int64)
-    for x2, norm in _amplitude_blocks(params, n_samples, rng_seed):
-        joint += _joint_counts(x2_bins(x2), norm_bins(norm), DEFAULT_BINS)
+    with np.errstate(over="ignore"):
+        for x2, norm in _amplitude_blocks(params, n_samples, rng_seed):
+            joint += _joint_counts(x2_bins(x2), norm_bins(norm), DEFAULT_BINS)
     return _plugin_mi(joint)
 
 

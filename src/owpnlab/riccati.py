@@ -23,7 +23,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .model import _log_or, _point
-from .sim import _blocked_sum
+from .sim import _SUM_BLOCK, _blocked_sum
 
 LOG_2PIE = math.log(2.0 * math.pi * math.e)
 _LOG_2PI_OVER_E = math.log(2.0 * math.pi / math.e)
@@ -139,14 +139,37 @@ def immse_entropy_quadrature(prior_std: float) -> float:
     with s = prior_std^2, rho_max = 1e6 and the Gaussian mmse s/(1+s rho), on a
     log-spaced grid of 1e5 points, plus the analytic 1/rho^2 tail correction
     (2 pi e - 1/s)/(2 rho_max).  The exact value is h(N(0, s)) = (1/2) ln(2 pi e s).
+    The grid is made and summed one block of 8192 trapezoid terms at a time,
+    with the same points and the same sum as the whole grid.
     """
     if prior_std <= 0.0:
         raise ValueError("prior_std must be > 0")
     s = prior_std * prior_std
-    rho = np.concatenate(([0.0], np.logspace(-8.0, math.log10(_RHO_MAX), _N_GRID - 1)))
-    integrand = s / (1.0 + s * rho) - 1.0 / (2.0 * math.pi * math.e + rho)
-    # np.trapezoid's own terms, summed in the fixed order of _blocked_sum
-    terms = np.diff(rho) * (integrand[1:] + integrand[:-1]) / 2.0
-    body = 0.5 * _blocked_sum(terms)
-    tail = 0.5 * (2.0 * math.pi * math.e - 1.0 / s) / _RHO_MAX
-    return body + tail
+    two_pi_e = 2.0 * math.pi * math.e
+    body = 0.0
+    for rho in _quadrature_blocks():
+        integrand = s / (1.0 + s * rho) - 1.0 / (two_pi_e + rho)
+        # np.trapezoid's own terms, summed in the fixed order of _blocked_sum
+        terms = np.diff(rho) * (integrand[1:] + integrand[:-1]) / 2.0
+        body = _blocked_sum(terms, body)
+    tail = 0.5 * (two_pi_e - 1.0 / s) / _RHO_MAX
+    return 0.5 * body + tail
+
+
+def _quadrature_blocks() -> Iterator[np.ndarray]:
+    # the grid 0, np.logspace(-8, log10(rho_max), _N_GRID - 1) in runs that
+    # overlap by one point, each giving _SUM_BLOCK trapezoid terms (the last
+    # fewer).  Each point is computed as np.linspace and np.logspace compute
+    # it, k * step + start with the last point set to stop, then 10.0**y, so
+    # every run equals its slice of the whole grid.
+    start, stop, last = -8.0, math.log10(_RHO_MAX), _N_GRID - 2
+    step = np.float64(stop - start) / last
+    for lo in range(0, _N_GRID - 1, _SUM_BLOCK):
+        hi = min(lo + _SUM_BLOCK, last + 1)
+        y = np.arange(max(lo - 1, 0), hi, dtype=np.float64)
+        y *= step
+        y += start
+        if hi == last + 1:
+            y[-1] = stop
+        rho = np.power(10.0, y, out=y)
+        yield np.concatenate(([0.0], rho)) if lo == 0 else rho

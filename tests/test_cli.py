@@ -15,6 +15,7 @@ import _oracles
 from _memory import traced_peak_mib
 from owpnlab import bounds as bounds_mod
 from owpnlab import cli
+from owpnlab import gdof as gdof_mod
 from owpnlab.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -25,6 +26,7 @@ from owpnlab.cli import (
     main,
     parse_axis,
 )
+from owpnlab.model import ChannelParams, GdofPoint, Units, convert_rate
 
 LN2 = math.log(2.0)
 
@@ -424,9 +426,25 @@ class TestGridBytes:
             col = rng.choice(pool, size=int(rng.integers(1, 60)))
             assert cli._fmt_column(col) == [format(v, ".17g") for v in col.tolist()]
 
+    @pytest.mark.parametrize("n_distinct", [cli._TEXT_ROWS, cli._TEXT_ROWS + 1])
+    def test_column_cells_format_each_value(self, n_distinct):
+        # a block column with at most _TEXT_ROWS distinct values is formatted
+        # once per block, one with more slice by slice; both as format(v, ".17g")
+        rng = np.random.default_rng(n_distinct)
+        k = n_distinct - 3
+        pool = np.concatenate([[-0.0, 0.0, 5e-324],
+                               rng.standard_normal(k) * 10.0 ** rng.integers(-300, 300, k)])
+        col = rng.permutation(np.concatenate([pool, rng.choice(pool, cli._ROW_BLOCK - n_distinct)]))
+        assert np.unique(col.view(np.int64)).size == n_distinct
+        part = cli._column_cells(col)
+        got = [cell for lo in range(0, col.size, cli._TEXT_ROWS)
+               for cell in part(slice(lo, lo + cli._TEXT_ROWS))]
+        assert got == [format(v, ".17g") for v in col.tolist()]
+
 
 class TestBlockWriter:
-    """Grid rows are formatted and written in blocks of cli._ROW_BLOCK."""
+    """Grid kernels run once per block of cli._ROW_BLOCK rows, and the rows
+    are formatted, joined and written in slices of cli._TEXT_ROWS rows."""
 
     @staticmethod
     def per_row_csv(ps, big_l, s2):
@@ -461,6 +479,64 @@ class TestBlockWriter:
         assert got.count(b"\n") == n + 1
         assert got == want.encode("utf-8")
 
+    def test_rows_across_slice_edges(self, capsys):
+        # two slice edges inside one block
+        n = 2 * cli._TEXT_ROWS + 1
+        spec = f"log:1e-3:1e9:{n}"
+        assert main(["bounds", "--P", spec, "--L", "4", "--sigma2", "0.3"]) == EXIT_OK
+        assert capsys.readouterr().out == self.per_row_csv(parse_axis(spec, "P").tolist(), 4, 0.3)
+
+    @pytest.mark.parametrize("n, units", [
+        (2 * cli._TEXT_ROWS + 1, "nats"), (2 * cli._ROW_BLOCK + 1, "bits"),
+    ])
+    def test_regimes_across_slice_and_block_edges(self, n, units, capsys):
+        # near-awgn below sigma2 = 1/(2P), near-onc from (2 pi / e) L ln(L + 1),
+        # general between; every cell formatted on its own
+        spec = f"log:1e-6:1e3:{n}"
+        argv = ["regimes", "--P", "100", "--L", "2", "--sigma2", spec, "--units", units]
+        assert main(argv) == EXIT_OK
+        lines = ["P,L,sigma2,regime,gap,units"]
+        for s2 in parse_axis(spec, "sigma2").tolist():
+            regime = gdof_mod.classify_regime(ChannelParams(100.0, 2, s2))
+            gap = convert_rate(gdof_mod.regime_gap_nats(regime), Units(units))
+            gap_text = "" if math.isnan(gap) else format(gap, ".17g")
+            lines.append(",".join(["100", "2", format(s2, ".17g"), regime.value, gap_text, units]))
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+        assert {line.split(",")[3] for line in lines[1:]} == {"near-awgn", "general", "near-onc"}
+
+    @pytest.mark.parametrize("n, known_from", [
+        (2 * cli._TEXT_ROWS + 1, 2 * cli._TEXT_ROWS),
+        (2 * cli._ROW_BLOCK + 1, cli._ROW_BLOCK + 1),
+    ])
+    def test_gdof_blank_d_exact_across_slice_edges(self, n, known_from, capsys):
+        # at alpha = 0.75, d_exact is known for beta < -1 (awgn) and for
+        # beta >= 0.75 (nc), and blank between.  Rows 0 .. 1022 are awgn, so
+        # the blank run starts one row before the first slice edge and covers
+        # the edges up to `known_from`, from where the rows are nc.
+        edge = cli._TEXT_ROWS
+        betas = (np.linspace(-3.0, -1.5, edge - 1).tolist()
+                 + np.linspace(-1.0, 0.7, known_from - edge + 1).tolist()
+                 + np.linspace(0.75, 2.0, n - known_from).tolist())
+        argv = ["gdof", "--alpha", "0.75", "--beta=" + ",".join(map(repr, betas))]
+        assert main(argv) == EXIT_OK
+        lines = ["alpha,beta,d_outer,d_inner_pc,d_inner_cc,d_inner_combined,d_exact,"
+                 "regime_of_exactness"]
+        for beta in betas:
+            point = GdofPoint(0.75, beta)
+            exact = gdof_mod.gdof_exact_if_known(point)
+            totals = [f(point).total for f in (gdof_mod.gdof_outer, gdof_mod.gdof_inner_pc,
+                                                gdof_mod.gdof_inner_cc,
+                                                gdof_mod.gdof_inner_combined)]
+            lines.append(",".join([*(format(v, ".17g") for v in [0.75, beta, *totals]),
+                                   "" if exact is None else format(exact.total, ".17g"),
+                                   "" if exact is None else exact.regime]))
+        out = capsys.readouterr().out
+        assert out == "\n".join(lines) + "\n"
+        blank = [row.split(",")[6] == "" for row in out.splitlines()[1:]]
+        assert blank[edge - 2 : edge + 1] == [False, True, True]
+        assert blank[known_from - 1 : known_from + 1] == [True, False]
+        assert blank[-1] is False
+
     def test_working_memory(self, tmp_path):
         # a 28,000-row grid, the size of the bounds-grid benchmark workload;
         # joined whole, its text and cell lists take ~29 MiB traced
@@ -470,11 +546,12 @@ class TestBlockWriter:
         assert (tmp_path / "b.csv").read_text(encoding="utf-8").count("\n") == 28_001
 
     def test_kernels_run_per_block(self, tmp_path):
-        # the same grid with its kernels run one row block at a time; with the
-        # nine float columns held whole it traces ~6.6 MiB
+        # the same grid with its kernels run one row block at a time and its
+        # text made one slice at a time; with the nine float columns held
+        # whole it traces ~6.6 MiB, and with each block's text ~4.3 MiB
         argv = ["bounds", "--P", "log:1:1e12:100", "--L", "1,2,3,5,8,13,21",
                 "--sigma2", "log:1e-6:1e2:40", "--out", str(tmp_path / "b.csv")]
-        assert traced_peak_mib(main, argv) < 5.0
+        assert traced_peak_mib(main, argv) < 2.5
 
     @pytest.mark.parametrize("n_alpha, n_beta", [(300, 150), (600, 600)])
     def test_gdof_memory_does_not_grow_with_the_grid(self, n_alpha, n_beta, tmp_path):

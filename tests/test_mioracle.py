@@ -348,6 +348,19 @@ class TestAmplitudeChannelMi:
         est = amplitude_channel_mi(ChannelParams(1e-310, 2, 0.5), 20_000, rng_seed=1)
         assert est.value == 0.0 and est.degenerate
 
+    @pytest.mark.parametrize("big_l, value, std_error", [
+        (1, 4.157401056347984, 0.00038515783691338686),
+        (4, 4.157609380433099, 0.00035681085561540296),
+    ])
+    def test_samples_that_overflow_raise_no_warning(self, big_l, value, std_error):
+        # at P = 3e307 the ||Y||^2 edges are finite, but |X|^2, the squares
+        # of Y and their row sum overflow to inf for some samples, which land
+        # in the top bin
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = amplitude_channel_mi(ChannelParams(3e307, big_l, 0.5), 20_000, rng_seed=1)
+        assert (est.value, est.std_error, est.degenerate) == (value, std_error, False)
+
     def test_rejects_power_whose_edges_overflow(self):
         with pytest.raises(ValueError, match="overflow"):
             amplitude_channel_mi(ChannelParams(1e308, 1, 0.5), 20_000, rng_seed=1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import _oracles
+from _memory import traced_peak_mib
 from owpnlab.bounds import upper_outer
 from owpnlab.model import ChannelParams
 from owpnlab.riccati import (
@@ -16,6 +17,7 @@ from owpnlab.riccati import (
     posterior_crb_entropy_lower,
     riccati_fixed_point,
 )
+from owpnlab.sim import _blocked_sum
 
 X_GRID = np.logspace(-1, 3, 20)
 R_GRID = np.logspace(-3, 6, 20)
@@ -202,3 +204,21 @@ class TestImmseQuadrature:
 
     def test_monotone_in_variance(self):
         assert immse_entropy_quadrature(1e-2) < immse_entropy_quadrature(1e-1)
+
+    @staticmethod
+    def whole_grid(prior_std):
+        # the quadrature over its whole grid at once, built by np.logspace
+        s = prior_std * prior_std
+        rho = np.concatenate(([0.0], np.logspace(-8.0, 6.0, 99_999)))
+        integrand = s / (1.0 + s * rho) - 1.0 / (2.0 * math.pi * math.e + rho)
+        terms = np.diff(rho) * (integrand[1:] + integrand[:-1]) / 2.0
+        body = 0.5 * _blocked_sum(terms)
+        return body + 0.5 * (2.0 * math.pi * math.e - 1.0 / s) / 1e6
+
+    @pytest.mark.parametrize("prior_std", [1.0, 0.3, 3.0, 1e-3, 1e3, 1e-150, 1e150])
+    def test_blocks_equal_the_whole_grid(self, prior_std):
+        assert immse_entropy_quadrature(prior_std) == self.whole_grid(prior_std)
+
+    def test_working_memory(self):
+        # one block of 8192 terms at a time; the whole grid traced 3.05 MiB
+        assert traced_peak_mib(immse_entropy_quadrature, 1.0) < 1.0
