@@ -16,7 +16,8 @@ memory is set by the block size and the axis lengths, not by the number of
 rows, and no text of a whole block is held.  Every number, axis cells
 included, is formatted as ``format(v, ".17g")`` by ``_fmt_bits``, once per
 distinct value of a block's column, or of a slice's where a column has more
-than ``_TEXT_ROWS`` distinct values.  Every kernel is elementwise and every
+than ``_TEXT_ROWS`` distinct values; either way the distinct values come from
+one sort of the block's column.  Every kernel is elementwise and every
 cell is formatted on its own, so neither size changes a byte.  A grid
 of more than ``GRID_CAP`` rows is refused before any axis is expanded.  The
 finiteness check of `bounds` and the branch-consistency errors of `gdof` and
@@ -197,10 +198,12 @@ def _write_grid(out_path: str | None, header: list[str], blocks: Iterable[list[n
 
 
 def _column_cells(column) -> Callable[[slice], Iterable[str]]:
-    # the cells of a slice of rows of one block column of _write_grid.  A
-    # float column of at most _TEXT_ROWS distinct values has each formatted
-    # once for the block, not again in every slice; any other is formatted
-    # a slice at a time
+    # the cells of a slice of rows of one block column of _write_grid, each
+    # distinct float bit pattern (-0.0 is not 0.0) found by one sort of the
+    # block column and its index kept in the narrowest integer type.  A
+    # column of at most _TEXT_ROWS distinct values has each formatted once
+    # for the block, not again in every slice; any other has the values that
+    # a slice uses formatted for that slice
     if isinstance(column, tuple):
         values, texts = column
         floats = _column_cells(values)
@@ -210,17 +213,19 @@ def _column_cells(column) -> Callable[[slice], Iterable[str]]:
         return column.__getitem__
     column = np.ascontiguousarray(column, dtype=np.float64)
     distinct, which = np.unique(column.view(np.int64), return_inverse=True)
+    which = which.astype(np.min_scalar_type(distinct.size))
     if distinct.size > _TEXT_ROWS:
-        return lambda rows: _fmt_column(column[rows])
+        return lambda rows: _fmt_used(distinct, which[rows])
     texts = _fmt_bits(distinct)
     return lambda rows: texts[which[rows]].tolist()
 
 
-def _fmt_column(values: np.ndarray) -> list[str]:
-    # format(v, ".17g") per value, once per distinct bit pattern (-0.0 is not 0.0)
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-    distinct, which = np.unique(bits, return_inverse=True)
-    return _fmt_bits(distinct)[which].tolist()
+def _fmt_used(distinct: np.ndarray, which: np.ndarray) -> list[str]:
+    # the cells of the bit patterns distinct[which], each pattern that
+    # `which` uses formatted once; they are marked, not sorted again
+    used = np.zeros(distinct.size, dtype=bool)
+    used[which] = True
+    return _fmt_bits(distinct[used])[np.cumsum(used)[which] - 1].tolist()
 
 
 def _fmt_bits(bits: np.ndarray) -> np.ndarray:

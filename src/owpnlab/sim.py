@@ -3,7 +3,7 @@
 One engine serves every Monte Carlo path here and in :mod:`owpnlab.mioracle`:
 :func:`_chunks` splits a sample budget into chunks and :func:`_blocks` walks
 each chunk one row block at a time.  The path estimators here share the
-Wiener-path builder :func:`_wiener_rows`; the MI oracles simulate only the
+Wiener-path builder :func:`_wiener_paths`; the MI oracles simulate only the
 law of their statistics, with no phase path (see there).
 
 Randomness discipline: a master seed names a family of independent substreams
@@ -27,8 +27,22 @@ results that differ in another numpy or libm build.  The MI estimates of
 :mod:`owpnlab.mioracle` are sturdier: they see their samples only through
 bin indices and equal-mass ranks (see there).
 
+The path estimators, like the MI oracles, work one sample per column: a row
+block's draw is transposed once into an ``(n, m)`` array of its `m` paths of
+`n` points, so that every step of the arithmetic runs over the block's
+samples at one path point.  The sums over a path are written out in the order
+in which ``np.sum(axis=1)`` adds a row of `n` values (numpy's pairwise sum,
+:func:`_column_sums`): under 8 points, left to right; 8 to 128 points, in 8
+interleaved partial sums combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
+and then the rest left to right; longer paths split after ``n // 2`` rounded
+down to a multiple of 8, each part summed the same way.  The path itself is
+built in ``np.cumsum``'s order, so every per-sample value is the float that
+one sample per row gave.
+
 Working memory does not grow with the chunk: each row block holds about
-``_BLOCK_ELEMENTS`` normals.  Drawing k1 rows and then k2 rows gives the same
+``_BLOCK_ELEMENTS`` normals, and the path estimators hold a block's draws,
+paths and cosines in two buffers made once per call (:func:`_path_blocks`).
+Drawing k1 rows and then k2 rows gives the same
 values as one draw of k1 + k2 rows, every per-sample value depends on its own
 row only, and the per-row values reach the chunk's partial sums in whole
 8192-element blocks (:func:`_row_blocks`), so the row-block size is not part
@@ -68,6 +82,11 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 def _chunk_rows(row_width: int) -> int:
     return max(1, _CHUNK_ELEMENTS // max(row_width, 1))
+
+
+def _block_rows(width: int) -> int:
+    # rows of a row block of _blocks
+    return max(1, _BLOCK_ELEMENTS // width)
 
 
 def _blocked_sum(values: np.ndarray, total: float = 0.0) -> float:
@@ -145,7 +164,7 @@ def _blocks(
     k1 rows and then k2 rows gives the values of one draw of k1 + k2 rows, so
     the blocks draw what one ``(m, k)`` draw per chunk would.
     """
-    step = max(1, _BLOCK_ELEMENTS // width)
+    step = _block_rows(width)
     window = window or step
     for rng, start, m in _chunks(seed, n_samples, rows):
         for w0 in range(0, m, window):
@@ -181,27 +200,98 @@ def _row_blocks(
                 acc.end_chunk()
 
 
-def _wiener_rows(rng: np.random.Generator, m: int, n: int, step_std: float) -> np.ndarray:
-    """`m` Wiener paths of `n` points starting at 0, as an ``(m, n)`` array:
-    column ``k`` is the sum of the first ``k`` of ``n - 1`` i.i.d.
-    N(0, step_std^2) increments.  The increments are standard normals scaled
-    in place: the draws of ``rng.normal(0, step_std)``, which forms
-    ``0 + step_std * z``, with the same bits but for the sign of a zero."""
-    rows = np.empty((m, n))
-    rows[:, 0] = 0.0
-    steps = rng.standard_normal((m, n - 1))
+def _wiener_paths(
+    rng: np.random.Generator, step_std: float, out: np.ndarray, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Fill the ``(n, m)`` array `out` with `m` Wiener paths of `n` points
+    starting at 0, one path per column: row ``k`` is the sum of the first
+    ``k`` of ``n - 1`` i.i.d. N(0, step_std^2) increments, added in the order
+    of ``np.cumsum`` (row ``k - 1`` plus increment ``k``).  Path ``j``'s
+    increments are row ``j`` of one ``standard_normal((m, n - 1))`` draw,
+    made into `work` (a flat float64 buffer of at least ``m (n - 1)``
+    elements, or a new one when None) and scaled in place: the draws of
+    ``rng.normal(0, step_std)``, which forms ``0 + step_std * z``, with the
+    same bits but for the sign of a zero.  Returns `out`."""
+    n, m = out.shape
+    steps = np.empty((m, n - 1)) if work is None else work[: m * (n - 1)].reshape(m, n - 1)
+    rng.standard_normal(out=steps)
     steps *= step_std
-    np.cumsum(steps, axis=1, out=rows[:, 1:])
-    return rows
+    out[0] = 0.0
+    out[1:] = steps.T
+    for k in range(2, n):
+        np.add(out[k - 1], out[k], out=out[k])
+    return out
 
 
-def _cos_rows(theta: np.ndarray) -> np.ndarray:
-    """``cos(theta)`` of Wiener rows from :func:`_wiener_rows` (first column
-    exactly 0.0, so its cosine is 1.0 without a call)."""
-    cos = np.empty_like(theta)
-    cos[:, 0] = 1.0
-    np.cos(theta[:, 1:], out=cos[:, 1:])
-    return cos
+def _path_blocks(
+    seed: int, n_samples: int, n: int, step_std: float, accs: tuple[_Accumulator, ...]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The blocks of ``_row_blocks(seed, n_samples, n, accs)`` for a path
+    estimator, whose samples are Wiener paths of `n` points.
+
+    For each block of `m` samples this yields ``(theta, work, out)``:
+    `theta` is the ``(n, m)`` array of the block's paths, one per column
+    (:func:`_wiener_paths`), `work` a free ``(n, m)`` array, and `out` the
+    per-sample outputs of :func:`_row_blocks`.  `theta` and `work` are views
+    of two buffers made once per call, and the caller may overwrite both.
+    """
+    size = n * min(n_samples, _block_rows(n))
+    paths, work = np.empty((2, size))
+    for rng, out in _row_blocks(seed, n_samples, n, accs):
+        m = out.shape[1]
+        theta = _wiener_paths(rng, step_std, paths[: n * m].reshape(n, m), work)
+        yield theta, work[: n * m].reshape(n, m), out
+
+
+def _cos_paths(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``cos(theta)`` of paths from :func:`_wiener_paths` into `out` (the
+    first row is exactly 0.0, so its cosine is 1.0 without a call)."""
+    out[0] = 1.0
+    np.cos(theta[1:], out=out[1:])
+    return out
+
+
+def _column_sums(points: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum each column of the ``(n, m)`` array `points` into `out`, adding
+    in the order in which ``np.sum(axis=1)`` adds a row of `n` values, so
+    each column sum is the float that sum gives; `points` is overwritten.
+
+    That order is numpy's pairwise sum, added to 0.0: fewer than 8 values
+    are added left to right; 8 to 128 values go to 8 interleaved partial
+    sums (value ``i`` to sum ``i % 8``, up to the last multiple of 8), which
+    are combined as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``
+    before the rest is added left to right; more than 128 values are split
+    after ``n // 2`` rounded down to a multiple of 8, and the sums of the two
+    parts, each taken the same way, are added.  Each add here runs over all
+    `m` columns at once.  Which nan an add of two nans keeps is not fixed:
+    numpy's own loops differ in it.
+    """
+    np.add(_pairwise_rows(points), 0.0, out=out)
+    return out
+
+
+def _pairwise_rows(points: np.ndarray) -> np.ndarray:
+    # the column sums of _column_sums before the final 0.0, left in a row
+    # of `points`
+    n = points.shape[0]
+    if n < 8:
+        for k in range(1, n):
+            np.add(points[0], points[k], out=points[0])
+        return points[0]
+    if n <= 128:
+        acc, stop = points[:8], n - n % 8
+        for k in range(8, stop, 8):
+            np.add(acc, points[k : k + 8], out=acc)
+        np.add(acc[0::2], acc[1::2], out=acc[0::2])
+        np.add(acc[0::4], acc[2::4], out=acc[0::4])
+        np.add(acc[0], acc[4], out=acc[0])
+        for k in range(stop, n):
+            np.add(acc[0], points[k], out=acc[0])
+        return acc[0]
+    half = n // 2 - (n // 2) % 8
+    left = _pairwise_rows(points[:half])
+    np.add(left, _pairwise_rows(points[half:]), out=left)
+    return left
 
 
 class FMoments(NamedTuple):
@@ -215,7 +305,7 @@ def estimate_F_moments(params: ChannelParams, n_samples: int, rng_seed: int) -> 
 
     Returns estimates of E|F|^2, E|F|^4 and E[Re F] over fresh phase paths;
     the first two target phi, the last targets kappa.  Computed in real
-    arithmetic: Re F and Im F are the row means of cos and sin of the phase
+    arithmetic: Re F and Im F are the means of cos and sin over each phase
     path, and |F|^2 = (Re F)^2 + (Im F)^2.
     """
     if n_samples < _MIN_SAMPLES:
@@ -223,11 +313,12 @@ def estimate_F_moments(params: ChannelParams, n_samples: int, rng_seed: int) -> 
     big_l = params.oversampling
     scale = math.sqrt(params.freq_noise_var / big_l)
     accs = acc_m2, acc_m4, acc_re = _Accumulator(), _Accumulator(), _Accumulator()
-    for rng, (mag2, mag4, re) in _row_blocks(rng_seed, n_samples, big_l, accs):
-        theta = _wiener_rows(rng, re.size, big_l, scale)
-        np.mean(_cos_rows(theta), axis=1, out=re)
-        np.sin(theta[:, 1:], out=theta[:, 1:])  # sin 0.0 = 0.0 stays in column 0
-        im = np.mean(theta, axis=1)
+    for theta, work, (mag2, mag4, re) in _path_blocks(rng_seed, n_samples, big_l, scale, accs):
+        _column_sums(_cos_paths(theta, work), re)
+        re /= big_l
+        np.sin(theta[1:], out=theta[1:])  # sin 0.0 = 0.0 stays in row 0
+        im = _column_sums(theta, mag4)  # Im F, until |F|^4 replaces it
+        im /= big_l
         np.multiply(re, re, out=mag2)
         im *= im
         mag2 += im
@@ -262,20 +353,21 @@ def simulate_fading_integral(
     amp = math.sqrt(sigma2_over_L)
     step_std = math.sqrt(1.0 / n_time_steps)
     accs = acc_re, acc_im = _Accumulator(), _Accumulator()
-    for rng, (re, im) in _row_blocks(rng_seed, n_samples, n_time_steps + 1, accs):
-        theta = _wiener_rows(rng, re.size, n_time_steps + 1, step_std)
+    blocks = _path_blocks(rng_seed, n_samples, n_time_steps + 1, step_std, accs)
+    for theta, work, (re, im) in blocks:
         theta *= amp
-        _trapezoid(_cos_rows(theta), n_time_steps, re)
-        np.sin(theta[:, 1:], out=theta[:, 1:])  # sin 0.0 = 0.0 stays in column 0
+        _trapezoid(_cos_paths(theta, work), n_time_steps, re)
+        np.sin(theta[1:], out=theta[1:])  # sin 0.0 = 0.0 stays in row 0
         _trapezoid(theta, n_time_steps, im)
     return acc_re.estimate(rng_seed), acc_im.estimate(rng_seed)
 
 
 def _trapezoid(values: np.ndarray, n: int, out: np.ndarray) -> None:
-    # per row: every point once, minus half of each endpoint, over n intervals
-    np.sum(values, axis=1, out=out)
-    ends = values[:, 0] + values[:, -1]
+    # per column: every point once, minus half of each endpoint, over n
+    # intervals; overwrites `values`
+    ends = values[0] + values[-1]
     ends *= 0.5
+    _column_sums(values, out)
     out -= ends
     out /= n
 

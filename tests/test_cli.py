@@ -417,14 +417,16 @@ class TestGridBytes:
         assert lines[0].startswith("1e-300,9007199254740991,1e-300,")
         assert_rows_match_oracle(lines)
 
-    def test_fmt_column_formats_each_value(self):
-        assert cli._fmt_column(np.array([-0.0, 0.0, -0.0])) == ["-0", "0", "-0"]
+    def test_column_cells_format_short_columns(self):
+        cells = cli._column_cells(np.array([-0.0, 0.0, -0.0]))(slice(None))
+        assert list(cells) == ["-0", "0", "-0"]
         rng = np.random.default_rng(3)
         for _ in range(20):
             pool = np.concatenate([rng.standard_normal(5) * 10.0 ** rng.integers(-300, 300, 5),
                                    [0.0, -0.0, 5e-324, 1.0]])
             col = rng.choice(pool, size=int(rng.integers(1, 60)))
-            assert cli._fmt_column(col) == [format(v, ".17g") for v in col.tolist()]
+            cells = cli._column_cells(col)(slice(None))
+            assert list(cells) == [format(v, ".17g") for v in col.tolist()]
 
     @pytest.mark.parametrize("n_distinct", [cli._TEXT_ROWS, cli._TEXT_ROWS + 1])
     def test_column_cells_format_each_value(self, n_distinct):

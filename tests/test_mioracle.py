@@ -245,7 +245,8 @@ def _full_channel_amplitude(params, n_samples, seed):
     for rng, start, m in _chunks(seed, n_samples, _LAW_ROWS):
         xr = amp * rng.standard_normal((m, 1))
         xi = amp * rng.standard_normal((m, 1))
-        theta = rng.uniform(0.0, TWO_PI, (m, 1)) + sim._wiener_rows(rng, m, big_l + 1, step_std)[:, 1:]
+        theta = rng.uniform(0.0, TWO_PI, (m, 1))
+        theta = theta + sim._wiener_paths(rng, step_std, np.empty((big_l + 1, m)))[1:].T
         w = rng.standard_normal((m, big_l)) + 1j * rng.standard_normal((m, big_l))
         y = (xr + 1j * xi) * np.exp(1j * theta) + w
         x2[start : start + m] = (xr * xr + xi * xi)[:, 0]
@@ -265,7 +266,8 @@ def _full_channel_phase_mi(params, n_samples, seed, n_bins=64):
         # column 0: X_0 and its last output sample; column 1: X_1 and its first
         xr = amp * rng.standard_normal((m, 2))
         xi = amp * rng.standard_normal((m, 2))
-        theta = rng.uniform(0.0, TWO_PI, (m, 1)) + sim._wiener_rows(rng, m, 2, step_std)
+        theta = rng.uniform(0.0, TWO_PI, (m, 1))
+        theta = theta + sim._wiener_paths(rng, step_std, np.empty((2, m))).T
         w = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
         x = xr + 1j * xi
         y = x * np.exp(1j * theta) + w

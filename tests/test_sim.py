@@ -10,7 +10,8 @@ from owpnlab.sim import (
     FMoments,
     _blocked_sum,
     _chunks,
-    _wiener_rows,
+    _column_sums,
+    _wiener_paths,
     estimate_F_moments,
     estimate_log_abs_sq,
     simulate_fading_integral,
@@ -32,12 +33,13 @@ class TestChunks:
         assert [m for _, _, m in _chunks(1, 8, 4)] == [4, 4]
         assert [m for _, _, m in _chunks(1, 3, 4)] == [3]
 
-    def test_wiener_rows(self):
-        rows = _wiener_rows(substream(3, 0), 5, 6, 0.3)
+    def test_wiener_paths(self):
+        # one path per column; a reused work buffer leaves the paths alike
         increments = substream(3, 0).normal(0.0, 0.3, size=(5, 5))
-        assert rows.shape == (5, 6)
-        assert np.all(rows[:, 0] == 0.0)
-        assert np.array_equal(rows[:, 1:], np.cumsum(increments, axis=1))
+        for work in (None, np.full(40, np.nan)):
+            paths = _wiener_paths(substream(3, 0), 0.3, np.empty((6, 5)), work)
+            assert np.all(paths[0] == 0.0)
+            assert np.array_equal(paths[1:].T, np.cumsum(increments, axis=1))
 
 
 class TestFMoments:
@@ -76,10 +78,10 @@ class TestFMoments:
             estimate_F_moments(ChannelParams(1.0, 2, 1.0), 10, rng_seed=0)
 
     def test_matches_complex_reference(self):
-        # one chunk, so the same draws as substream(seed, 0) through _wiener_rows
+        # one chunk, so the same draws as substream(seed, 0) through _wiener_paths
         big_l, s2, n, seed = 4, 1.0, 5_000, 8
         moments = estimate_F_moments(ChannelParams(1.0, big_l, s2), n, rng_seed=seed)
-        rows = _wiener_rows(substream(seed, 0), n, big_l, math.sqrt(s2 / big_l))
+        rows = _wiener_paths(substream(seed, 0), math.sqrt(s2 / big_l), np.empty((big_l, n))).T
         f = np.mean(np.exp(1j * rows), axis=1)
         mag2 = np.abs(f) ** 2
         for est, want in ((moments.m2, mag2), (moments.m4, mag2**2), (moments.mean_real, f.real)):
@@ -96,10 +98,11 @@ class TestFadingIntegral:
         assert abs(im_est.mean) <= 4.0 * im_est.std_error
 
     def test_matches_complex_trapezoid_reference(self):
-        # one chunk, so the same draws as substream(seed, 0) through _wiener_rows
+        # one chunk, so the same draws as substream(seed, 0) through _wiener_paths
         a, n_steps, n, seed = 2.0, 64, 2_000, 5
         re_est, im_est = simulate_fading_integral(a, n_steps, n, rng_seed=seed)
-        rows = _wiener_rows(substream(seed, 0), n, n_steps + 1, math.sqrt(1.0 / n_steps))
+        step_std = math.sqrt(1.0 / n_steps)
+        rows = _wiener_paths(substream(seed, 0), step_std, np.empty((n_steps + 1, n))).T
         g = np.exp(1j * math.sqrt(a) * rows)
         f = np.sum(g[:, 1:] + g[:, :-1], axis=1) / (2.0 * n_steps)  # np.trapezoid's formula
         assert abs(re_est.mean - float(np.mean(f.real))) <= 1e-15
@@ -195,6 +198,12 @@ class TestRowBlocksKeepBits:
         (2, 0.0, 2 * 2**19 + 12_345),
         (16, 0.1, 2 * 2**16 + 12_345),
         (65, 3.0, 2 * (2**20 // 65) + 1_234),
+        # the seams of the per-sample sum's order: under 8 points, exactly
+        # 8, one past 8, and one past 128; one whole chunk and a partial one
+        (4, 1.0, 2**20 // 4 + 12_345),
+        (8, 2.0, 2**20 // 8 + 12_345),
+        (9, 0.3, 2**20 // 9 + 12_345),
+        (129, 5.0, 2**20 // 129 + 1_234),
     ])
     def test_f_moments(self, big_l, s2, n_samples):
         params = ChannelParams(1.0, big_l, s2)
@@ -210,6 +219,13 @@ class TestRowBlocksKeepBits:
         got = simulate_fading_integral(a, 64, n_samples, rng_seed=32)
         assert _bits(got) == _bits(_reference_fading_integral(a, 64, n_samples, 32))
 
+    @pytest.mark.parametrize("n_steps", [7, 8, 128])
+    def test_fading_integral_at_order_seams(self, n_steps):
+        # 8, 9 and 129 path points; one whole chunk and a partial one
+        n_samples = 2**20 // (n_steps + 1) + 1_234
+        got = simulate_fading_integral(1.5, n_steps, n_samples, rng_seed=33)
+        assert _bits(got) == _bits(_reference_fading_integral(1.5, n_steps, n_samples, 33))
+
 
 class TestWorkingMemory:
     """Traced peak memory stays below bounds that the whole-chunk estimators
@@ -222,9 +238,90 @@ class TestWorkingMemory:
         params = ChannelParams(1.0, 2, 4.0 * math.log(2.0))
         assert traced_peak_mib(estimate_F_moments, params, 500_000, 1) < 4.0
 
+    def test_f_moments_at_16(self):
+        # 1.9 MiB with whole-block temporaries per block, 1.4 MiB in two
+        # buffers reused across blocks
+        params = ChannelParams(1.0, 16, 0.1)
+        assert traced_peak_mib(estimate_F_moments, params, 500_000, 1) < 1.6
+
     def test_log_abs_sq(self):
         # drawing whole chunks traced 15.3 MiB
         assert traced_peak_mib(estimate_log_abs_sq, 1.0, 500_000, 1) < 4.0
+
+
+def _python_row_sum(values):
+    # np.sum of one row of floats, stated in plain Python: numpy's pairwise
+    # sum of the row, added to 0.0
+    def pairwise(v):
+        n = len(v)
+        if n < 8:
+            total = 0.0
+            for x in v:
+                total += x
+            return total
+        if n <= 128:
+            r, stop = list(v[:8]), n - n % 8
+            for i in range(8, stop, 8):
+                r = [a + b for a, b in zip(r, v[i : i + 8])]
+            total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            for x in v[stop:]:
+                total += x
+            return total
+        half = n // 2 - (n // 2) % 8
+        return pairwise(v[:half]) + pairwise(v[half:])
+
+    return 0.0 + pairwise(values)
+
+
+def _sum_bits(values):
+    # float64 bit patterns, every nan as one pattern: which nan an add of
+    # two nans keeps is not part of the order (numpy's own loops differ)
+    values = np.asarray(values, dtype=np.float64)
+    return np.where(np.isnan(values), np.nan, values).view(np.int64)
+
+
+class TestColumnSums:
+    """`_column_sums` adds each column of a (points, samples) array in the
+    order np.sum(axis=1) adds a row, so the path estimators keep their bits
+    in the one-sample-per-column layout."""
+
+    WIDTHS = [*range(1, 301), 511, 512, 513, 1024, 1025]
+
+    @staticmethod
+    def rows(n, kind, rng):
+        if kind == "random":
+            # magnitudes over 16 decades, so that a change of order shows
+            return rng.standard_normal((16, n)) * 10.0 ** rng.integers(-8, 8, (16, n))
+        pool = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 0.1, 5e-324, 1e308, -1e308])
+        rows = pool[rng.integers(0, pool.size, (16, n))]
+        rows[0] = -0.0
+        rows[1] = rng.choice([0.0, -0.0], n)
+        return rows
+
+    @pytest.mark.parametrize("kind", ["random", "special"])
+    def test_matches_np_sum(self, kind):
+        rng = np.random.default_rng(5 if kind == "random" else 6)
+        for n in self.WIDTHS:
+            rows = self.rows(n, kind, rng)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.sum(rows, axis=1)
+                got = _column_sums(np.ascontiguousarray(rows.T), np.empty(rows.shape[0]))
+            assert np.array_equal(_sum_bits(got), _sum_bits(want)), n
+
+    @pytest.mark.parametrize("kind", ["random", "special"])
+    def test_matches_plain_python(self, kind):
+        rng = np.random.default_rng(7 if kind == "random" else 8)
+        for n in self.WIDTHS:
+            rows = self.rows(n, kind, rng)[:4]
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = _column_sums(np.ascontiguousarray(rows.T), np.empty(rows.shape[0]))
+            want = [_python_row_sum(row) for row in rows.tolist()]
+            assert np.array_equal(_sum_bits(got), _sum_bits(want)), n
+
+    def test_all_signed_zeros_sum_to_positive_zero(self):
+        for n in (1, 7, 8, 129):
+            got = _column_sums(np.full((n, 3), -0.0), np.empty(3))
+            assert np.array_equal(got.view(np.int64), np.zeros(3, dtype=np.int64))
 
 
 class TestLogAbsSq:
@@ -320,7 +417,8 @@ class TestHadamardIdentity:
         # the whole channel: a uniform start phase, a Wiener path, a rotation
         rng = substream(123 + big_l, 0)
         theta0 = rng.uniform(0.0, TWO_PI, n)
-        theta = theta0[:, None] + _wiener_rows(rng, n, big_l + 1, math.sqrt(0.8 / big_l))[:, 1:]
+        path = _wiener_paths(rng, math.sqrt(0.8 / big_l), np.empty((big_l + 1, n)))
+        theta = theta0[:, None] + path[1:].T
         wr = rng.standard_normal((n, big_l))
         wi = rng.standard_normal((n, big_l))
         y = amp * np.exp(1j * theta) + (wr + 1j * wi)
