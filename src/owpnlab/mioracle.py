@@ -30,8 +30,8 @@ sample across a bin edge or reorders two samples at an edge.  ``exp``,
 ``log`` and ``lgamma`` enter the amplitude oracle only through its edges.
 
 Memory: both oracles draw through :func:`owpnlab.sim._blocks`, one row
-block of about ``sim._BLOCK_ELEMENTS`` normals at a time, so a chunk is
-never held whole.  Each adds every block to its joint histogram and keeps
+block of ``sim._block_rows(width)`` rows at a time, so a chunk is never
+held whole.  Each adds every block to its joint histogram and keeps
 no per-sample arrays.
 """
 
@@ -117,8 +117,13 @@ def _equal_mass_bins(x: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def _circular_bins(x: np.ndarray, n_bins: int) -> np.ndarray:
-    """int16 bins of width 2pi / n_bins over the angles `x` taken mod 2pi."""
-    wrapped = np.mod(x, TWO_PI)
+    """int16 bins of width 2pi / n_bins over the angles `x` taken mod 2pi.
+
+    The wrap is ``np.mod``'s own arithmetic, written out: ``fmod``, then
+    plus 2pi where the remainder is negative, so each wrapped angle is the
+    float ``np.mod(x, 2pi)`` gives (a zero remainder becomes +0.0)."""
+    wrapped = np.fmod(x, TWO_PI)
+    wrapped += np.where(wrapped < 0.0, TWO_PI, 0.0)
     wrapped /= TWO_PI
     wrapped *= n_bins
     bins = wrapped.astype(np.int16)

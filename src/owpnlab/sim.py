@@ -39,10 +39,12 @@ down to a multiple of 8, each part summed the same way.  The path itself is
 built in ``np.cumsum``'s order, so every per-sample value is the float that
 one sample per row gave.
 
-Working memory does not grow with the chunk: each row block holds about
-``_BLOCK_ELEMENTS`` normals, and the path estimators hold a block's draws,
-paths and cosines in two buffers made once per call (:func:`_path_blocks`).
-Drawing k1 rows and then k2 rows gives the same
+Working memory does not grow with the chunk: a row block holds
+``_BLOCK_ELEMENTS`` (2^14) normals, except that rows of more than 16 values
+get at least 1024 rows, and that no block holds more than 2^16 normals or
+more than one 8192-row sum block (:func:`_block_rows`); the path estimators
+hold a block's draws, paths and cosines in two buffers made once per call
+(:func:`_path_blocks`).  Drawing k1 rows and then k2 rows gives the same
 values as one draw of k1 + k2 rows, every per-sample value depends on its own
 row only, and the per-row values reach the chunk's partial sums in whole
 8192-element blocks (:func:`_row_blocks`), so the row-block size is not part
@@ -69,10 +71,10 @@ _CHUNK_ELEMENTS = 1 << 20
 _MIN_SAMPLES = 1_000
 # Block length of _blocked_sum: numpy's iterator buffer size before 2.3.
 _SUM_BLOCK = 8192
-# Elements per row block of the wide intermediates (see _row_blocks): small
-# enough to bound memory, large enough that per-block Python calls stay
-# negligible.  Not part of the reproducibility key.
-_BLOCK_ELEMENTS = 1 << 16
+# Normals per row block (see _block_rows): small enough to bound memory,
+# large enough that per-block Python calls stay negligible.  Not part of the
+# reproducibility key.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -85,8 +87,14 @@ def _chunk_rows(row_width: int) -> int:
 
 
 def _block_rows(width: int) -> int:
-    # rows of a row block of _blocks
-    return max(1, _BLOCK_ELEMENTS // width)
+    # rows of a row block of _blocks: _BLOCK_ELEMENTS normals, but at least
+    # _BLOCK_ELEMENTS // 16 rows (so that a per-point loop over a wide row
+    # makes few calls per block), at most 4 * _BLOCK_ELEMENTS normals and
+    # at most one sum block of rows
+    return max(
+        1,
+        min(_SUM_BLOCK, _BLOCK_ELEMENTS // min(width, 16), 4 * _BLOCK_ELEMENTS // width),
+    )
 
 
 def _blocked_sum(values: np.ndarray, total: float = 0.0) -> float:
@@ -159,10 +167,10 @@ def _blocks(
     chunk that begins at sample `start`, and the caller draws those rows'
     normals as one ``standard_normal((hi - lo, k))`` from `rng`, the chunk's
     generator, before asking for the next block.  A block holds at most
-    ``_BLOCK_ELEMENTS // width`` rows (at least one) and, when `window` is
-    given, never crosses a multiple of `window` rows of its chunk.  Drawing
-    k1 rows and then k2 rows gives the values of one draw of k1 + k2 rows, so
-    the blocks draw what one ``(m, k)`` draw per chunk would.
+    ``_block_rows(width)`` rows and, when `window` is given, never crosses a
+    multiple of `window` rows of its chunk.  Drawing k1 rows and then k2 rows
+    gives the values of one draw of k1 + k2 rows, so the blocks draw what one
+    ``(m, k)`` draw per chunk would.
     """
     step = _block_rows(width)
     window = window or step
@@ -181,18 +189,18 @@ def _row_blocks(
 
     For each block this yields ``(rng, out)``: the caller draws the block's
     rows from `rng` and writes the per-row values for ``accs[k]`` into
-    ``out[k]`` (length: the block's rows).  The blocks are cut at windows of
-    whole 8192-row sum blocks, the values are gathered per window and added
-    to the accumulators window by window, and each chunk is closed by
-    ``end_chunk``.
+    ``out[k]`` (length: the block's rows).  A row block holds at most one
+    8192-row sum block, so the blocks are cut at windows of one sum block
+    each; the values are gathered per window and added to the accumulators
+    window by window, and each chunk is closed by ``end_chunk``.
     """
-    window = _SUM_BLOCK * max(1, _BLOCK_ELEMENTS // (_SUM_BLOCK * width))
-    for rng, _, m, lo, hi in _blocks(seed, n_samples, _chunk_rows(width), width, window):
+    blocks = _blocks(seed, n_samples, _chunk_rows(width), width, _SUM_BLOCK)
+    for rng, _, m, lo, hi in blocks:
         if lo == 0:
-            buf = np.empty((len(accs), min(window, m)))
-        w0 = lo - lo % window
+            buf = np.empty((len(accs), min(_SUM_BLOCK, m)))
+        w0 = lo - lo % _SUM_BLOCK
         yield rng, buf[:, lo - w0 : hi - w0]
-        if hi - w0 == window or hi == m:
+        if hi - w0 == _SUM_BLOCK or hi == m:
             for acc, values in zip(accs, buf):
                 acc.add(values[: hi - w0])
         if hi == m:
@@ -209,15 +217,15 @@ def _wiener_paths(
     of ``np.cumsum`` (row ``k - 1`` plus increment ``k``).  Path ``j``'s
     increments are row ``j`` of one ``standard_normal((m, n - 1))`` draw,
     made into `work` (a flat float64 buffer of at least ``m (n - 1)``
-    elements, or a new one when None) and scaled in place: the draws of
-    ``rng.normal(0, step_std)``, which forms ``0 + step_std * z``, with the
-    same bits but for the sign of a zero.  Returns `out`."""
+    elements, or a new one when None) and scaled as it is transposed into
+    `out`: the draws of ``rng.normal(0, step_std)``, which forms
+    ``0 + step_std * z``, with the same bits but for the sign of a zero.
+    Returns `out`."""
     n, m = out.shape
     steps = np.empty((m, n - 1)) if work is None else work[: m * (n - 1)].reshape(m, n - 1)
     rng.standard_normal(out=steps)
-    steps *= step_std
     out[0] = 0.0
-    out[1:] = steps.T
+    np.multiply(steps.T, step_std, out=out[1:])
     for k in range(2, n):
         np.add(out[k - 1], out[k], out=out[k])
     return out

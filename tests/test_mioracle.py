@@ -17,6 +17,7 @@ from owpnlab.mioracle import (
     MI_ALLOWANCE_NATS,
     MiEstimate,
     _amplitude_blocks,
+    _circular_bins,
     _equal_mass_bins,
     amplitude_channel_mi,
     histogram_mi,
@@ -345,6 +346,13 @@ class TestAmplitudeChannelMi:
             params = ChannelParams(p, big_l, 0.01)
             assert traced_peak_mib(amplitude_channel_mi, params, 500_000, 1) < 4.0
 
+    @pytest.mark.parametrize("p, big_l", [(100.0, 1), (20.0, 4)])
+    def test_working_memory_on_narrow_rows(self, p, big_l):
+        # 0.5 MiB in blocks of 2^14 normals; blocks of 2^16 normals traced
+        # 1.8 MiB at L = 1 and 1.7 MiB at L = 4
+        params = ChannelParams(p, big_l, 0.01)
+        assert traced_peak_mib(amplitude_channel_mi, params, 500_000, 1) < 1.0
+
     def test_subnormal_power_per_sample_degenerate(self):
         # P/L = 1e-310 / 2 underflows |X|^2, as P = 0 does
         est = amplitude_channel_mi(ChannelParams(1e-310, 2, 0.5), 20_000, rng_seed=1)
@@ -431,6 +439,21 @@ class TestAmplitudeEdges:
         assert lowered > 0
 
 
+class TestCircularBins:
+    """The wrap written as fmod plus 2pi where negative bins every angle as
+    np.mod does: at the bin edges and one ulp either side, at signed zeros,
+    at huge and subnormal angles, and at random angles."""
+
+    def test_matches_np_mod(self):
+        at = np.arange(-200, 201) * (TWO_PI / 64)
+        x = np.concatenate([
+            at, np.nextafter(at, np.inf), np.nextafter(at, -np.inf),
+            [0.0, -0.0, math.pi, -math.pi, 1e300, -1e300, 5e-324, -5e-324],
+            np.random.default_rng(25).uniform(-8.0 * math.pi, 8.0 * math.pi, 10**6),
+        ])
+        assert np.array_equal(_circular_bins(x, 64), _reference_circular_bins(x, 64))
+
+
 class TestPhaseChannelMi:
     def test_dominates_closed_form_lower_bound(self):
         params = ChannelParams(100.0, 1, 0.01)
@@ -456,6 +479,12 @@ class TestPhaseChannelMi:
         params = ChannelParams(20.0, 4, 0.5)
         assert traced_peak_mib(phase_channel_mi, params, 500_000, 1) < 4.0
 
+    def test_working_memory_on_narrow_rows(self):
+        # 0.4 MiB in blocks of 2^14 normals; blocks of 2^16 normals traced
+        # 1.55 MiB
+        params = ChannelParams(20.0, 4, 0.5)
+        assert traced_peak_mib(phase_channel_mi, params, 500_000, 1) < 1.0
+
 
 class TestRowBlockSize:
     """The row-block size is not part of the reproducibility key: with row
@@ -466,9 +495,9 @@ class TestRowBlockSize:
     SMALL = 1000
 
     def small_blocks(self, monkeypatch, chunk, width):
-        rows = self.SMALL // width
-        assert chunk % rows and 0 < rows < chunk
         monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", self.SMALL)
+        rows = sim._block_rows(width)
+        assert chunk % rows and 0 < rows < chunk
 
     @pytest.mark.parametrize("big_l", [1, 4, 16])
     def test_amplitude(self, big_l, monkeypatch):

@@ -248,6 +248,29 @@ class TestWorkingMemory:
         # drawing whole chunks traced 15.3 MiB
         assert traced_peak_mib(estimate_log_abs_sq, 1.0, 500_000, 1) < 4.0
 
+    @pytest.mark.parametrize("big_l, s2", [(2, 4.0 * math.log(2.0)), (4, 1.0), (16, 0.1)])
+    def test_f_moments_on_narrow_rows(self, big_l, s2):
+        # 0.5-0.7 MiB in blocks of 2^14 normals; blocks of 2^16 normals
+        # traced 2.0, 1.8 and 1.4 MiB
+        params = ChannelParams(1.0, big_l, s2)
+        assert traced_peak_mib(estimate_F_moments, params, 500_000, 1) < 1.0
+
+    def test_log_abs_sq_on_narrow_rows(self):
+        # 0.3 MiB in blocks of 8192 rows; blocks of 2^16 normals traced 1.25 MiB
+        assert traced_peak_mib(estimate_log_abs_sq, 1.0, 500_000, 1) < 1.0
+
+
+class TestBlockRows:
+    """A row block holds 2^14 normals, but rows of more than 16 values get at
+    least 1024 rows, and no block holds more than 2^16 normals or 8192 rows."""
+
+    @pytest.mark.parametrize("width, rows", [
+        (1, 8192), (2, 8192), (4, 4096), (9, 1820), (10, 1638), (16, 1024),
+        (17, 1024), (65, 1008), (130, 504), (1025, 63),
+    ])
+    def test_rows(self, width, rows):
+        assert sim._block_rows(width) == rows
+
 
 def _python_row_sum(values):
     # np.sum of one row of floats, stated in plain Python: numpy's pairwise
