@@ -98,17 +98,12 @@ def _equal_mass_bins(x: np.ndarray, n_bins: int) -> np.ndarray:
     """``(rank * n_bins) // n`` for the stable rank of each sample.
 
     Rank r lies in bin k or above exactly when r >= ceil(k n / n_bins), so the
-    bins are a fixed table over sorted positions.  Any sort order gives the
-    same bins unless a run of equal values straddles one of those edge
-    positions; only then is the slower stable sort needed.  Needs
+    bins are a fixed table over the positions of one stable sort.  Needs
     ``x.size >= n_bins``; the bins are int16, as ``n_bins <= 1024``.
     """
     n = x.size
-    order = np.argsort(x)
+    order = np.argsort(x, kind="stable")
     edges = -((-np.arange(1, n_bins) * n) // n_bins)
-    if np.any(x[order[edges - 1]] == x[order[edges]]):
-        del order
-        order = np.argsort(x, kind="stable")
     bins = np.empty(n, dtype=np.int16)
     bins[order] = np.repeat(
         np.arange(n_bins, dtype=np.int16), np.diff(edges, prepend=0, append=n)

@@ -38,12 +38,19 @@ def _iterates(x: float, r: float, j: float) -> Iterator[float]:
         yield j
 
 
+def _check_x_r(x_mean_sq: float, l_over_sigma2: float) -> None:
+    if not (0.0 <= x_mean_sq < math.inf and 0.0 < l_over_sigma2 < math.inf):
+        raise ValueError(
+            f"need finite x_mean_sq >= 0 and l_over_sigma2 > 0, got {x_mean_sq}, {l_over_sigma2}"
+        )
+
+
 def riccati_fixed_point(x_mean_sq: float, l_over_sigma2: float) -> float:
     """Stationary solution J* = x/2 + sqrt(x^2 + 4 r x)/2 of the Riccati map,
     evaluated as x + :func:`crb_argument` so that it neither overflows nor
-    underflows where x^2 + 4rx leaves the normal float range."""
-    if x_mean_sq < 0.0 or l_over_sigma2 <= 0.0:
-        raise ValueError("need x_mean_sq >= 0 and l_over_sigma2 > 0")
+    underflows where x^2 + 4rx leaves the normal float range.  Raises
+    ValueError unless x_mean_sq >= 0 and l_over_sigma2 > 0, both finite."""
+    _check_x_r(x_mean_sq, l_over_sigma2)
     return x_mean_sq + crb_argument(x_mean_sq, l_over_sigma2)
 
 
@@ -61,10 +68,9 @@ def iterate_fixed_point(
     an exact fixed point J' == J, so tol bounds the relative error of J
     (rounding adds about 1e-16 sqrt(r/x)).  Returns (J, steps); the steps
     grow like sqrt(r/x), and max_iter raises RuntimeError when hit.  Raises
-    ValueError unless x_mean_sq >= 0 and l_over_sigma2 > 0.
+    ValueError unless x_mean_sq >= 0 and l_over_sigma2 > 0, both finite.
     """
-    if x_mean_sq < 0.0 or l_over_sigma2 <= 0.0:
-        raise ValueError("need x_mean_sq >= 0 and l_over_sigma2 > 0")
+    _check_x_r(x_mean_sq, l_over_sigma2)
     r = l_over_sigma2
     j = 0.0
     for step, nxt in zip(range(1, max_iter + 1), _iterates(x_mean_sq, r, j)):
@@ -142,8 +148,8 @@ def immse_entropy_quadrature(prior_std: float) -> float:
     The grid is made and summed one block of 8192 trapezoid terms at a time,
     with the same points and the same sum as the whole grid.
     """
-    if prior_std <= 0.0:
-        raise ValueError("prior_std must be > 0")
+    if not 0.0 < prior_std < math.inf:
+        raise ValueError(f"prior_std must be finite and > 0, got {prior_std}")
     s = prior_std * prior_std
     two_pi_e = 2.0 * math.pi * math.e
     body = 0.0

@@ -30,14 +30,9 @@ bin indices and equal-mass ranks (see there).
 The path estimators, like the MI oracles, work one sample per column: a row
 block's draw is transposed once into an ``(n, m)`` array of its `m` paths of
 `n` points, so that every step of the arithmetic runs over the block's
-samples at one path point.  The sums over a path are written out in the order
-in which ``np.sum(axis=1)`` adds a row of `n` values (numpy's pairwise sum,
-:func:`_column_sums`): under 8 points, left to right; 8 to 128 points, in 8
-interleaved partial sums combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
-and then the rest left to right; longer paths split after ``n // 2`` rounded
-down to a multiple of 8, each part summed the same way.  The path itself is
-built in ``np.cumsum``'s order, so every per-sample value is the float that
-one sample per row gave.
+samples at one path point.  A path is built in ``np.cumsum``'s order and its
+points are summed left to right (:func:`_column_sums`), whatever `m` is;
+``np.add.reduce(axis=0)`` would sum a single column, m = 1, pairwise.
 
 Working memory does not grow with the chunk: a row block holds
 ``_BLOCK_ELEMENTS`` (2^14) normals, except that rows of more than 16 values
@@ -209,7 +204,7 @@ def _row_blocks(
 
 
 def _wiener_paths(
-    rng: np.random.Generator, step_std: float, out: np.ndarray, work: np.ndarray | None = None
+    rng: np.random.Generator, step_std: float, out: np.ndarray, work: np.ndarray
 ) -> np.ndarray:
     """Fill the ``(n, m)`` array `out` with `m` Wiener paths of `n` points
     starting at 0, one path per column: row ``k`` is the sum of the first
@@ -217,12 +212,12 @@ def _wiener_paths(
     of ``np.cumsum`` (row ``k - 1`` plus increment ``k``).  Path ``j``'s
     increments are row ``j`` of one ``standard_normal((m, n - 1))`` draw,
     made into `work` (a flat float64 buffer of at least ``m (n - 1)``
-    elements, or a new one when None) and scaled as it is transposed into
+    elements) and scaled as it is transposed into
     `out`: the draws of ``rng.normal(0, step_std)``, which forms
     ``0 + step_std * z``, with the same bits but for the sign of a zero.
     Returns `out`."""
     n, m = out.shape
-    steps = np.empty((m, n - 1)) if work is None else work[: m * (n - 1)].reshape(m, n - 1)
+    steps = work[: m * (n - 1)].reshape(m, n - 1)
     rng.standard_normal(out=steps)
     out[0] = 0.0
     np.multiply(steps.T, step_std, out=out[1:])
@@ -260,46 +255,11 @@ def _cos_paths(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _column_sums(points: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum each column of the ``(n, m)`` array `points` into `out`, adding
-    in the order in which ``np.sum(axis=1)`` adds a row of `n` values, so
-    each column sum is the float that sum gives; `points` is overwritten.
-
-    That order is numpy's pairwise sum, added to 0.0: fewer than 8 values
-    are added left to right; 8 to 128 values go to 8 interleaved partial
-    sums (value ``i`` to sum ``i % 8``, up to the last multiple of 8), which
-    are combined as ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``
-    before the rest is added left to right; more than 128 values are split
-    after ``n // 2`` rounded down to a multiple of 8, and the sums of the two
-    parts, each taken the same way, are added.  Each add here runs over all
-    `m` columns at once.  Which nan an add of two nans keeps is not fixed:
-    numpy's own loops differ in it.
-    """
-    np.add(_pairwise_rows(points), 0.0, out=out)
+    """Sum each column of the ``(n, m)`` array `points`, left to right, into `out`."""
+    out[...] = points[0]
+    for row in points[1:]:
+        out += row
     return out
-
-
-def _pairwise_rows(points: np.ndarray) -> np.ndarray:
-    # the column sums of _column_sums before the final 0.0, left in a row
-    # of `points`
-    n = points.shape[0]
-    if n < 8:
-        for k in range(1, n):
-            np.add(points[0], points[k], out=points[0])
-        return points[0]
-    if n <= 128:
-        acc, stop = points[:8], n - n % 8
-        for k in range(8, stop, 8):
-            np.add(acc, points[k : k + 8], out=acc)
-        np.add(acc[0::2], acc[1::2], out=acc[0::2])
-        np.add(acc[0::4], acc[2::4], out=acc[0::4])
-        np.add(acc[0], acc[4], out=acc[0])
-        for k in range(stop, n):
-            np.add(acc[0], points[k], out=acc[0])
-        return acc[0]
-    half = n // 2 - (n // 2) % 8
-    left = _pairwise_rows(points[:half])
-    np.add(left, _pairwise_rows(points[half:]), out=left)
-    return left
 
 
 class FMoments(NamedTuple):
@@ -354,8 +314,8 @@ def simulate_fading_integral(
     """
     if n_time_steps < 2:
         raise ValueError(f"n_time_steps must be >= 2, got {n_time_steps}")
-    if sigma2_over_L < 0.0:
-        raise ValueError("sigma2_over_L must be >= 0")
+    if not 0.0 <= sigma2_over_L < math.inf:
+        raise ValueError(f"sigma2_over_L must be finite and >= 0, got {sigma2_over_L}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     amp = math.sqrt(sigma2_over_L)
@@ -372,7 +332,7 @@ def simulate_fading_integral(
 
 def _trapezoid(values: np.ndarray, n: int, out: np.ndarray) -> None:
     # per column: every point once, minus half of each endpoint, over n
-    # intervals; overwrites `values`
+    # intervals
     ends = values[0] + values[-1]
     ends *= 0.5
     _column_sums(values, out)
@@ -386,8 +346,8 @@ def estimate_log_abs_sq(power: float, n_samples: int, rng_seed: int) -> McEstima
     The analytic value is ln(power) - gamma with gamma the Euler-Mascheroni
     constant.  Each sample is one row ``(re, im)`` of standard normals.
     """
-    if power <= 0.0:
-        raise ValueError(f"power must be > 0, got {power}")
+    if not 0.0 < power < math.inf:
+        raise ValueError(f"power must be finite and > 0, got {power}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     acc = _Accumulator()

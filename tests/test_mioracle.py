@@ -247,7 +247,8 @@ def _full_channel_amplitude(params, n_samples, seed):
         xr = amp * rng.standard_normal((m, 1))
         xi = amp * rng.standard_normal((m, 1))
         theta = rng.uniform(0.0, TWO_PI, (m, 1))
-        theta = theta + sim._wiener_paths(rng, step_std, np.empty((big_l + 1, m)))[1:].T
+        path = sim._wiener_paths(rng, step_std, np.empty((big_l + 1, m)), np.empty(big_l * m))
+        theta = theta + path[1:].T
         w = rng.standard_normal((m, big_l)) + 1j * rng.standard_normal((m, big_l))
         y = (xr + 1j * xi) * np.exp(1j * theta) + w
         x2[start : start + m] = (xr * xr + xi * xi)[:, 0]
@@ -268,7 +269,7 @@ def _full_channel_phase_mi(params, n_samples, seed, n_bins=64):
         xr = amp * rng.standard_normal((m, 2))
         xi = amp * rng.standard_normal((m, 2))
         theta = rng.uniform(0.0, TWO_PI, (m, 1))
-        theta = theta + sim._wiener_paths(rng, step_std, np.empty((2, m))).T
+        theta = theta + sim._wiener_paths(rng, step_std, np.empty((2, m)), np.empty(m)).T
         w = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
         x = xr + 1j * xi
         y = x * np.exp(1j * theta) + w

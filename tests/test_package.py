@@ -4,6 +4,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 import owpnlab
 
 
@@ -16,6 +18,29 @@ def test_public_names():
     for gone in ("FisherState", "riccati_step", "transmit", "sample_phase_path", "BoundKind",
                  "GdofFamily", "phase_rate_upper"):
         assert not hasattr(owpnlab, gone)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (owpnlab.simulate_fading_integral, (math.nan, 8, 1000, 1)),
+    (owpnlab.simulate_fading_integral, (math.inf, 8, 1000, 1)),
+    (owpnlab.estimate_log_abs_sq, (math.nan, 1000, 1)),
+    (owpnlab.estimate_log_abs_sq, (math.inf, 1000, 1)),
+    (owpnlab.immse_entropy_quadrature, (math.nan,)),
+    (owpnlab.immse_entropy_quadrature, (math.inf,)),
+    (owpnlab.riccati_fixed_point, (math.nan, 1.0)),
+    (owpnlab.riccati_fixed_point, (math.inf, 1.0)),
+    (owpnlab.riccati_fixed_point, (1.0, math.nan)),
+    (owpnlab.riccati_fixed_point, (1.0, math.inf)),
+    (owpnlab.iterate_fixed_point, (math.nan, 1.0)),
+    (owpnlab.iterate_fixed_point, (math.inf, 1.0)),
+    (owpnlab.iterate_fixed_point, (1.0, math.nan)),
+    (owpnlab.iterate_fixed_point, (1.0, math.inf)),
+])
+def test_non_finite_scalars_raise(fn, args):
+    # at once, before any numerics: a nan passes a `< 0.0` check, and the
+    # iteration would run max_iter steps on it
+    with pytest.raises(ValueError):
+        fn(*args)
 
 
 def test_benchmark_entry_points(monkeypatch, tmp_path):

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -34,12 +36,11 @@ class TestChunks:
         assert [m for _, _, m in _chunks(1, 3, 4)] == [3]
 
     def test_wiener_paths(self):
-        # one path per column; a reused work buffer leaves the paths alike
+        # one path per column, drawn into a reused work buffer
         increments = substream(3, 0).normal(0.0, 0.3, size=(5, 5))
-        for work in (None, np.full(40, np.nan)):
-            paths = _wiener_paths(substream(3, 0), 0.3, np.empty((6, 5)), work)
-            assert np.all(paths[0] == 0.0)
-            assert np.array_equal(paths[1:].T, np.cumsum(increments, axis=1))
+        paths = _wiener_paths(substream(3, 0), 0.3, np.empty((6, 5)), np.full(40, np.nan))
+        assert np.all(paths[0] == 0.0)
+        assert np.array_equal(paths[1:].T, np.cumsum(increments, axis=1))
 
 
 class TestFMoments:
@@ -81,7 +82,9 @@ class TestFMoments:
         # one chunk, so the same draws as substream(seed, 0) through _wiener_paths
         big_l, s2, n, seed = 4, 1.0, 5_000, 8
         moments = estimate_F_moments(ChannelParams(1.0, big_l, s2), n, rng_seed=seed)
-        rows = _wiener_paths(substream(seed, 0), math.sqrt(s2 / big_l), np.empty((big_l, n))).T
+        rows = _wiener_paths(
+            substream(seed, 0), math.sqrt(s2 / big_l), np.empty((big_l, n)), np.empty(big_l * n)
+        ).T
         f = np.mean(np.exp(1j * rows), axis=1)
         mag2 = np.abs(f) ** 2
         for est, want in ((moments.m2, mag2), (moments.m4, mag2**2), (moments.mean_real, f.real)):
@@ -102,7 +105,9 @@ class TestFadingIntegral:
         a, n_steps, n, seed = 2.0, 64, 2_000, 5
         re_est, im_est = simulate_fading_integral(a, n_steps, n, rng_seed=seed)
         step_std = math.sqrt(1.0 / n_steps)
-        rows = _wiener_paths(substream(seed, 0), step_std, np.empty((n_steps + 1, n))).T
+        rows = _wiener_paths(
+            substream(seed, 0), step_std, np.empty((n_steps + 1, n)), np.empty(n_steps * n)
+        ).T
         g = np.exp(1j * math.sqrt(a) * rows)
         f = np.sum(g[:, 1:] + g[:, :-1], axis=1) / (2.0 * n_steps)  # np.trapezoid's formula
         assert abs(re_est.mean - float(np.mean(f.real))) <= 1e-15
@@ -129,9 +134,10 @@ class TestFadingIntegral:
 
 
 # The two path estimators as they were written before row blocks: each chunk
-# of 2^20 // width rows drawn at once through rng.normal, its per-row values
-# reduced by one left-to-right sum of 8192-element blocks.  The row-blocked
-# estimators must reproduce them exactly.
+# of 2^20 // width rows drawn at once through rng.normal, each row's points
+# summed left to right (np.cumsum along the row, sequential by definition),
+# and the per-row values reduced by one left-to-right sum of 8192-element
+# blocks.  The row-blocked estimators must reproduce them exactly.
 
 
 class _ReferenceAccumulator:
@@ -157,14 +163,18 @@ def _reference_wiener_rows(rng, m, n, step_std):
     return rows
 
 
+def _row_sums(values):
+    return np.cumsum(values, axis=1)[:, -1]
+
+
 def _reference_f_moments(params, n_samples, seed):
     big_l = params.oversampling
     scale = math.sqrt(params.freq_noise_var / big_l)
     acc_m2, acc_m4, acc_re = _ReferenceAccumulator(), _ReferenceAccumulator(), _ReferenceAccumulator()
     for rng, _, m in _chunks(seed, n_samples, max(1, (1 << 20) // big_l)):
         theta = _reference_wiener_rows(rng, m, big_l, scale)
-        re = np.mean(np.cos(theta), axis=1)
-        im = np.mean(np.sin(theta), axis=1)
+        re = _row_sums(np.cos(theta)) / big_l
+        im = _row_sums(np.sin(theta)) / big_l
         mag2 = re * re + im * im
         acc_m2.add(mag2)
         acc_m4.add(mag2 * mag2)
@@ -179,7 +189,7 @@ def _reference_fading_integral(sigma2_over_L, n_steps, n_samples, seed):
         theta = _reference_wiener_rows(rng, m, n_steps + 1, math.sqrt(1.0 / n_steps))
         theta *= amp
         for acc, values in ((acc_re, np.cos(theta)), (acc_im, np.sin(theta))):
-            acc.add((values.sum(axis=1) - 0.5 * (values[:, 0] + values[:, -1])) / n_steps)
+            acc.add((_row_sums(values) - 0.5 * (values[:, 0] + values[:, -1])) / n_steps)
     return acc_re.estimate(seed), acc_im.estimate(seed)
 
 
@@ -198,8 +208,9 @@ class TestRowBlocksKeepBits:
         (2, 0.0, 2 * 2**19 + 12_345),
         (16, 0.1, 2 * 2**16 + 12_345),
         (65, 3.0, 2 * (2**20 // 65) + 1_234),
-        # the seams of the per-sample sum's order: under 8 points, exactly
-        # 8, one past 8, and one past 128; one whole chunk and a partial one
+        # where numpy's pairwise row sum changes its order (under 8 points,
+        # exactly 8, one past 8, one past 128), which the left-to-right path
+        # sums must not follow; one whole chunk and a partial one
         (4, 1.0, 2**20 // 4 + 12_345),
         (8, 2.0, 2**20 // 8 + 12_345),
         (9, 0.3, 2**20 // 9 + 12_345),
@@ -221,10 +232,23 @@ class TestRowBlocksKeepBits:
 
     @pytest.mark.parametrize("n_steps", [7, 8, 128])
     def test_fading_integral_at_order_seams(self, n_steps):
-        # 8, 9 and 129 path points; one whole chunk and a partial one
+        # 8, 9 and 129 path points, where numpy's pairwise row sum changes
+        # its order; one whole chunk and a partial one
         n_samples = 2**20 // (n_steps + 1) + 1_234
         got = simulate_fading_integral(1.5, n_steps, n_samples, rng_seed=33)
         assert _bits(got) == _bits(_reference_fading_integral(1.5, n_steps, n_samples, 33))
+
+    @pytest.mark.parametrize("estimate", [
+        lambda: estimate_F_moments(ChannelParams(1.0, 17, 2.0), 3_000, rng_seed=34),
+        lambda: simulate_fading_integral(1.5, 16, 3_000, rng_seed=35),
+    ], ids=["f_moments", "fading_integral"])
+    def test_one_sample_blocks(self, estimate, monkeypatch):
+        # 17 path points: 16-element row blocks hold one sample each, which
+        # np.add.reduce(axis=0) would sum pairwise
+        want = estimate()
+        monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 16)
+        assert sim._block_rows(17) == 1
+        assert _bits(estimate()) == _bits(want)
 
 
 class TestWorkingMemory:
@@ -272,79 +296,29 @@ class TestBlockRows:
         assert sim._block_rows(width) == rows
 
 
-def _python_row_sum(values):
-    # np.sum of one row of floats, stated in plain Python: numpy's pairwise
-    # sum of the row, added to 0.0
-    def pairwise(v):
-        n = len(v)
-        if n < 8:
-            total = 0.0
-            for x in v:
-                total += x
-            return total
-        if n <= 128:
-            r, stop = list(v[:8]), n - n % 8
-            for i in range(8, stop, 8):
-                r = [a + b for a, b in zip(r, v[i : i + 8])]
-            total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-            for x in v[stop:]:
-                total += x
-            return total
-        half = n // 2 - (n // 2) % 8
-        return pairwise(v[:half]) + pairwise(v[half:])
-
-    return 0.0 + pairwise(values)
-
-
-def _sum_bits(values):
-    # float64 bit patterns, every nan as one pattern: which nan an add of
-    # two nans keeps is not part of the order (numpy's own loops differ)
-    values = np.asarray(values, dtype=np.float64)
-    return np.where(np.isnan(values), np.nan, values).view(np.int64)
-
-
 class TestColumnSums:
-    """`_column_sums` adds each column of a (points, samples) array in the
-    order np.sum(axis=1) adds a row, so the path estimators keep their bits
-    in the one-sample-per-column layout."""
-
-    WIDTHS = [*range(1, 301), 511, 512, 513, 1024, 1025]
-
-    @staticmethod
-    def rows(n, kind, rng):
-        if kind == "random":
-            # magnitudes over 16 decades, so that a change of order shows
-            return rng.standard_normal((16, n)) * 10.0 ** rng.integers(-8, 8, (16, n))
-        pool = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 0.1, 5e-324, 1e308, -1e308])
-        rows = pool[rng.integers(0, pool.size, (16, n))]
-        rows[0] = -0.0
-        rows[1] = rng.choice([0.0, -0.0], n)
-        return rows
-
-    @pytest.mark.parametrize("kind", ["random", "special"])
-    def test_matches_np_sum(self, kind):
-        rng = np.random.default_rng(5 if kind == "random" else 6)
-        for n in self.WIDTHS:
-            rows = self.rows(n, kind, rng)
-            with np.errstate(over="ignore", invalid="ignore"):
-                want = np.sum(rows, axis=1)
-                got = _column_sums(np.ascontiguousarray(rows.T), np.empty(rows.shape[0]))
-            assert np.array_equal(_sum_bits(got), _sum_bits(want)), n
+    """`_column_sums` adds each column of a (points, samples) array left to
+    right, from the first value, at any number of samples, one included:
+    np.add.reduce(axis=0) sums a single column pairwise."""
 
     @pytest.mark.parametrize("kind", ["random", "special"])
     def test_matches_plain_python(self, kind):
         rng = np.random.default_rng(7 if kind == "random" else 8)
-        for n in self.WIDTHS:
-            rows = self.rows(n, kind, rng)[:4]
-            with np.errstate(over="ignore", invalid="ignore"):
-                got = _column_sums(np.ascontiguousarray(rows.T), np.empty(rows.shape[0]))
-            want = [_python_row_sum(row) for row in rows.tolist()]
-            assert np.array_equal(_sum_bits(got), _sum_bits(want)), n
-
-    def test_all_signed_zeros_sum_to_positive_zero(self):
-        for n in (1, 7, 8, 129):
-            got = _column_sums(np.full((n, 3), -0.0), np.empty(3))
-            assert np.array_equal(got.view(np.int64), np.zeros(3, dtype=np.int64))
+        pool = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 0.1, 5e-324, 1e308, -1e308])
+        for n in [*range(1, 301), 511, 512, 513, 1024, 1025]:
+            if kind == "random":
+                # magnitudes over 16 decades, so that a change of order shows
+                rows = rng.standard_normal((4, n)) * 10.0 ** rng.integers(-8, 8, (4, n))
+            else:
+                rows = pool[rng.integers(0, pool.size, (4, n))]
+                rows[0] = -0.0
+                rows[1] = rng.choice([0.0, -0.0], n)
+            want = _bits(functools.reduce(operator.add, row) for row in rows.tolist())
+            for m in (4, 1):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = _column_sums(np.ascontiguousarray(rows[:m].T), np.empty(m))
+                # repr leaves out which nan an add of two nans keeps
+                assert _bits(got.tolist()) == want[:m], (n, m)
 
 
 class TestLogAbsSq:
@@ -440,7 +414,9 @@ class TestHadamardIdentity:
         # the whole channel: a uniform start phase, a Wiener path, a rotation
         rng = substream(123 + big_l, 0)
         theta0 = rng.uniform(0.0, TWO_PI, n)
-        path = _wiener_paths(rng, math.sqrt(0.8 / big_l), np.empty((big_l + 1, n)))
+        path = _wiener_paths(
+            rng, math.sqrt(0.8 / big_l), np.empty((big_l + 1, n)), np.empty(big_l * n)
+        )
         theta = theta0[:, None] + path[1:].T
         wr = rng.standard_normal((n, big_l))
         wi = rng.standard_normal((n, big_l))
