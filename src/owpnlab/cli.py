@@ -14,15 +14,14 @@ axis (``_grid``).  The writer runs the kernels once on each block, then
 formats, joins and writes its rows ``_TEXT_ROWS`` at a time, so working
 memory is set by the block size and the axis lengths, not by the number of
 rows, and no text of a whole block is held.  Every number, axis cells
-included, is formatted as ``format(v, ".17g")`` by ``_fmt_bits``, once per
-distinct value of a block's column, or of a slice's where a column has more
-than ``_TEXT_ROWS`` distinct values; either way the distinct values come from
-one sort of the block's column.  Every kernel is elementwise and every
-cell is formatted on its own, so neither size changes a byte.  A grid
-of more than ``GRID_CAP`` rows is refused before any axis is expanded.  The
-finiteness check of `bounds` and the branch-consistency errors of `gdof` and
-`regimes` check invariants of the kernels, not input, so they are not
-refusals: one raised in a later block would leave the rows before it written.
+included, is formatted as ``format(v, ".17g")`` by ``_fmt_cells``, once per
+distinct value of a slice's column, and a nan prints as an empty cell.
+Every kernel is elementwise and every cell is formatted on its own, so
+neither size changes a byte.  A grid of more than ``GRID_CAP`` rows is
+refused before any axis is expanded.  The finiteness check of `bounds` and
+the branch-consistency errors of `gdof` and `regimes` check invariants of
+the kernels, not input, so they are not refusals: one raised in a later
+block would leave the rows before it written.
 
 Each subcommand takes exactly the options it reads (``_COMMANDS``), plus
 ``--out`` and ``--config``, each by its full name only (no prefixes).  A
@@ -181,56 +180,30 @@ def _write_grid(out_path: str | None, header: list[str], blocks: Iterable[list[n
                 cells: Callable[[list[np.ndarray]], list]) -> None:
     """Write a grid's CSV: the header, then the rows of each block of axis
     columns from `blocks`.  ``cells(columns)`` runs the kernels on a block
-    and gives its cell columns, each a float array, a sequence of texts, or
-    a (float array, texts) pair whose floats are blank where the text is
-    empty.  A row is its axis values followed by its cells; the rows are
-    formatted, joined and written `_TEXT_ROWS` at a time (`_column_cells`),
-    so no text of a whole block is ever held."""
+    and gives its cell columns, each a float array (nan prints blank) or a
+    sequence of texts.  A row is its axis values followed by its cells; the
+    rows are formatted, joined and written `_TEXT_ROWS` at a time
+    (`_fmt_cells`), so no text of a whole block is ever held."""
     def lines():
         yield [",".join(header)]
         for columns in blocks:
-            parts = [_column_cells(column) for column in (*columns, *cells(columns))]
+            columns = [*columns, *cells(columns)]
             for lo in range(0, columns[0].size, _TEXT_ROWS):
                 rows = slice(lo, lo + _TEXT_ROWS)
-                yield map(",".join, zip(*(part(rows) for part in parts)))
+                yield map(",".join, zip(*(
+                    _fmt_cells(column[rows]) if isinstance(column, np.ndarray) else column[rows]
+                    for column in columns)))
 
     _write_lines(out_path, lines())
 
 
-def _column_cells(column) -> Callable[[slice], Iterable[str]]:
-    # the cells of a slice of rows of one block column of _write_grid, each
-    # distinct float bit pattern (-0.0 is not 0.0) found by one sort of the
-    # block column and its index kept in the narrowest integer type.  A
-    # column of at most _TEXT_ROWS distinct values has each formatted once
-    # for the block, not again in every slice; any other has the values that
-    # a slice uses formatted for that slice
-    if isinstance(column, tuple):
-        values, texts = column
-        floats = _column_cells(values)
-        return lambda rows: [cell if text else "" for cell, text in
-                             zip(floats(rows), texts[rows])]
-    if not isinstance(column, np.ndarray):
-        return column.__getitem__
-    column = np.ascontiguousarray(column, dtype=np.float64)
-    distinct, which = np.unique(column.view(np.int64), return_inverse=True)
-    which = which.astype(np.min_scalar_type(distinct.size))
-    if distinct.size > _TEXT_ROWS:
-        return lambda rows: _fmt_used(distinct, which[rows])
-    texts = _fmt_bits(distinct)
-    return lambda rows: texts[which[rows]].tolist()
-
-
-def _fmt_used(distinct: np.ndarray, which: np.ndarray) -> list[str]:
-    # the cells of the bit patterns distinct[which], each pattern that
-    # `which` uses formatted once; they are marked, not sorted again
-    used = np.zeros(distinct.size, dtype=bool)
-    used[which] = True
-    return _fmt_bits(distinct[used])[np.cumsum(used)[which] - 1].tolist()
-
-
-def _fmt_bits(bits: np.ndarray) -> np.ndarray:
-    # format(v, ".17g") of each float64 bit pattern, as an object array
-    return np.array([format(v, ".17g") for v in bits.view(np.float64).tolist()], dtype=object)
+def _fmt_cells(values: np.ndarray) -> list[str]:
+    # the cells of a slice of a float column: format(v, ".17g"), or "" for a
+    # nan, once per distinct bit pattern (-0.0 is not 0.0), found by one sort
+    distinct, which = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64),
+                                return_inverse=True)
+    texts = [format(v, ".17g") if v == v else "" for v in distinct.view(np.float64).tolist()]
+    return np.array(texts, dtype=object)[which].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +285,9 @@ def cmd_bounds(args) -> int:
 def cmd_gdof(args) -> int:
     blocks = _grid(args, _GDOF_AXES)
 
-    def cells(grid):  # each family's total; d_exact is blank where no regime applies
+    def cells(grid):  # each family's total; d_exact is nan, so blank, where no regime applies
         *families, regimes = gdof_mod._regions(*grid)
-        totals = [total for total, _, _ in families]
-        return [*totals[:-1], (totals[-1], regimes), regimes]
+        return [*(total for total, _, _ in families), regimes]
 
     header = [
         "alpha", "beta",

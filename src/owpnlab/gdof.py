@@ -53,16 +53,19 @@ def _pick(branches, a: float, b: float, what: str) -> float:
 
 
 def _pick_array(branches, a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    # _pick over equal-shape arrays, np.select taking the first applicable branch
-    conditions = [np.broadcast_to(applies, a.shape) for applies, _ in branches]
-    values = [np.broadcast_to(value, a.shape) for _, value in branches]
-    out = np.select(conditions, values, np.nan)
-    bad = ~np.logical_or.reduce(conditions)
-    for applies, value in zip(conditions, values):
+    # _pick over equal-shape arrays: the branches burnt in last to first, as
+    # np.select does, so that the first applicable one wins
+    out = np.full(a.shape, np.nan)
+    covered = np.zeros(a.shape, dtype=bool)
+    for applies, value in reversed(branches):
+        np.copyto(out, value, where=applies)
+        covered |= applies
+    bad = ~covered
+    for applies, value in branches:
         bad |= applies & (np.abs(value - out) > _TIE_TOL)
     for i in np.flatnonzero(bad)[:1]:  # _pick raises its error for the first such point
-        _pick([(c[i], float(v[i])) for c, v in zip(conditions, values)], float(a[i]),
-              float(b[i]), what)
+        _pick([(np.broadcast_to(c, a.shape)[i], float(np.broadcast_to(v, a.shape)[i]))
+               for c, v in branches], float(a[i]), float(b[i]), what)
     return out + 0.0
 
 
@@ -216,9 +219,9 @@ def _regions(a: np.ndarray, b: np.ndarray) -> tuple:
         conditions, regimes, values = zip(*_exact(a, b))  # an if chain: the first match wins
         exact = tuple(np.select(conditions, [v[k] for v in values], np.nan) for k in range(3))
         which = np.select(conditions, range(len(conditions)), -1)
-        names = (*regimes, "")  # which == -1 picks ""
+        names = np.array([*regimes, ""], dtype=object)  # which == -1 picks ""
         return (_outer(a, b, _pick_array), pc, cc, (total, amplitude, total - amplitude),
-                exact, [names[i] for i in which.tolist()])
+                exact, names[which].tolist())
 
 
 class Regime(str, Enum):

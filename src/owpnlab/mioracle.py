@@ -198,7 +198,7 @@ def _amplitude_blocks(params: ChannelParams, n_samples: int, rng_seed: int):
     big_l = params.oversampling
     amp = math.sqrt(per_symbol_power(params) / 2.0)
     width = 2 + 2 * big_l
-    for rng, _, _, lo, hi in _blocks(rng_seed, n_samples, max(1, _CHUNK // big_l), width):
+    for rng, _, lo, hi in _blocks(rng_seed, n_samples, max(1, _CHUNK // big_l), width):
         # one sample per column: every part below is a contiguous row
         z = np.ascontiguousarray(rng.standard_normal((hi - lo, width)).T)
         z[:2] *= amp
@@ -239,7 +239,7 @@ def phase_channel_mi(params: ChannelParams, n_samples: int, rng_seed: int) -> Mi
     amp = math.sqrt(per_symbol_power(params) / 2.0)
     inc_std = math.sqrt(params.freq_noise_var / big_l)
     joint = np.zeros((DEFAULT_BINS, DEFAULT_BINS), dtype=np.int64)
-    for rng, _, _, lo, hi in _blocks(rng_seed, n_samples, _CHUNK, 9):
+    for rng, _, lo, hi in _blocks(rng_seed, n_samples, _CHUNK, 9):
         # one sample per column: every part below is a contiguous row
         z = np.ascontiguousarray(rng.standard_normal((hi - lo, 9)).T)
         z[:4] *= amp

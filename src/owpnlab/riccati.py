@@ -103,7 +103,13 @@ def _crb_argument(x: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def crb_argument(x_mean_sq: float, l_over_sigma2: float) -> float:
     """The stationary prediction-error scale J* - x = sqrt(x^2 + 4rx)/2 - x/2,
-    evaluated in the cancellation-free form 2rx / (sqrt(x^2 + 4rx) + x)."""
+    evaluated in the cancellation-free form 2rx / (sqrt(x^2 + 4rx) + x).
+    Raises ValueError unless x_mean_sq >= 0 (inf gives the limit r) and
+    l_over_sigma2 > 0 finite."""
+    if not (x_mean_sq >= 0.0 and 0.0 < l_over_sigma2 < math.inf):
+        raise ValueError(
+            f"need x_mean_sq >= 0 and finite l_over_sigma2 > 0, got {x_mean_sq}, {l_over_sigma2}"
+        )
     return float(_crb_argument(*_point(x_mean_sq, l_over_sigma2))[0])
 
 
@@ -113,12 +119,11 @@ def posterior_crb_entropy_lower(x_mean_sq: float, l_over_sigma2: float) -> float
         h >= (1/2) ln(2 pi e) - (1/2) ln(sqrt(x^2 + 4rx)/2 - x/2)   [nats].
 
     For small l_over_sigma2 the bound exceeds ln(2 pi); the raw value is
-    reported either way.
+    reported either way.  Raises ValueError where :func:`crb_argument` does,
+    and unless x_mean_sq > 0.
     """
     if x_mean_sq <= 0.0:
         raise ValueError("x_mean_sq must be > 0 (the bound degenerates at 0)")
-    if l_over_sigma2 <= 0.0:
-        raise ValueError("l_over_sigma2 must be > 0")
     return 0.5 * LOG_2PIE - 0.5 * math.log(crb_argument(x_mean_sq, l_over_sigma2))
 
 

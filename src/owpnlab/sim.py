@@ -153,15 +153,15 @@ def _chunks(
 
 def _blocks(
     seed: int, n_samples: int, rows: int, width: int, window: int = 0
-) -> Iterator[tuple[np.random.Generator, int, int, int, int]]:
+) -> Iterator[tuple[np.random.Generator, int, int, int]]:
     """Walk the chunks of ``_chunks(seed, n_samples, rows)`` one row block at
     a time; every Monte Carlo estimator draws through this.
 
     A sample is one row, `width` elements wide.  For each block this yields
-    ``(rng, start, m, lo, hi)``: the block is rows ``lo:hi`` of the `m`-row
-    chunk that begins at sample `start`, and the caller draws those rows'
-    normals as one ``standard_normal((hi - lo, k))`` from `rng`, the chunk's
-    generator, before asking for the next block.  A block holds at most
+    ``(rng, m, lo, hi)``: the block is rows ``lo:hi`` of the current chunk,
+    which has `m` rows, and the caller draws those rows' normals as one
+    ``standard_normal((hi - lo, k))`` from `rng`, the chunk's generator,
+    before asking for the next block.  A block holds at most
     ``_block_rows(width)`` rows and, when `window` is given, never crosses a
     multiple of `window` rows of its chunk.  Drawing k1 rows and then k2 rows
     gives the values of one draw of k1 + k2 rows, so the blocks draw what one
@@ -169,11 +169,11 @@ def _blocks(
     """
     step = _block_rows(width)
     window = window or step
-    for rng, start, m in _chunks(seed, n_samples, rows):
+    for rng, _, m in _chunks(seed, n_samples, rows):
         for w0 in range(0, m, window):
             w1 = min(w0 + window, m)
             for lo in range(w0, w1, step):
-                yield rng, start, m, lo, min(lo + step, w1)
+                yield rng, m, lo, min(lo + step, w1)
 
 
 def _row_blocks(
@@ -190,7 +190,7 @@ def _row_blocks(
     window by window, and each chunk is closed by ``end_chunk``.
     """
     blocks = _blocks(seed, n_samples, _chunk_rows(width), width, _SUM_BLOCK)
-    for rng, _, m, lo, hi in blocks:
+    for rng, m, lo, hi in blocks:
         if lo == 0:
             buf = np.empty((len(accs), min(_SUM_BLOCK, m)))
         w0 = lo - lo % _SUM_BLOCK

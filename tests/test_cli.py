@@ -336,17 +336,36 @@ def _sha256_of(argv, capsys):
     return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
 
 
+# The gdof argvs of TestGridBytes and the sha256 of their output, also run
+# with numpy's CPU dispatch targets turned off (tests/test_dispatch.py).
+# Every region boundary of alpha = k/4, beta = k/8 - 2:
+GDOF_LATTICE = (
+    ["gdof", "--alpha=" + ",".join(repr(k / 4) for k in range(13)),
+     "--beta=" + ",".join(repr(k / 8 - 2.0) for k in range(33))],
+    "d5fb6dce32109ca121301a69a026590d77d1db8091efb0c5244eb747b559a96d",
+)
+# every region boundary of alpha = k/16, beta = k/64 - 2: 12,593 rows, more
+# than two row blocks
+GDOF_LATTICE_OVER_BLOCKS = (
+    ["gdof", "--alpha=" + ",".join(repr(k / 16) for k in range(49)),
+     "--beta=" + ",".join(repr(k / 64 - 2.0) for k in range(257))],
+    "f2ff21fa7df86323864062e8f031dd87a0b5ce37295b1cd18340a653a1bf18aa",
+)
+# signed zeros, subnormals and values near the float range's end
+GDOF_EDGE = (
+    ["gdof", "--alpha", "-0,0,5e-324,0.5,1e300", "--beta=-0,0,-5e-324,5e-324,-1,1e300"],
+    "35ee2567deb690a3a16c9c300fd1d555e013025793ace6751a2d30a2d835db37",
+)
+GDOF_PINS = (GDOF_LATTICE, GDOF_LATTICE_OVER_BLOCKS, GDOF_EDGE)
+
+
 class TestGridBytes:
     """Output pinned to the bytes of the one-point implementation that the
     grid evaluation replaced."""
 
     def test_gdof_lattice(self, capsys):
-        # every region boundary of alpha = k/4, beta = k/8 - 2
-        alphas = ",".join(repr(k / 4) for k in range(13))
-        betas = ",".join(repr(k / 8 - 2.0) for k in range(33))
-        assert _sha256_of(["gdof", f"--alpha={alphas}", f"--beta={betas}"], capsys) == (
-            "d5fb6dce32109ca121301a69a026590d77d1db8091efb0c5244eb747b559a96d"
-        )
+        argv, digest = GDOF_LATTICE
+        assert _sha256_of(argv, capsys) == digest
 
     def test_regimes_on_both_thresholds(self, capsys):
         # sigma2 = 1/(2P) at P = 2 and 3, (2 pi / e) L ln(L + 1) at L = 1 and 2,
@@ -359,14 +378,9 @@ class TestGridBytes:
         )
 
     def test_gdof_lattice_over_blocks(self, capsys):
-        # every region boundary of alpha = k/16, beta = k/64 - 2: 12,593 rows,
-        # more than two row blocks
-        alphas = ",".join(repr(k / 16) for k in range(49))
-        betas = ",".join(repr(k / 64 - 2.0) for k in range(257))
+        argv, digest = GDOF_LATTICE_OVER_BLOCKS
         assert 49 * 257 > 2 * cli._ROW_BLOCK
-        assert _sha256_of(["gdof", f"--alpha={alphas}", f"--beta={betas}"], capsys) == (
-            "f2ff21fa7df86323864062e8f031dd87a0b5ce37295b1cd18340a653a1bf18aa"
-        )
+        assert _sha256_of(argv, capsys) == digest
 
     def test_regimes_on_both_thresholds_over_blocks(self, capsys):
         # sigma2 on 1/(2P) for each P and on (2 pi / e) L ln(L + 1) for each L,
@@ -399,8 +413,7 @@ class TestGridBytes:
         (["regimes", "--P", "-0,0,1,1e300", "--L", "1,2,9007199254740991",
           "--sigma2", "-0,0,5e-324,1e300"],
          "1b26b19e5716d41860564c2d90889f8da13aba2c4297834604174edd08de2835"),
-        (["gdof", "--alpha", "-0,0,5e-324,0.5,1e300", "--beta=-0,0,-5e-324,5e-324,-1,1e300"],
-         "35ee2567deb690a3a16c9c300fd1d555e013025793ace6751a2d30a2d835db37"),
+        GDOF_EDGE,
     ])
     def test_edge_valued_axis_cells(self, argv, digest, capsys):
         # signed zeros, subnormals, the largest integer L and values near the
@@ -417,31 +430,36 @@ class TestGridBytes:
         assert lines[0].startswith("1e-300,9007199254740991,1e-300,")
         assert_rows_match_oracle(lines)
 
+    # nan with the default payload, its negation and a nan with payload 1
+    NANS = np.array([0x7FF8000000000000, -0x0008000000000000, 0x7FF0000000000001],
+                    dtype=np.int64).view(np.float64)
+
     def test_column_cells_format_short_columns(self):
-        cells = cli._column_cells(np.array([-0.0, 0.0, -0.0]))(slice(None))
-        assert list(cells) == ["-0", "0", "-0"]
+        assert cli._fmt_cells(np.array([-0.0, 0.0, -0.0])) == ["-0", "0", "-0"]
+        assert cli._fmt_cells(self.NANS) == ["", "", ""]
         rng = np.random.default_rng(3)
         for _ in range(20):
             pool = np.concatenate([rng.standard_normal(5) * 10.0 ** rng.integers(-300, 300, 5),
-                                   [0.0, -0.0, 5e-324, 1.0]])
+                                   [0.0, -0.0, 5e-324, 1.0], self.NANS])
             col = rng.choice(pool, size=int(rng.integers(1, 60)))
-            cells = cli._column_cells(col)(slice(None))
-            assert list(cells) == [format(v, ".17g") for v in col.tolist()]
+            want = ["" if math.isnan(v) else format(v, ".17g") for v in col.tolist()]
+            assert cli._fmt_cells(col) == want
 
     @pytest.mark.parametrize("n_distinct", [cli._TEXT_ROWS, cli._TEXT_ROWS + 1])
     def test_column_cells_format_each_value(self, n_distinct):
-        # a block column with at most _TEXT_ROWS distinct values is formatted
-        # once per block, one with more slice by slice; both as format(v, ".17g")
+        # a block column of _ROW_BLOCK rows, formatted whole and slice by
+        # slice, each cell as format(v, ".17g") and each nan as ""
         rng = np.random.default_rng(n_distinct)
-        k = n_distinct - 3
-        pool = np.concatenate([[-0.0, 0.0, 5e-324],
+        k = n_distinct - 6
+        pool = np.concatenate([[-0.0, 0.0, 5e-324], self.NANS,
                                rng.standard_normal(k) * 10.0 ** rng.integers(-300, 300, k)])
         col = rng.permutation(np.concatenate([pool, rng.choice(pool, cli._ROW_BLOCK - n_distinct)]))
         assert np.unique(col.view(np.int64)).size == n_distinct
-        part = cli._column_cells(col)
+        want = ["" if math.isnan(v) else format(v, ".17g") for v in col.tolist()]
+        assert cli._fmt_cells(col) == want
         got = [cell for lo in range(0, col.size, cli._TEXT_ROWS)
-               for cell in part(slice(lo, lo + cli._TEXT_ROWS))]
-        assert got == [format(v, ".17g") for v in col.tolist()]
+               for cell in cli._fmt_cells(col[lo : lo + cli._TEXT_ROWS])]
+        assert got == want
 
 
 class TestBlockWriter:

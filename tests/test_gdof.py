@@ -293,6 +293,33 @@ class TestArrayKernels:
             gdof._pick_array(self._uncovered(a, b), a, b, "probe")
 
 
+class TestBlankExact:
+    """`owpnlab gdof` prints d_exact as a float column whose nan cells are
+    blank, so every family total must be a number and d_exact must be nan
+    exactly where no regime applies."""
+
+    EXTREMES = [0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, 3.0, 1e10, 1e100, 1e300, 1.7976931348623157e308]
+
+    @staticmethod
+    def check(alphas, betas):
+        a, b = (g.ravel() for g in np.meshgrid(alphas, betas, indexing="ij"))
+        *families, regimes = gdof._regions(a, b)
+        for name, (total, _, _) in zip(("outer", "pc", "cc", "combined"), families):
+            assert not np.isnan(total).any(), name
+        assert np.array_equal(np.isnan(families[-1][0]), np.array(regimes) == "")
+
+    def test_extreme_lattice(self):
+        self.check(self.EXTREMES, sorted({-v for v in self.EXTREMES} | set(self.EXTREMES)))
+
+    @given(
+        alphas=st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=1, max_size=8),
+        betas=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_points(self, alphas, betas):
+        self.check(alphas, betas)
+
+
 class TestRegimeClassifier:
     def test_examples(self):
         assert classify_regime(ChannelParams(2.0, 1, 0.2)) is Regime.NEAR_AWGN

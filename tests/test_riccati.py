@@ -132,6 +132,20 @@ class TestPosteriorCrb:
         with pytest.raises(ValueError):
             posterior_crb_entropy_lower(0.0, 1.0)
 
+    @pytest.mark.parametrize("fn", [crb_argument, posterior_crb_entropy_lower])
+    @pytest.mark.parametrize("x, r", [
+        (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (-1.0, 1.0), (1.0, -1.0), (1.0, 0.0),
+    ])
+    def test_rejects_out_of_domain(self, fn, x, r):
+        # the array kernel gives nan at each, or 0.0 at r = 0: no bound
+        with pytest.raises(ValueError):
+            fn(x, r)
+
+    def test_limit_at_infinite_power(self):
+        # J* - x tends to r as x grows; the CLI never passes x = inf
+        assert crb_argument(math.inf, 2.5) == 2.5
+        assert posterior_crb_entropy_lower(math.inf, 1.0) == 0.5 * math.log(2.0 * math.pi * math.e)
+
     def test_identity_with_phase_rate(self):
         # ln(2 pi) - h_lower == (1/2) ln(2 pi / e) + (1/2) ln(argument)
         for x in (0.3, 2.0, 40.0):
