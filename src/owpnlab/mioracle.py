@@ -29,10 +29,11 @@ under last-ulp changes in ``arctan2`` except where such a change moves a
 sample across a bin edge or reorders two samples at an edge.  ``exp``,
 ``log`` and ``lgamma`` enter the amplitude oracle only through its edges.
 
-Memory: both oracles draw through :func:`owpnlab.sim._blocks`, one row
-block of ``sim._block_rows(width)`` rows at a time, so a chunk is never
-held whole.  Each adds every block to its joint histogram and keeps
-no per-sample arrays.
+Memory: each oracle reads its statistics from one generator over its law
+(:func:`_amplitude_blocks`, :func:`_phase_blocks`), drawn through
+:func:`owpnlab.sim._blocks` one row block of ``sim._block_rows(width)`` rows
+at a time, so a chunk is never held whole; it adds every block to its joint
+histogram and keeps no per-sample arrays.
 """
 
 from __future__ import annotations
@@ -198,9 +199,9 @@ def _amplitude_blocks(params: ChannelParams, n_samples: int, rng_seed: int):
     big_l = params.oversampling
     amp = math.sqrt(per_symbol_power(params) / 2.0)
     width = 2 + 2 * big_l
-    for rng, _, lo, hi in _blocks(rng_seed, n_samples, max(1, _CHUNK // big_l), width):
+    for rng, k in _blocks(rng_seed, n_samples, max(1, _CHUNK // big_l), width):
         # one sample per column: every part below is a contiguous row
-        z = np.ascontiguousarray(rng.standard_normal((hi - lo, width)).T)
+        z = np.ascontiguousarray(rng.standard_normal((k, width)).T)
         z[:2] *= amp
         xr, xi = z[0], z[1]
         yr, yi = z[2 : 2 + big_l], z[2 + big_l :]
@@ -235,13 +236,22 @@ def phase_channel_mi(params: ChannelParams, n_samples: int, rng_seed: int) -> Mi
     if params.avg_power <= 0.0:
         raise ValueError("phase statistic needs P > 0")
     _validate(n_samples, n_samples, DEFAULT_BINS)
+    joint = np.zeros((DEFAULT_BINS, DEFAULT_BINS), dtype=np.int64)
+    for x1_angle, psi in _phase_blocks(params, n_samples, rng_seed):
+        ix = _circular_bins(x1_angle, DEFAULT_BINS)
+        joint += _joint_counts(ix, _circular_bins(psi, DEFAULT_BINS), DEFAULT_BINS)
+    return _plugin_mi(joint)
+
+
+def _phase_blocks(params: ChannelParams, n_samples: int, rng_seed: int):
+    """Yield angle(X_1) and psi of the samples of :func:`phase_channel_mi`,
+    one row block of :func:`owpnlab.sim._blocks` at a time."""
     big_l = params.oversampling
     amp = math.sqrt(per_symbol_power(params) / 2.0)
     inc_std = math.sqrt(params.freq_noise_var / big_l)
-    joint = np.zeros((DEFAULT_BINS, DEFAULT_BINS), dtype=np.int64)
-    for rng, _, lo, hi in _blocks(rng_seed, n_samples, _CHUNK, 9):
+    for rng, k in _blocks(rng_seed, n_samples, _CHUNK, 9):
         # one sample per column: every part below is a contiguous row
-        z = np.ascontiguousarray(rng.standard_normal((hi - lo, 9)).T)
+        z = np.ascontiguousarray(rng.standard_normal((k, 9)).T)
         z[:4] *= amp
         z[4] *= inc_std
         x0r, x0i, x1r, x1i, psi, ylr, yli, yfr, yfi = z
@@ -253,6 +263,4 @@ def phase_channel_mi(params: ChannelParams, n_samples: int, rng_seed: int) -> Mi
         psi += np.arctan2(yfi, yfr, out=yfr)
         psi -= np.arctan2(yli, ylr, out=ylr)
         psi += np.arctan2(x0i, x0r, out=x0r)
-        ix = _circular_bins(np.arctan2(x1i, x1r, out=x1r), DEFAULT_BINS)
-        joint += _joint_counts(ix, _circular_bins(psi, DEFAULT_BINS), DEFAULT_BINS)
-    return _plugin_mi(joint)
+        yield np.arctan2(x1i, x1r, out=x1r), psi

@@ -1,10 +1,10 @@
 """Monte Carlo estimators used to cross-check every closed-form constant.
 
 One engine serves every Monte Carlo path here and in :mod:`owpnlab.mioracle`:
-:func:`_chunks` splits a sample budget into chunks and :func:`_blocks` walks
-each chunk one row block at a time.  The path estimators here share the
-Wiener-path builder :func:`_wiener_paths`; the MI oracles simulate only the
-law of their statistics, with no phase path (see there).
+:func:`_chunks` splits a sample budget into chunks, walked one row block at a
+time by :func:`_row_blocks` here and by :func:`_blocks` in the MI oracles.
+The path estimators share the Wiener-path builder :func:`_wiener_paths`; the
+MI oracles simulate only the law of their statistics, with no phase path.
 
 Randomness discipline: a master seed names a family of independent substreams
 via ``SeedSequence(seed, spawn_key=(index,))``.  Monte Carlo estimators split
@@ -13,17 +13,17 @@ their sample budget into fixed-size chunks and draw chunk ``i`` from substream
 fixed counts in the MI oracles), and that chunk geometry is part of the
 reproducibility key.  Every estimator lays its draws out the same way: a
 sample's standard normals are one row, and a chunk's normals are the rows of
-one ``standard_normal((m, k))`` draw, made one row block at a time by
-:func:`_blocks`.  The reduction order is fixed in full: inside a chunk, the
-per-sample values are cut into consecutive 8192-element blocks, each block is
-summed by ``np.sum`` and the block sums are added left to right
-(:func:`_blocked_sum`); the chunk sums are then added in ascending chunk
-order.  Results are therefore bit-identical for a given (seed, n_samples)
-regardless of how the chunks would be scheduled and of the numpy version on
-either side of 2.3, where ``np.sum`` of a long array stopped working in
-8192-element buffers.  Not covered: a different numpy
-``Generator`` stream, or elementwise ``exp``/``cos``/``sin``/``log``/``power``
-results that differ in another numpy or libm build.  The MI estimates of
+one ``standard_normal((m, k))`` draw, made one row block at a time.  The
+reduction order is fixed in full: inside a chunk, the per-sample values are
+cut into consecutive sum blocks of 8192 values, each block is summed by one
+``np.sum`` and the block sums are added left to right (:class:`_Accumulator`);
+the chunk sums are then added in ascending chunk order.  Results are
+therefore bit-identical for a given (seed, n_samples) regardless of how the
+chunks would be scheduled and of the numpy version on either side of 2.3,
+where ``np.sum`` of a long array stopped working in 8192-element buffers.
+Not covered: a different numpy ``Generator`` stream, or elementwise
+``exp``/``cos``/``sin``/``log``/``power`` results that differ in another
+numpy or libm build.  The MI estimates of
 :mod:`owpnlab.mioracle` are sturdier: they see their samples only through
 bin indices and equal-mass ranks (see there).
 
@@ -37,13 +37,12 @@ points are summed left to right (:func:`_column_sums`), whatever `m` is;
 Working memory does not grow with the chunk: a row block holds
 ``_BLOCK_ELEMENTS`` (2^14) normals, except that rows of more than 16 values
 get at least 1024 rows, and that no block holds more than 2^16 normals or
-more than one 8192-row sum block (:func:`_block_rows`); the path estimators
-hold a block's draws, paths and cosines in two buffers made once per call
-(:func:`_path_blocks`).  Drawing k1 rows and then k2 rows gives the same
-values as one draw of k1 + k2 rows, every per-sample value depends on its own
-row only, and the per-row values reach the chunk's partial sums in whole
-8192-element blocks (:func:`_row_blocks`), so the row-block size is not part
-of the reproducibility key.
+8192 rows (:func:`_block_rows`); the path estimators hold a block's draws,
+paths and cosines in two buffers made once per call (:func:`_path_blocks`).
+Drawing k1 rows and then k2 rows gives the same values as one draw of
+k1 + k2 rows, every per-sample value depends on its own row only, and the
+per-row values reach the accumulators one whole sum block at a time
+(:func:`_row_blocks`), so the row-block size is not part of the key.
 
 Samples are never recombined to a coarser sampling grid: the discrete channel
 law drops the intra-sample fading information such recombining would need, so
@@ -64,7 +63,8 @@ from .model import ChannelParams, McEstimate
 # memory stays bounded.  Chunk geometry is part of the reproducibility key.
 _CHUNK_ELEMENTS = 1 << 20
 _MIN_SAMPLES = 1_000
-# Block length of _blocked_sum: numpy's iterator buffer size before 2.3.
+# Values per sum block (see _Accumulator): numpy's iterator buffer size
+# before 2.3, so that the np.sum of a block is one inner loop in any numpy.
 _SUM_BLOCK = 8192
 # Normals per row block (see _block_rows): small enough to bound memory,
 # large enough that per-block Python calls stay negligible.  Not part of the
@@ -82,41 +82,23 @@ def _chunk_rows(row_width: int) -> int:
 
 
 def _block_rows(width: int) -> int:
-    # rows of a row block of _blocks: _BLOCK_ELEMENTS normals, but at least
+    # rows of a row block: _BLOCK_ELEMENTS normals, but at least
     # _BLOCK_ELEMENTS // 16 rows (so that a per-point loop over a wide row
     # makes few calls per block), at most 4 * _BLOCK_ELEMENTS normals and
-    # at most one sum block of rows
+    # at most _SUM_BLOCK rows (which binds only at width 1)
     return max(
         1,
         min(_SUM_BLOCK, _BLOCK_ELEMENTS // min(width, 16), 4 * _BLOCK_ELEMENTS // width),
     )
 
 
-def _blocked_sum(values: np.ndarray, total: float = 0.0) -> float:
-    """Sum `values` in a fixed order, independent of the numpy version.
-
-    The values are flattened in C order, cut into consecutive blocks of
-    `_SUM_BLOCK` elements, each block is reduced by ``np.sum``, and the block
-    sums are added left to right starting from `total` (0.0 by default).
-    Before numpy 2.3 a bare ``np.sum`` reduced in exactly these blocks; from
-    2.3 on it pairwise-sums the whole array, which moves the last ulp.  A
-    block is always one inner loop, so its own sum is the same under either
-    version.
-    """
-    flat = np.ascontiguousarray(values).reshape(-1)
-    for start in range(0, flat.size, _SUM_BLOCK):
-        total += float(np.sum(flat[start : start + _SUM_BLOCK]))
-    return total
-
-
 class _Accumulator:
-    """Running sum / sum-of-squares reduced in a fixed order: each chunk is
-    reduced to one partial sum by :func:`_blocked_sum` (8192-element blocks,
-    left to right), and the partial sums are added in the order the chunks
-    are closed by :meth:`end_chunk`, which every estimator does in ascending
-    chunk order.  A chunk's values may arrive in consecutive pieces through
-    :meth:`add`; every piece but the chunk's last must hold a whole number of
-    8192-element blocks, so that the pieces add up to the same partial sum."""
+    """Running sum / sum-of-squares reduced in a fixed order: each call of
+    :meth:`add` takes one sum block of a chunk's values (`_SUM_BLOCK` of
+    them, the chunk's last block the rest), reduces it by one ``np.sum`` and
+    adds that to the chunk's partial sum, block by block from 0.0.  The
+    partial sums are added in the order the chunks are closed by
+    :meth:`end_chunk`, which every estimator does in ascending chunk order."""
 
     def __init__(self) -> None:
         self.s1 = 0.0
@@ -126,8 +108,8 @@ class _Accumulator:
         self._chunk_s2 = 0.0
 
     def add(self, values: np.ndarray) -> None:
-        self._chunk_s1 = _blocked_sum(values, self._chunk_s1)
-        self._chunk_s2 = _blocked_sum(values * values, self._chunk_s2)
+        self._chunk_s1 += float(np.sum(values))
+        self._chunk_s2 += float(np.sum(values * values))
         self.n += values.size
 
     def end_chunk(self) -> None:
@@ -152,55 +134,49 @@ def _chunks(
 
 
 def _blocks(
-    seed: int, n_samples: int, rows: int, width: int, window: int = 0
-) -> Iterator[tuple[np.random.Generator, int, int, int]]:
+    seed: int, n_samples: int, rows: int, width: int
+) -> Iterator[tuple[np.random.Generator, int]]:
     """Walk the chunks of ``_chunks(seed, n_samples, rows)`` one row block at
-    a time; every Monte Carlo estimator draws through this.
+    a time, for the MI oracles.
 
     A sample is one row, `width` elements wide.  For each block this yields
-    ``(rng, m, lo, hi)``: the block is rows ``lo:hi`` of the current chunk,
-    which has `m` rows, and the caller draws those rows' normals as one
-    ``standard_normal((hi - lo, k))`` from `rng`, the chunk's generator,
-    before asking for the next block.  A block holds at most
-    ``_block_rows(width)`` rows and, when `window` is given, never crosses a
-    multiple of `window` rows of its chunk.  Drawing k1 rows and then k2 rows
-    gives the values of one draw of k1 + k2 rows, so the blocks draw what one
-    ``(m, k)`` draw per chunk would.
+    ``(rng, k)``: the caller draws the block's `k` rows, at most
+    ``_block_rows(width)``, as one ``standard_normal((k, width))`` from
+    `rng`, the chunk's generator, before asking for the next block.  Drawing
+    k1 rows and then k2 rows gives the values of one draw of k1 + k2 rows, so
+    the blocks draw what one ``(m, width)`` draw per chunk would.
     """
     step = _block_rows(width)
-    window = window or step
     for rng, _, m in _chunks(seed, n_samples, rows):
-        for w0 in range(0, m, window):
-            w1 = min(w0 + window, m)
-            for lo in range(w0, w1, step):
-                yield rng, m, lo, min(lo + step, w1)
+        for lo in range(0, m, step):
+            yield rng, min(step, m - lo)
 
 
 def _row_blocks(
     seed: int, n_samples: int, width: int, accs: tuple[_Accumulator, ...]
 ) -> Iterator[tuple[np.random.Generator, np.ndarray]]:
-    """The blocks of ``_blocks(seed, n_samples, _chunk_rows(width), width)``
-    for an estimator whose per-row values feed the accumulators `accs`.
+    """Walk the chunks of ``_chunks(seed, n_samples, _chunk_rows(width))``
+    one row block at a time, for an estimator whose per-row values feed the
+    accumulators `accs`.
 
     For each block this yields ``(rng, out)``: the caller draws the block's
     rows from `rng` and writes the per-row values for ``accs[k]`` into
-    ``out[k]`` (length: the block's rows).  A row block holds at most one
-    8192-row sum block, so the blocks are cut at windows of one sum block
-    each; the values are gathered per window and added to the accumulators
-    window by window, and each chunk is closed by ``end_chunk``.
+    ``out[k]`` (length: the block's rows).  Each sum block of a chunk's rows
+    is cut into row blocks of at most ``_block_rows(width)`` rows; its values
+    gather in one buffer per chunk and reach the accumulators whole, and each
+    chunk is closed by ``end_chunk``.
     """
-    blocks = _blocks(seed, n_samples, _chunk_rows(width), width, _SUM_BLOCK)
-    for rng, m, lo, hi in blocks:
-        if lo == 0:
-            buf = np.empty((len(accs), min(_SUM_BLOCK, m)))
-        w0 = lo - lo % _SUM_BLOCK
-        yield rng, buf[:, lo - w0 : hi - w0]
-        if hi - w0 == _SUM_BLOCK or hi == m:
+    step = _block_rows(width)
+    for rng, _, m in _chunks(seed, n_samples, _chunk_rows(width)):
+        buf = np.empty((len(accs), min(_SUM_BLOCK, m)))
+        for w0 in range(0, m, _SUM_BLOCK):
+            size = min(_SUM_BLOCK, m - w0)
+            for lo in range(0, size, step):
+                yield rng, buf[:, lo : min(lo + step, size)]
             for acc, values in zip(accs, buf):
-                acc.add(values[: hi - w0])
-        if hi == m:
-            for acc in accs:
-                acc.end_chunk()
+                acc.add(values[:size])
+        for acc in accs:
+            acc.end_chunk()
 
 
 def _wiener_paths(

@@ -40,6 +40,23 @@ def assert_rows_match_oracle(lines):
             assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0), (line, got, ref)
 
 
+def assert_same_lines(got, want):
+    """Assert that two lists of lines, or two texts (str or bytes), are equal.
+
+    A difference is reported by the lengths and the first differing line:
+    pytest's own report on two long lists diffs them whole, which takes
+    minutes for a grid's text."""
+    if isinstance(got, (str, bytes)):
+        got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    got_line = got[at] if at < len(got) else "<end>"
+    want_line = want[at] if at < len(want) else "<end>"
+    raise AssertionError(f"{len(got)} lines, want {len(want)}; line {at}: "
+                         f"{got_line!r} != {want_line!r}")
+
+
 def read_csv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
@@ -456,10 +473,10 @@ class TestGridBytes:
         col = rng.permutation(np.concatenate([pool, rng.choice(pool, cli._ROW_BLOCK - n_distinct)]))
         assert np.unique(col.view(np.int64)).size == n_distinct
         want = ["" if math.isnan(v) else format(v, ".17g") for v in col.tolist()]
-        assert cli._fmt_cells(col) == want
+        assert_same_lines(cli._fmt_cells(col), want)
         got = [cell for lo in range(0, col.size, cli._TEXT_ROWS)
                for cell in cli._fmt_cells(col[lo : lo + cli._TEXT_ROWS])]
-        assert got == want
+        assert_same_lines(got, want)
 
 
 class TestBlockWriter:
@@ -497,14 +514,15 @@ class TestBlockWriter:
             assert main(argv) == EXIT_OK
             got = capsys.readouterr().out.encode("utf-8")
         assert got.count(b"\n") == n + 1
-        assert got == want.encode("utf-8")
+        assert_same_lines(got, want.encode("utf-8"))
 
     def test_rows_across_slice_edges(self, capsys):
         # two slice edges inside one block
         n = 2 * cli._TEXT_ROWS + 1
         spec = f"log:1e-3:1e9:{n}"
         assert main(["bounds", "--P", spec, "--L", "4", "--sigma2", "0.3"]) == EXIT_OK
-        assert capsys.readouterr().out == self.per_row_csv(parse_axis(spec, "P").tolist(), 4, 0.3)
+        assert_same_lines(capsys.readouterr().out,
+                          self.per_row_csv(parse_axis(spec, "P").tolist(), 4, 0.3))
 
     @pytest.mark.parametrize("n, units", [
         (2 * cli._TEXT_ROWS + 1, "nats"), (2 * cli._ROW_BLOCK + 1, "bits"),
@@ -521,7 +539,7 @@ class TestBlockWriter:
             gap = convert_rate(gdof_mod.regime_gap_nats(regime), Units(units))
             gap_text = "" if math.isnan(gap) else format(gap, ".17g")
             lines.append(",".join(["100", "2", format(s2, ".17g"), regime.value, gap_text, units]))
-        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+        assert_same_lines(capsys.readouterr().out, "\n".join(lines) + "\n")
         assert {line.split(",")[3] for line in lines[1:]} == {"near-awgn", "general", "near-onc"}
 
     @pytest.mark.parametrize("n, known_from", [
@@ -551,7 +569,7 @@ class TestBlockWriter:
                                    "" if exact is None else format(exact.total, ".17g"),
                                    "" if exact is None else exact.regime]))
         out = capsys.readouterr().out
-        assert out == "\n".join(lines) + "\n"
+        assert_same_lines(out, "\n".join(lines) + "\n")
         blank = [row.split(",")[6] == "" for row in out.splitlines()[1:]]
         assert blank[edge - 2 : edge + 1] == [False, True, True]
         assert blank[known_from - 1 : known_from + 1] == [True, False]

@@ -19,6 +19,7 @@ from owpnlab.mioracle import (
     _amplitude_blocks,
     _circular_bins,
     _equal_mass_bins,
+    _phase_blocks,
     amplitude_channel_mi,
     histogram_mi,
     phase_channel_mi,
@@ -256,9 +257,9 @@ def _full_channel_amplitude(params, n_samples, seed):
     return x2, ynorm
 
 
-def _full_channel_phase_mi(params, n_samples, seed, n_bins=64):
-    """The MI of angle(X_1) and psi, measured on the last output sample of
-    X_0 and the first of X_1, as the phase oracle bins them."""
+def _full_channel_phase(params, n_samples, seed):
+    """angle(X_1) and psi of `n_samples` symbol pairs, psi measured on the
+    last output sample of X_0 and the first of X_1."""
     big_l = params.oversampling
     amp = math.sqrt(per_symbol_power(params) / 2.0)
     step_std = math.sqrt(params.freq_noise_var / big_l)
@@ -275,13 +276,16 @@ def _full_channel_phase_mi(params, n_samples, seed, n_bins=64):
         y = x * np.exp(1j * theta) + w
         angles[start : start + m] = np.angle(x[:, 1])
         psi[start : start + m] = np.angle(y[:, 1]) - np.angle(y[:, 0]) + np.angle(x[:, 0])
-    return _reference_plugin_mi(
-        _reference_circular_bins(angles, n_bins), _reference_circular_bins(psi, n_bins), n_bins
-    )
+    return angles, psi
 
 
 def _within_4_se(a, b):
     return abs(a.value - b.value) <= 4.0 * math.hypot(a.std_error, b.std_error)
+
+
+def _assert_means_within_4_se(a, b):
+    se = math.hypot(float(np.std(a)), float(np.std(b))) / math.sqrt(a.size)
+    assert abs(float(np.mean(a)) - float(np.mean(b))) <= 4.0 * se
 
 
 _LAW_POINTS = [(20.0, 4, 0.5), (100.0, 1, 0.01), (3.0, 16, 2.0)]
@@ -297,16 +301,21 @@ class TestLawAgainstFullChannel:
         x2, ynorm = _full_channel_amplitude(params, _LAW_SAMPLES, seed=32)
         assert _within_4_se(got, histogram_mi(x2, ynorm))
         for moment in (1, 2):
-            a = norms**moment
-            b = ynorm**moment
-            se = math.hypot(float(np.std(a)), float(np.std(b))) / math.sqrt(_LAW_SAMPLES)
-            assert abs(float(np.mean(a)) - float(np.mean(b))) <= 4.0 * se
+            _assert_means_within_4_se(norms**moment, ynorm**moment)
 
     @pytest.mark.parametrize("p,big_l,s2", _LAW_POINTS)
     def test_phase(self, p, big_l, s2):
         params = ChannelParams(p, big_l, s2)
         got = phase_channel_mi(params, _LAW_SAMPLES, rng_seed=33)
-        assert _within_4_se(got, _full_channel_phase_mi(params, _LAW_SAMPLES, seed=34))
+        angles, psi = _full_channel_phase(params, _LAW_SAMPLES, seed=34)
+        want = _reference_plugin_mi(
+            _reference_circular_bins(angles, 64), _reference_circular_bins(psi, 64), 64
+        )
+        assert _within_4_se(got, want)
+        # the oracle's psi - angle(X_1), from the angles it binned
+        noise = np.concatenate([s - a for a, s in _phase_blocks(params, _LAW_SAMPLES, 33)])
+        for f in (np.cos, np.sin):
+            _assert_means_within_4_se(f(noise), f(psi - angles))
 
 
 class TestAmplitudeChannelMi:

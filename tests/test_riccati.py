@@ -17,7 +17,7 @@ from owpnlab.riccati import (
     posterior_crb_entropy_lower,
     riccati_fixed_point,
 )
-from owpnlab.sim import _blocked_sum
+from test_sim import left_to_right_blocks
 
 X_GRID = np.logspace(-1, 3, 20)
 R_GRID = np.logspace(-3, 6, 20)
@@ -226,7 +226,7 @@ class TestImmseQuadrature:
         rho = np.concatenate(([0.0], np.logspace(-8.0, 6.0, 99_999)))
         integrand = s / (1.0 + s * rho) - 1.0 / (2.0 * math.pi * math.e + rho)
         terms = np.diff(rho) * (integrand[1:] + integrand[:-1]) / 2.0
-        body = 0.5 * _blocked_sum(terms)
+        body = 0.5 * left_to_right_blocks(terms)
         return body + 0.5 * (2.0 * math.pi * math.e - 1.0 / s) / 1e6
 
     @pytest.mark.parametrize("prior_std", [1.0, 0.3, 3.0, 1e-3, 1e3, 1e-150, 1e150])

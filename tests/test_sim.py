@@ -10,7 +10,6 @@ from owpnlab import sim
 from owpnlab.model import ChannelParams, McEstimate
 from owpnlab.sim import (
     FMoments,
-    _blocked_sum,
     _chunks,
     _column_sums,
     _wiener_paths,
@@ -146,8 +145,8 @@ class _ReferenceAccumulator:
         self.n = 0
 
     def add(self, values):  # one whole chunk
-        self.s1 += TestBlockedSum.left_to_right_blocks(values)
-        self.s2 += TestBlockedSum.left_to_right_blocks(values * values)
+        self.s1 += left_to_right_blocks(values)
+        self.s2 += left_to_right_blocks(values * values)
         self.n += values.size
 
     def estimate(self, seed):
@@ -347,6 +346,15 @@ class TestLogAbsSq:
         assert _bits([estimate_log_abs_sq(4.0, n, rng_seed=19)]) == _bits([want])
 
 
+def left_to_right_blocks(values):
+    """The fixed reduction order of a chunk: np.sum of each consecutive
+    8192-value block, the block sums added left to right from 0.0."""
+    total = 0.0
+    for start in range(0, values.size, 8192):
+        total += float(np.sum(values[start : start + 8192]))
+    return total
+
+
 class TestBlockedSum:
     """The reduction order inside a chunk is part of the reproducibility key:
     8192-element blocks, each summed by np.sum, block sums added left to
@@ -364,37 +372,55 @@ class TestBlockedSum:
         re, im = z[:, 0], z[:, 1]
         return np.log(re * re + im * im)
 
-    @staticmethod
-    def left_to_right_blocks(values):
-        total = 0.0
-        for start in range(0, values.size, 8192):
-            total += float(np.sum(values[start : start + 8192]))
-        return total
-
-    def test_block_order(self):
-        values = self.log_abs_sq_samples()
-        want = self.left_to_right_blocks(values)
-        got = _blocked_sum(values)
-        assert got == want, (
-            f"_blocked_sum gave {got!r}, not the left-to-right sum of 8192-element "
-            f"block sums {want!r} (a whole-array np.sum gives {float(np.sum(values))!r}): "
-            "the in-chunk reduction order is no longer fixed, so MC results depend on "
-            "the numpy version"
-        )
-
     def test_estimator_uses_block_order(self):
         values = self.log_abs_sq_samples()
         est = estimate_log_abs_sq(4.0, self.N, rng_seed=343)
-        assert est.mean == self.left_to_right_blocks(values) / self.N
+        want = left_to_right_blocks(values)
+        assert est.mean == want / self.N, (
+            f"mean {est.mean!r}, not the left-to-right sum of 8192-element block "
+            f"sums {want!r} over {self.N} (a whole-array np.sum gives "
+            f"{float(np.sum(values))!r}): the in-chunk reduction order is no longer "
+            "fixed, so MC results depend on the numpy version"
+        )
 
-    def test_layout_independent(self):
-        values = self.log_abs_sq_samples()
-        want = self.left_to_right_blocks(values)
-        strided = np.empty(2 * values.size)
-        strided[::2] = values
-        assert _blocked_sum(strided[::2]) == want
-        assert _blocked_sum((values + 0j).real) == want
-        assert _blocked_sum(values.reshape(400, 250)) == want
+
+class TestSumBlocks:
+    """The engine's one contract with its accumulators: every call of
+    `_Accumulator.add` takes one sum block of `_SUM_BLOCK` values, except a
+    chunk's last call, which takes the rest of the chunk.  Over two whole
+    chunks and a partial third, also with 1000-element row blocks, whose row
+    counts divide neither a sum block nor a chunk."""
+
+    @pytest.mark.parametrize("small", [False, True], ids=["default_blocks", "small_blocks"])
+    @pytest.mark.parametrize("width, n_accs, estimate", [
+        (16, 3, lambda n: estimate_F_moments(ChannelParams(1.0, 16, 0.1), n, rng_seed=36)),
+        (65, 2, lambda n: simulate_fading_integral(2.0, 64, n, rng_seed=37)),
+        (2, 1, lambda n: estimate_log_abs_sq(4.0, n, rng_seed=38)),
+    ], ids=["f_moments", "fading_integral", "log_abs_sq"])
+    def test_one_sum_block_per_add(self, width, n_accs, estimate, small, monkeypatch):
+        rows = sim._chunk_rows(width)
+        if small:
+            monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 1000)
+            assert sim._SUM_BLOCK % sim._block_rows(width) and rows % sim._block_rows(width)
+        calls = {}
+        add, end_chunk = sim._Accumulator.add, sim._Accumulator.end_chunk
+
+        def spy_add(acc, values):
+            calls.setdefault(id(acc), []).append(values.size)
+            add(acc, values)
+
+        def spy_end_chunk(acc):
+            calls.setdefault(id(acc), []).append("end")
+            end_chunk(acc)
+
+        monkeypatch.setattr(sim._Accumulator, "add", spy_add)
+        monkeypatch.setattr(sim._Accumulator, "end_chunk", spy_end_chunk)
+        estimate(2 * rows + 12_345)
+        want = []
+        for m in (rows, rows, 12_345):
+            whole, rest = divmod(m, sim._SUM_BLOCK)
+            want += [sim._SUM_BLOCK] * whole + [rest] * (rest > 0) + ["end"]
+        assert list(calls.values()) == [want] * n_accs
 
 
 class TestHadamardIdentity:
