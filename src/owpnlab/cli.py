@@ -300,15 +300,17 @@ def cmd_gdof(args) -> int:
 
 def cmd_regimes(args) -> int:
     blocks = _grid(args, _PLS_AXES)
-    cells = []  # "regime,gap" for each entry of gdof._REGIMES
-    for regime in gdof_mod._REGIMES:
-        gap = gdof_mod.regime_gap_nats(regime)
-        gap_text = "" if math.isnan(gap) else _fmt(convert_rate(gap, args.units))
-        cells.append(f"{regime.value},{gap_text}")
+    names = [regime.value for regime in gdof_mod._REGIMES]
+    # each entry's guaranteed gap; nan, so blank, for "general"
+    gaps = convert_rate(np.array([gdof_mod.regime_gap_nats(r) for r in gdof_mod._REGIMES]),
+                        args.units)
+
+    def cells(grid):
+        which = gdof_mod._classify(*grid)
+        return [[names[i] for i in which.tolist()], gaps[which], [args.units.value] * which.size]
+
     header = ["P", "L", "sigma2", "regime", "gap", "units"]
-    _write_grid(args.out, header, blocks, lambda grid: [
-        [cells[i] for i in gdof_mod._classify(*grid).tolist()],
-        [args.units.value] * grid[0].size])
+    _write_grid(args.out, header, blocks, cells)
     return EXIT_OK
 
 

@@ -30,10 +30,11 @@ sample across a bin edge or reorders two samples at an edge.  ``exp``,
 ``log`` and ``lgamma`` enter the amplitude oracle only through its edges.
 
 Memory: each oracle reads its statistics from one generator over its law
-(:func:`_amplitude_blocks`, :func:`_phase_blocks`), drawn through
-:func:`owpnlab.sim._blocks` one row block of ``sim._block_rows(width)`` rows
-at a time, so a chunk is never held whole; it adds every block to its joint
-histogram and keeps no per-sample arrays.
+(:func:`_amplitude_blocks`, :func:`_phase_blocks`), whose normals come from
+the Monte Carlo engine :func:`owpnlab.sim._row_blocks` one row block of at
+most ``sim._block_rows(width)`` samples at a time, one sample per column, so
+a chunk is never held whole; it adds every block to its joint histogram and
+keeps no per-sample arrays.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ChannelParams, per_symbol_power
-from .sim import _blocks
+from .sim import _row_blocks
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,6 +54,8 @@ DEFAULT_BINS = 64
 MI_ALLOWANCE_NATS = 0.05
 
 _MIN_SAMPLES = 10_000
+# Samples per chunk: _CHUNK // L for the amplitude oracle, _CHUNK for the
+# phase oracle.  Chunk geometry is part of the reproducibility key.
 _CHUNK = 1 << 17
 
 
@@ -195,13 +198,11 @@ def amplitude_channel_mi(params: ChannelParams, n_samples: int, rng_seed: int) -
 
 def _amplitude_blocks(params: ChannelParams, n_samples: int, rng_seed: int):
     """Yield |X|^2 and ||Y||^2 of the samples of :func:`amplitude_channel_mi`,
-    one row block of :func:`owpnlab.sim._blocks` at a time."""
+    one row block of :func:`owpnlab.sim._row_blocks` at a time."""
     big_l = params.oversampling
     amp = math.sqrt(per_symbol_power(params) / 2.0)
-    width = 2 + 2 * big_l
-    for rng, k in _blocks(rng_seed, n_samples, max(1, _CHUNK // big_l), width):
-        # one sample per column: every part below is a contiguous row
-        z = np.ascontiguousarray(rng.standard_normal((k, width)).T)
+    # one sample per column: every part below is a contiguous row
+    for z, _, _ in _row_blocks(rng_seed, n_samples, max(1, _CHUNK // big_l), 2 + 2 * big_l):
         z[:2] *= amp
         xr, xi = z[0], z[1]
         yr, yi = z[2 : 2 + big_l], z[2 + big_l :]
@@ -245,13 +246,12 @@ def phase_channel_mi(params: ChannelParams, n_samples: int, rng_seed: int) -> Mi
 
 def _phase_blocks(params: ChannelParams, n_samples: int, rng_seed: int):
     """Yield angle(X_1) and psi of the samples of :func:`phase_channel_mi`,
-    one row block of :func:`owpnlab.sim._blocks` at a time."""
+    one row block of :func:`owpnlab.sim._row_blocks` at a time."""
     big_l = params.oversampling
     amp = math.sqrt(per_symbol_power(params) / 2.0)
     inc_std = math.sqrt(params.freq_noise_var / big_l)
-    for rng, k in _blocks(rng_seed, n_samples, _CHUNK, 9):
-        # one sample per column: every part below is a contiguous row
-        z = np.ascontiguousarray(rng.standard_normal((k, 9)).T)
+    # one sample per column: every part below is a contiguous row
+    for z, _, _ in _row_blocks(rng_seed, n_samples, _CHUNK, 9):
         z[:4] *= amp
         z[4] *= inc_std
         x0r, x0i, x1r, x1i, psi, ylr, yli, yfr, yfi = z

@@ -1,19 +1,22 @@
 """Monte Carlo estimators used to cross-check every closed-form constant.
 
 One engine serves every Monte Carlo path here and in :mod:`owpnlab.mioracle`:
-:func:`_chunks` splits a sample budget into chunks, walked one row block at a
-time by :func:`_row_blocks` here and by :func:`_blocks` in the MI oracles.
-The path estimators share the Wiener-path builder :func:`_wiener_paths`; the
-MI oracles simulate only the law of their statistics, with no phase path.
+:func:`_row_blocks` walks the chunks of a sample budget (:func:`_chunks`) one
+row block at a time, and it is the only place that draws.  The path
+estimators build their Wiener paths from its normals in place
+(:func:`_wiener_paths`); the MI oracles simulate only the law of their
+statistics, with no phase path.
 
 Randomness discipline: a master seed names a family of independent substreams
 via ``SeedSequence(seed, spawn_key=(index,))``.  Monte Carlo estimators split
 their sample budget into fixed-size chunks and draw chunk ``i`` from substream
-``i``; each caller passes its own rows per chunk (``_chunk_rows(width)`` here,
-fixed counts in the MI oracles), and that chunk geometry is part of the
-reproducibility key.  Every estimator lays its draws out the same way: a
-sample's standard normals are one row, and a chunk's normals are the rows of
-one ``standard_normal((m, k))`` draw, made one row block at a time.  The
+``i``; each caller passes its own rows per chunk (``_chunk_rows(L)`` for the
+F moments, ``_chunk_rows(n_time_steps + 1)`` for the fading integral,
+``_chunk_rows(2)`` for log|X|^2, fixed counts in the MI oracles), and that
+chunk geometry is part of the reproducibility key.  Every estimator lays its
+draws out the same way: a sample's `width` standard normals are one row, and
+a chunk's normals are the rows of one ``standard_normal((m, width))`` draw,
+made one row block at a time.  The
 reduction order is fixed in full: inside a chunk, the per-sample values are
 cut into consecutive sum blocks of 8192 values, each block is summed by one
 ``np.sum`` and the block sums are added left to right (:class:`_Accumulator`);
@@ -27,22 +30,23 @@ numpy or libm build.  The MI estimates of
 :mod:`owpnlab.mioracle` are sturdier: they see their samples only through
 bin indices and equal-mass ranks (see there).
 
-The path estimators, like the MI oracles, work one sample per column: a row
-block's draw is transposed once into an ``(n, m)`` array of its `m` paths of
-`n` points, so that every step of the arithmetic runs over the block's
-samples at one path point.  A path is built in ``np.cumsum``'s order and its
-points are summed left to right (:func:`_column_sums`), whatever `m` is;
+Every estimator works one sample per column: :func:`_row_blocks` transposes
+each row block's draw once into a ``(width, m)`` array, so that every step of
+the arithmetic runs over the block's `m` samples at once.  A path of `n`
+points is its ``n - 1`` increments, built in ``np.cumsum``'s order, with
+point 0, exactly 0.0, left implicit; its points are summed left to right
+from point 0's value (:func:`_column_sums`), whatever `m` is;
 ``np.add.reduce(axis=0)`` would sum a single column, m = 1, pairwise.
 
 Working memory does not grow with the chunk: a row block holds
 ``_BLOCK_ELEMENTS`` (2^14) normals, except that rows of more than 16 values
 get at least 1024 rows, and that no block holds more than 2^16 normals or
-8192 rows (:func:`_block_rows`); the path estimators hold a block's draws,
-paths and cosines in two buffers made once per call (:func:`_path_blocks`).
+8192 rows (:func:`_block_rows`); a block's draw and its transpose live in two
+buffers made once per call, and the estimators reuse both.
 Drawing k1 rows and then k2 rows gives the same values as one draw of
 k1 + k2 rows, every per-sample value depends on its own row only, and the
-per-row values reach the accumulators one whole sum block at a time
-(:func:`_row_blocks`), so the row-block size is not part of the key.
+per-row values reach the accumulators one whole sum block at a time, so the
+row-block size is not part of the key.
 
 Samples are never recombined to a coarser sampling grid: the discrete channel
 law drops the intra-sample fading information such recombining would need, so
@@ -85,7 +89,9 @@ def _block_rows(width: int) -> int:
     # rows of a row block: _BLOCK_ELEMENTS normals, but at least
     # _BLOCK_ELEMENTS // 16 rows (so that a per-point loop over a wide row
     # makes few calls per block), at most 4 * _BLOCK_ELEMENTS normals and
-    # at most _SUM_BLOCK rows (which binds only at width 1)
+    # at most _SUM_BLOCK rows (which binds only at width 1); a row of no
+    # normals counts as one of width 1
+    width = max(width, 1)
     return max(
         1,
         min(_SUM_BLOCK, _BLOCK_ELEMENTS // min(width, 16), 4 * _BLOCK_ELEMENTS // width),
@@ -133,107 +139,67 @@ def _chunks(
         yield substream(seed, index), start, min(rows, n_samples - start)
 
 
-def _blocks(
-    seed: int, n_samples: int, rows: int, width: int
-) -> Iterator[tuple[np.random.Generator, int]]:
+def _row_blocks(
+    seed: int,
+    n_samples: int,
+    rows: int,
+    width: int,
+    accs: tuple[_Accumulator, ...] = (),
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Walk the chunks of ``_chunks(seed, n_samples, rows)`` one row block at
-    a time, for the MI oracles.
+    a time, drawing each block's normals; the one place that draws.
 
-    A sample is one row, `width` elements wide.  For each block this yields
-    ``(rng, k)``: the caller draws the block's `k` rows, at most
-    ``_block_rows(width)``, as one ``standard_normal((k, width))`` from
-    `rng`, the chunk's generator, before asking for the next block.  Drawing
+    A sample is `width` standard normals.  For each row block of `k` samples
+    this yields ``(z, free, out)``: `z` is the ``(width, k)`` transpose of the
+    block's ``standard_normal((k, width))`` draw from the chunk's generator,
+    one sample per column, `free` a spare array of the same shape, and `out`
+    the ``(len(accs), k)`` rows into which the caller writes each sample's
+    value for ``accs[i]``.  `z` and `free` are views of two buffers made once
+    per call; the caller may overwrite both.  Row blocks hold at most
+    ``_block_rows(width)`` rows and end at each sum-block edge of the chunk:
+    a sum block's values gather in one buffer per chunk and reach the
+    accumulators whole, and each chunk is closed by ``end_chunk``.  Drawing
     k1 rows and then k2 rows gives the values of one draw of k1 + k2 rows, so
     the blocks draw what one ``(m, width)`` draw per chunk would.
     """
     step = _block_rows(width)
+    drawn, transposed = np.empty((2, width * min(n_samples, rows, step)))
     for rng, _, m in _chunks(seed, n_samples, rows):
-        for lo in range(0, m, step):
-            yield rng, min(step, m - lo)
-
-
-def _row_blocks(
-    seed: int, n_samples: int, width: int, accs: tuple[_Accumulator, ...]
-) -> Iterator[tuple[np.random.Generator, np.ndarray]]:
-    """Walk the chunks of ``_chunks(seed, n_samples, _chunk_rows(width))``
-    one row block at a time, for an estimator whose per-row values feed the
-    accumulators `accs`.
-
-    For each block this yields ``(rng, out)``: the caller draws the block's
-    rows from `rng` and writes the per-row values for ``accs[k]`` into
-    ``out[k]`` (length: the block's rows).  Each sum block of a chunk's rows
-    is cut into row blocks of at most ``_block_rows(width)`` rows; its values
-    gather in one buffer per chunk and reach the accumulators whole, and each
-    chunk is closed by ``end_chunk``.
-    """
-    step = _block_rows(width)
-    for rng, _, m in _chunks(seed, n_samples, _chunk_rows(width)):
         buf = np.empty((len(accs), min(_SUM_BLOCK, m)))
         for w0 in range(0, m, _SUM_BLOCK):
             size = min(_SUM_BLOCK, m - w0)
             for lo in range(0, size, step):
-                yield rng, buf[:, lo : min(lo + step, size)]
+                k = min(step, size - lo)
+                draw = drawn[: width * k].reshape(k, width)
+                z = transposed[: width * k].reshape(width, k)
+                rng.standard_normal(out=draw)
+                np.copyto(z, draw.T)
+                yield z, draw.reshape(width, k), buf[:, lo : lo + k]
             for acc, values in zip(accs, buf):
                 acc.add(values[:size])
         for acc in accs:
             acc.end_chunk()
 
 
-def _wiener_paths(
-    rng: np.random.Generator, step_std: float, out: np.ndarray, work: np.ndarray
-) -> np.ndarray:
-    """Fill the ``(n, m)`` array `out` with `m` Wiener paths of `n` points
-    starting at 0, one path per column: row ``k`` is the sum of the first
-    ``k`` of ``n - 1`` i.i.d. N(0, step_std^2) increments, added in the order
-    of ``np.cumsum`` (row ``k - 1`` plus increment ``k``).  Path ``j``'s
-    increments are row ``j`` of one ``standard_normal((m, n - 1))`` draw,
-    made into `work` (a flat float64 buffer of at least ``m (n - 1)``
-    elements) and scaled as it is transposed into
-    `out`: the draws of ``rng.normal(0, step_std)``, which forms
-    ``0 + step_std * z``, with the same bits but for the sign of a zero.
-    Returns `out`."""
-    n, m = out.shape
-    steps = work[: m * (n - 1)].reshape(m, n - 1)
-    rng.standard_normal(out=steps)
-    out[0] = 0.0
-    np.multiply(steps.T, step_std, out=out[1:])
-    for k in range(2, n):
-        np.add(out[k - 1], out[k], out=out[k])
-    return out
+def _wiener_paths(z: np.ndarray, step_std: float) -> np.ndarray:
+    """Turn the ``(n - 1, m)`` standard normals `z` of :func:`_row_blocks`
+    into points 1 to n - 1 of `m` Wiener paths from 0, one path per column,
+    in place: the increments are ``step_std * z``, the draws of
+    ``rng.normal(0, step_std)`` (which forms ``0 + step_std * z``) with the
+    same bits but for the sign of a zero, and row ``k`` becomes row
+    ``k - 1`` plus increment ``k``, the order of ``np.cumsum``.  Point 0,
+    exactly 0.0, is implicit.  Returns `z`."""
+    z *= step_std
+    for k in range(1, len(z)):
+        np.add(z[k - 1], z[k], out=z[k])
+    return z
 
 
-def _path_blocks(
-    seed: int, n_samples: int, n: int, step_std: float, accs: tuple[_Accumulator, ...]
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The blocks of ``_row_blocks(seed, n_samples, n, accs)`` for a path
-    estimator, whose samples are Wiener paths of `n` points.
-
-    For each block of `m` samples this yields ``(theta, work, out)``:
-    `theta` is the ``(n, m)`` array of the block's paths, one per column
-    (:func:`_wiener_paths`), `work` a free ``(n, m)`` array, and `out` the
-    per-sample outputs of :func:`_row_blocks`.  `theta` and `work` are views
-    of two buffers made once per call, and the caller may overwrite both.
-    """
-    size = n * min(n_samples, _block_rows(n))
-    paths, work = np.empty((2, size))
-    for rng, out in _row_blocks(seed, n_samples, n, accs):
-        m = out.shape[1]
-        theta = _wiener_paths(rng, step_std, paths[: n * m].reshape(n, m), work)
-        yield theta, work[: n * m].reshape(n, m), out
-
-
-def _cos_paths(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``cos(theta)`` of paths from :func:`_wiener_paths` into `out` (the
-    first row is exactly 0.0, so its cosine is 1.0 without a call)."""
-    out[0] = 1.0
-    np.cos(theta[1:], out=out[1:])
-    return out
-
-
-def _column_sums(points: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum each column of the ``(n, m)`` array `points`, left to right, into `out`."""
-    out[...] = points[0]
-    for row in points[1:]:
+def _column_sums(points: np.ndarray, first: float, out: np.ndarray) -> np.ndarray:
+    """Sum each column of the ``(n, m)`` array `points` into `out`, left to
+    right after the value `first`."""
+    out[...] = first
+    for row in points:
         out += row
     return out
 
@@ -257,11 +223,12 @@ def estimate_F_moments(params: ChannelParams, n_samples: int, rng_seed: int) -> 
     big_l = params.oversampling
     scale = math.sqrt(params.freq_noise_var / big_l)
     accs = acc_m2, acc_m4, acc_re = _Accumulator(), _Accumulator(), _Accumulator()
-    for theta, work, (mag2, mag4, re) in _path_blocks(rng_seed, n_samples, big_l, scale, accs):
-        _column_sums(_cos_paths(theta, work), re)
+    blocks = _row_blocks(rng_seed, n_samples, _chunk_rows(big_l), big_l - 1, accs)
+    for z, free, (mag2, mag4, re) in blocks:
+        theta = _wiener_paths(z, scale)  # points 1 to L - 1; point 0 is 0.0
+        _column_sums(np.cos(theta, out=free), 1.0, re)
         re /= big_l
-        np.sin(theta[1:], out=theta[1:])  # sin 0.0 = 0.0 stays in row 0
-        im = _column_sums(theta, mag4)  # Im F, until |F|^4 replaces it
+        im = _column_sums(np.sin(theta, out=theta), 0.0, mag4)  # Im F, until |F|^4 replaces it
         im /= big_l
         np.multiply(re, re, out=mag2)
         im *= im
@@ -297,21 +264,21 @@ def simulate_fading_integral(
     amp = math.sqrt(sigma2_over_L)
     step_std = math.sqrt(1.0 / n_time_steps)
     accs = acc_re, acc_im = _Accumulator(), _Accumulator()
-    blocks = _path_blocks(rng_seed, n_samples, n_time_steps + 1, step_std, accs)
-    for theta, work, (re, im) in blocks:
+    blocks = _row_blocks(rng_seed, n_samples, _chunk_rows(n_time_steps + 1), n_time_steps, accs)
+    for z, free, (re, im) in blocks:
+        theta = _wiener_paths(z, step_std)  # points 1 to n; point 0 is 0.0
         theta *= amp
-        _trapezoid(_cos_paths(theta, work), n_time_steps, re)
-        np.sin(theta[1:], out=theta[1:])  # sin 0.0 = 0.0 stays in row 0
-        _trapezoid(theta, n_time_steps, im)
+        _trapezoid(np.cos(theta, out=free), 1.0, n_time_steps, re)
+        _trapezoid(np.sin(theta, out=theta), 0.0, n_time_steps, im)
     return acc_re.estimate(rng_seed), acc_im.estimate(rng_seed)
 
 
-def _trapezoid(values: np.ndarray, n: int, out: np.ndarray) -> None:
-    # per column: every point once, minus half of each endpoint, over n
-    # intervals
-    ends = values[0] + values[-1]
+def _trapezoid(values: np.ndarray, first: float, n: int, out: np.ndarray) -> None:
+    # per column: `first`, then every point of `values` once, minus half of
+    # each endpoint, over n intervals
+    ends = values[-1] + first
     ends *= 0.5
-    _column_sums(values, out)
+    _column_sums(values, first, out)
     out -= ends
     out /= n
 
@@ -328,10 +295,9 @@ def estimate_log_abs_sq(power: float, n_samples: int, rng_seed: int) -> McEstima
         raise ValueError("n_samples must be >= 1")
     acc = _Accumulator()
     half = math.sqrt(power / 2.0)
-    for rng, (out,) in _row_blocks(rng_seed, n_samples, 2, (acc,)):
-        z = rng.standard_normal((out.size, 2))
+    for z, _, (out,) in _row_blocks(rng_seed, n_samples, _chunk_rows(2), 2, (acc,)):
         z *= half
         z *= z
-        np.add(z[:, 0], z[:, 1], out=out)
+        np.add(z[0], z[1], out=out)
         np.log(out, out=out)
     return acc.estimate(rng_seed)

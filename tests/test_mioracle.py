@@ -27,6 +27,7 @@ from owpnlab.mioracle import (
 from owpnlab import sim
 from owpnlab.model import ChannelParams, per_symbol_power
 from owpnlab.sim import _chunks, substream
+from test_sim import _reference_wiener_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -248,8 +249,7 @@ def _full_channel_amplitude(params, n_samples, seed):
         xr = amp * rng.standard_normal((m, 1))
         xi = amp * rng.standard_normal((m, 1))
         theta = rng.uniform(0.0, TWO_PI, (m, 1))
-        path = sim._wiener_paths(rng, step_std, np.empty((big_l + 1, m)), np.empty(big_l * m))
-        theta = theta + path[1:].T
+        theta = theta + _reference_wiener_rows(rng, m, big_l + 1, step_std)[:, 1:]
         w = rng.standard_normal((m, big_l)) + 1j * rng.standard_normal((m, big_l))
         y = (xr + 1j * xi) * np.exp(1j * theta) + w
         x2[start : start + m] = (xr * xr + xi * xi)[:, 0]
@@ -270,7 +270,7 @@ def _full_channel_phase(params, n_samples, seed):
         xr = amp * rng.standard_normal((m, 2))
         xi = amp * rng.standard_normal((m, 2))
         theta = rng.uniform(0.0, TWO_PI, (m, 1))
-        theta = theta + sim._wiener_paths(rng, step_std, np.empty((2, m)), np.empty(m)).T
+        theta = theta + _reference_wiener_rows(rng, m, 2, step_std)
         w = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
         x = xr + 1j * xi
         y = x * np.exp(1j * theta) + w

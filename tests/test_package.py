@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -73,3 +74,22 @@ def test_benchmark_entry_points(monkeypatch, tmp_path):
         assert set(row) == {"P", "L", "sigma2", "pc_amp", "pc_phase", "outer",
                             "amp_mi", "amp_se", "phase_mi", "phase_se"}
         assert all(math.isfinite(v) for v in row.values())
+
+
+def test_only_the_engine_draws():
+    # every normal is drawn by sim._row_blocks from a generator of
+    # sim.substream, so every estimator shares one draw layout and one key
+    calls = {"standard_normal": set(), "default_rng": set()}
+    for path in sorted(Path(owpnlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in calls:
+                scope = node
+                while scope in parents and not isinstance(scope, ast.FunctionDef):
+                    scope = parents[scope]
+                calls[name].add(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+    assert calls == {"standard_normal": {"sim._row_blocks"}, "default_rng": {"sim.substream"}}

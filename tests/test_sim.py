@@ -35,11 +35,40 @@ class TestChunks:
         assert [m for _, _, m in _chunks(1, 3, 4)] == [3]
 
     def test_wiener_paths(self):
-        # one path per column, drawn into a reused work buffer
-        increments = substream(3, 0).normal(0.0, 0.3, size=(5, 5))
-        paths = _wiener_paths(substream(3, 0), 0.3, np.empty((6, 5)), np.full(40, np.nan))
-        assert np.all(paths[0] == 0.0)
-        assert np.array_equal(paths[1:].T, np.cumsum(increments, axis=1))
+        # one path per column, built in place from the walker's layout
+        increments = substream(3, 0).normal(0.0, 0.3, size=(5, 4))
+        z = np.ascontiguousarray(substream(3, 0).standard_normal((5, 4)).T)
+        paths = _wiener_paths(z, 0.3)
+        assert paths is z
+        assert np.array_equal(paths.T, np.cumsum(increments, axis=1))
+
+
+class TestRowBlocks:
+    """The walker's contract: over two whole chunks and a partial third, the
+    `z` blocks of chunk i, side by side, are the transposed
+    ``standard_normal((m, width))`` draw of ``substream(seed, i)``, at any
+    row-block size; `free` shares no memory with `z`."""
+
+    @pytest.mark.parametrize("small", [False, True], ids=["default_blocks", "small_blocks"])
+    @pytest.mark.parametrize("width", [0, 1, 2, 9, 10, 15, 64])
+    def test_draws_each_chunk(self, width, small, monkeypatch):
+        if small:
+            monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 1000)
+        rows = sim._SUM_BLOCK + 1_000  # a chunk of two sum blocks, the second partial
+        n = 2 * rows + 1_234
+        blocks = []
+        for z, free, out in sim._row_blocks(41, n, rows, width):
+            assert z.shape == free.shape == (width, out.shape[1]) and out.shape[0] == 0
+            assert z.flags.c_contiguous
+            drawn = z.copy()
+            free[...] = np.nan
+            assert np.array_equal(z, drawn)
+            blocks.append(drawn)
+        got = np.split(np.concatenate(blocks, axis=1), [rows, 2 * rows], axis=1)
+        chunks = list(_chunks(41, n, rows))
+        assert len(got) == len(chunks) == 3
+        for z, (rng, _, m) in zip(got, chunks):
+            assert np.array_equal(z, rng.standard_normal((m, width)).T)
 
 
 class TestFMoments:
@@ -78,12 +107,10 @@ class TestFMoments:
             estimate_F_moments(ChannelParams(1.0, 2, 1.0), 10, rng_seed=0)
 
     def test_matches_complex_reference(self):
-        # one chunk, so the same draws as substream(seed, 0) through _wiener_paths
+        # one chunk, so the same draws as substream(seed, 0)
         big_l, s2, n, seed = 4, 1.0, 5_000, 8
         moments = estimate_F_moments(ChannelParams(1.0, big_l, s2), n, rng_seed=seed)
-        rows = _wiener_paths(
-            substream(seed, 0), math.sqrt(s2 / big_l), np.empty((big_l, n)), np.empty(big_l * n)
-        ).T
+        rows = _reference_wiener_rows(substream(seed, 0), n, big_l, math.sqrt(s2 / big_l))
         f = np.mean(np.exp(1j * rows), axis=1)
         mag2 = np.abs(f) ** 2
         for est, want in ((moments.m2, mag2), (moments.m4, mag2**2), (moments.mean_real, f.real)):
@@ -100,13 +127,10 @@ class TestFadingIntegral:
         assert abs(im_est.mean) <= 4.0 * im_est.std_error
 
     def test_matches_complex_trapezoid_reference(self):
-        # one chunk, so the same draws as substream(seed, 0) through _wiener_paths
+        # one chunk, so the same draws as substream(seed, 0)
         a, n_steps, n, seed = 2.0, 64, 2_000, 5
         re_est, im_est = simulate_fading_integral(a, n_steps, n, rng_seed=seed)
-        step_std = math.sqrt(1.0 / n_steps)
-        rows = _wiener_paths(
-            substream(seed, 0), step_std, np.empty((n_steps + 1, n)), np.empty(n_steps * n)
-        ).T
+        rows = _reference_wiener_rows(substream(seed, 0), n, n_steps + 1, math.sqrt(1.0 / n_steps))
         g = np.exp(1j * math.sqrt(a) * rows)
         f = np.sum(g[:, 1:] + g[:, :-1], axis=1) / (2.0 * n_steps)  # np.trapezoid's formula
         assert abs(re_est.mean - float(np.mean(f.real))) <= 1e-15
@@ -242,11 +266,11 @@ class TestRowBlocksKeepBits:
         lambda: simulate_fading_integral(1.5, 16, 3_000, rng_seed=35),
     ], ids=["f_moments", "fading_integral"])
     def test_one_sample_blocks(self, estimate, monkeypatch):
-        # 17 path points: 16-element row blocks hold one sample each, which
-        # np.add.reduce(axis=0) would sum pairwise
+        # 17 path points, 16 increments: 16-element row blocks hold one
+        # sample each, which np.add.reduce(axis=0) would sum pairwise
         want = estimate()
         monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 16)
-        assert sim._block_rows(17) == 1
+        assert sim._block_rows(16) == 1
         assert _bits(estimate()) == _bits(want)
 
 
@@ -314,8 +338,9 @@ class TestColumnSums:
                 rows[1] = rng.choice([0.0, -0.0], n)
             want = _bits(functools.reduce(operator.add, row) for row in rows.tolist())
             for m in (4, 1):
+                points = np.ascontiguousarray(rows[:m].T)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    got = _column_sums(np.ascontiguousarray(rows[:m].T), np.empty(m))
+                    got = _column_sums(points[1:], points[0], np.empty(m))
                 # repr leaves out which nan an add of two nans keeps
                 assert _bits(got.tolist()) == want[:m], (n, m)
 
@@ -392,13 +417,14 @@ class TestSumBlocks:
     counts divide neither a sum block nor a chunk."""
 
     @pytest.mark.parametrize("small", [False, True], ids=["default_blocks", "small_blocks"])
-    @pytest.mark.parametrize("width, n_accs, estimate", [
-        (16, 3, lambda n: estimate_F_moments(ChannelParams(1.0, 16, 0.1), n, rng_seed=36)),
-        (65, 2, lambda n: simulate_fading_integral(2.0, 64, n, rng_seed=37)),
-        (2, 1, lambda n: estimate_log_abs_sq(4.0, n, rng_seed=38)),
+    # a chunk holds 2^20 // row_width rows of `width` normals each
+    @pytest.mark.parametrize("row_width, width, n_accs, estimate", [
+        (16, 15, 3, lambda n: estimate_F_moments(ChannelParams(1.0, 16, 0.1), n, rng_seed=36)),
+        (65, 64, 2, lambda n: simulate_fading_integral(2.0, 64, n, rng_seed=37)),
+        (2, 2, 1, lambda n: estimate_log_abs_sq(4.0, n, rng_seed=38)),
     ], ids=["f_moments", "fading_integral", "log_abs_sq"])
-    def test_one_sum_block_per_add(self, width, n_accs, estimate, small, monkeypatch):
-        rows = sim._chunk_rows(width)
+    def test_one_sum_block_per_add(self, row_width, width, n_accs, estimate, small, monkeypatch):
+        rows = sim._chunk_rows(row_width)
         if small:
             monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 1000)
             assert sim._SUM_BLOCK % sim._block_rows(width) and rows % sim._block_rows(width)
@@ -440,10 +466,8 @@ class TestHadamardIdentity:
         # the whole channel: a uniform start phase, a Wiener path, a rotation
         rng = substream(123 + big_l, 0)
         theta0 = rng.uniform(0.0, TWO_PI, n)
-        path = _wiener_paths(
-            rng, math.sqrt(0.8 / big_l), np.empty((big_l + 1, n)), np.empty(big_l * n)
-        )
-        theta = theta0[:, None] + path[1:].T
+        path = _reference_wiener_rows(rng, n, big_l + 1, math.sqrt(0.8 / big_l))
+        theta = theta0[:, None] + path[:, 1:]
         wr = rng.standard_normal((n, big_l))
         wi = rng.standard_normal((n, big_l))
         y = amp * np.exp(1j * theta) + (wr + 1j * wi)
