@@ -40,6 +40,7 @@ keeps no per-sample arrays.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +116,7 @@ def _equal_mass_bins(x: np.ndarray, n_bins: int) -> np.ndarray:
     return bins
 
 
-def _circular_bins(x: np.ndarray, n_bins: int) -> np.ndarray:
+def _circular_bins(x: np.ndarray, n_bins: int = DEFAULT_BINS) -> np.ndarray:
     """int16 bins of width 2pi / n_bins over the angles `x` taken mod 2pi.
 
     The wrap is ``np.mod``'s own arithmetic, written out: ``fmod``, then
@@ -127,6 +128,16 @@ def _circular_bins(x: np.ndarray, n_bins: int) -> np.ndarray:
     wrapped *= n_bins
     bins = wrapped.astype(np.int16)
     return np.minimum(bins, n_bins - 1, out=bins)
+
+
+def _binned_mi(pairs: Iterable[tuple[np.ndarray, np.ndarray]], bin_x, bin_y) -> MiEstimate:
+    """Plug-in MI of the ``(DEFAULT_BINS, DEFAULT_BINS)`` histogram of the
+    blocks of paired samples `pairs`, binned by `bin_x` and `bin_y` and
+    added up block by block."""
+    joint = np.zeros((DEFAULT_BINS, DEFAULT_BINS), dtype=np.int64)
+    for x, y in pairs:
+        joint += _joint_counts(bin_x(x), bin_y(y), DEFAULT_BINS)
+    return _plugin_mi(joint)
 
 
 def _validate(nx: int, ny: int, n_bins: int) -> None:
@@ -189,11 +200,8 @@ def amplitude_channel_mi(params: ChannelParams, n_samples: int, rng_seed: int) -
         return MiEstimate(0.0, n_samples, DEFAULT_BINS, 0.0, 0.0, degenerate=True)
     norm_bins = _EdgeBins(_norm_edges(params.avg_power, params.oversampling))
     x2_bins = _EdgeBins(-power * np.log1p(-_LEVELS))
-    joint = np.zeros((DEFAULT_BINS, DEFAULT_BINS), dtype=np.int64)
     with np.errstate(over="ignore"):
-        for x2, norm in _amplitude_blocks(params, n_samples, rng_seed):
-            joint += _joint_counts(x2_bins(x2), norm_bins(norm), DEFAULT_BINS)
-    return _plugin_mi(joint)
+        return _binned_mi(_amplitude_blocks(params, n_samples, rng_seed), x2_bins, norm_bins)
 
 
 def _amplitude_blocks(params: ChannelParams, n_samples: int, rng_seed: int):
@@ -237,11 +245,7 @@ def phase_channel_mi(params: ChannelParams, n_samples: int, rng_seed: int) -> Mi
     if params.avg_power <= 0.0:
         raise ValueError("phase statistic needs P > 0")
     _validate(n_samples, n_samples, DEFAULT_BINS)
-    joint = np.zeros((DEFAULT_BINS, DEFAULT_BINS), dtype=np.int64)
-    for x1_angle, psi in _phase_blocks(params, n_samples, rng_seed):
-        ix = _circular_bins(x1_angle, DEFAULT_BINS)
-        joint += _joint_counts(ix, _circular_bins(psi, DEFAULT_BINS), DEFAULT_BINS)
-    return _plugin_mi(joint)
+    return _binned_mi(_phase_blocks(params, n_samples, rng_seed), _circular_bins, _circular_bins)
 
 
 def _phase_blocks(params: ChannelParams, n_samples: int, rng_seed: int):
