@@ -32,9 +32,11 @@ sample across a bin edge or reorders two samples at an edge.  ``exp``,
 Memory: each oracle reads its statistics from one generator over its law
 (:func:`_amplitude_blocks`, :func:`_phase_blocks`), whose normals come from
 the Monte Carlo engine :func:`owpnlab.sim._row_blocks` one row block of at
-most ``sim._block_rows(width)`` samples at a time, one sample per column, so
-a chunk is never held whole; it adds every block to its joint histogram and
-keeps no per-sample arrays.
+most ``sim._block_rows(width)`` samples at a time, one sample per column;
+:func:`_binned_mi` adds every block to the joint histogram and keeps no
+per-sample arrays.  As for every estimator of the engine, the
+reproducibility key is ``(seed, n_samples)``: sample ``j`` is drawn from
+``sim.substream(seed, j // 8192)``.
 """
 
 from __future__ import annotations
@@ -55,9 +57,6 @@ DEFAULT_BINS = 64
 MI_ALLOWANCE_NATS = 0.05
 
 _MIN_SAMPLES = 10_000
-# Samples per chunk: _CHUNK // L for the amplitude oracle, _CHUNK for the
-# phase oracle.  Chunk geometry is part of the reproducibility key.
-_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -210,7 +209,7 @@ def _amplitude_blocks(params: ChannelParams, n_samples: int, rng_seed: int):
     big_l = params.oversampling
     amp = math.sqrt(per_symbol_power(params) / 2.0)
     # one sample per column: every part below is a contiguous row
-    for z, _, _ in _row_blocks(rng_seed, n_samples, max(1, _CHUNK // big_l), 2 + 2 * big_l):
+    for z, _, _ in _row_blocks(rng_seed, n_samples, 2 + 2 * big_l):
         z[:2] *= amp
         xr, xi = z[0], z[1]
         yr, yi = z[2 : 2 + big_l], z[2 + big_l :]
@@ -255,7 +254,7 @@ def _phase_blocks(params: ChannelParams, n_samples: int, rng_seed: int):
     amp = math.sqrt(per_symbol_power(params) / 2.0)
     inc_std = math.sqrt(params.freq_noise_var / big_l)
     # one sample per column: every part below is a contiguous row
-    for z, _, _ in _row_blocks(rng_seed, n_samples, _CHUNK, 9):
+    for z, _, _ in _row_blocks(rng_seed, n_samples, 9):
         z[:4] *= amp
         z[4] *= inc_std
         x0r, x0i, x1r, x1i, psi, ylr, yli, yfr, yfi = z

@@ -255,7 +255,7 @@ class McEstimate:
     """A Monte Carlo estimate: mean, standard error, sample count, seed.
 
     std_error is the sample standard deviation over sqrt(n_samples); the same
-    (seed, n_samples, chunking) always reproduces the mean bit for bit.
+    (seed, n_samples) always reproduces the mean bit for bit.
     """
 
     mean: float

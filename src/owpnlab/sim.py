@@ -8,22 +8,19 @@ estimators build their Wiener paths from its normals in place
 statistics, with no phase path.
 
 Randomness discipline: a master seed names a family of independent substreams
-via ``SeedSequence(seed, spawn_key=(index,))``.  Monte Carlo estimators split
-their sample budget into fixed-size chunks and draw chunk ``i`` from substream
-``i``; each caller passes its own rows per chunk (``_chunk_rows(L)`` for the
-F moments, ``_chunk_rows(n_time_steps + 1)`` for the fading integral,
-``_chunk_rows(2)`` for log|X|^2, fixed counts in the MI oracles), and that
-chunk geometry is part of the reproducibility key.  Every estimator lays its
-draws out the same way: a sample's `width` standard normals are one row, and
-a chunk's normals are the rows of one ``standard_normal((m, width))`` draw,
-made one row block at a time.  The
-reduction order is fixed in full: inside a chunk, the per-sample values are
-cut into consecutive sum blocks of 8192 values, each block is summed by one
-``np.sum`` and the block sums are added left to right (:class:`_Accumulator`);
-the chunk sums are then added in ascending chunk order.  Results are
-therefore bit-identical for a given (seed, n_samples) regardless of how the
-chunks would be scheduled and of the numpy version on either side of 2.3,
-where ``np.sum`` of a long array stopped working in 8192-element buffers.
+via ``SeedSequence(seed, spawn_key=(index,))``.  Every estimator, whatever its
+number of normals per sample, cuts its sample budget into chunks of 8192
+samples (the last one partial): sample ``j`` comes from substream
+``j // 8192``, so the reproducibility key is ``(seed, n_samples)``.  Every
+estimator lays its draws out the same way: a sample's `width` standard normals
+are one row, and a chunk's normals are the rows of one
+``standard_normal((m, width))`` draw, made one row block at a time.  The
+reduction order is fixed in full: each chunk's per-sample values are summed by
+one ``np.sum``, and the chunk sums are added left to right from 0.0
+(:class:`_Accumulator`).  Results are therefore bit-identical for a given
+(seed, n_samples) regardless of how the chunks would be scheduled and of the
+numpy version on either side of 2.3, where ``np.sum`` of a long array stopped
+working in 8192-element buffers.
 Not covered: a different numpy ``Generator`` stream, or elementwise
 ``exp``/``cos``/``sin``/``log``/``power`` results that differ in another
 numpy or libm build.  The MI estimates of
@@ -38,14 +35,14 @@ point 0, exactly 0.0, left implicit; its points are summed left to right
 from point 0's value (:func:`_column_sums`), whatever `m` is;
 ``np.add.reduce(axis=0)`` would sum a single column, m = 1, pairwise.
 
-Working memory does not grow with the chunk: a row block holds
+Working memory does not grow with the budget: a row block holds
 ``_BLOCK_ELEMENTS`` (2^14) normals, except that rows of more than 16 values
-get at least 1024 rows, and that no block holds more than 2^16 normals or
-8192 rows (:func:`_block_rows`); a block's draw and its transpose live in two
-buffers made once per call, and the estimators reuse both.
-Drawing k1 rows and then k2 rows gives the same values as one draw of
-k1 + k2 rows, every per-sample value depends on its own row only, and the
-per-row values reach the accumulators one whole sum block at a time, so the
+get at least 1024 rows, and that no block holds more than 2^16 normals
+(:func:`_block_rows`) or more than its chunk's 8192 rows; a block's draw and
+its transpose live in two buffers made once per call, and the estimators
+reuse both.  Drawing k1 rows and then k2 rows gives the same values as one
+draw of k1 + k2 rows, every per-sample value depends on its own row only, and
+the per-row values reach the accumulators one whole chunk at a time, so the
 row-block size is not part of the key.
 
 Samples are never recombined to a coarser sampling grid: the discrete channel
@@ -63,12 +60,10 @@ import numpy as np
 
 from .model import ChannelParams, McEstimate
 
-# Per-chunk element budget; rows per chunk shrink as the row width grows so
-# memory stays bounded.  Chunk geometry is part of the reproducibility key.
-_CHUNK_ELEMENTS = 1 << 20
 _MIN_SAMPLES = 1_000
-# Values per sum block (see _Accumulator): numpy's iterator buffer size
-# before 2.3, so that the np.sum of a block is one inner loop in any numpy.
+# Samples per chunk, each chunk reduced by one np.sum (see _Accumulator):
+# numpy's iterator buffer size before 2.3, so that the np.sum of a chunk is
+# one inner loop in any numpy.  The reproducibility key.
 _SUM_BLOCK = 8192
 # Normals per row block (see _block_rows): small enough to bound memory,
 # large enough that per-block Python calls stay negligible.  Not part of the
@@ -81,47 +76,30 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _chunk_rows(row_width: int) -> int:
-    return max(1, _CHUNK_ELEMENTS // max(row_width, 1))
-
-
 def _block_rows(width: int) -> int:
     # rows of a row block: _BLOCK_ELEMENTS normals, but at least
     # _BLOCK_ELEMENTS // 16 rows (so that a per-point loop over a wide row
-    # makes few calls per block), at most 4 * _BLOCK_ELEMENTS normals and
-    # at most _SUM_BLOCK rows (which binds only at width 1); a row of no
-    # normals counts as one of width 1
+    # makes few calls per block) and at most 4 * _BLOCK_ELEMENTS normals; a
+    # row of no normals counts as one of width 1.  A chunk caps a block too.
     width = max(width, 1)
-    return max(
-        1,
-        min(_SUM_BLOCK, _BLOCK_ELEMENTS // min(width, 16), 4 * _BLOCK_ELEMENTS // width),
-    )
+    return max(1, min(_BLOCK_ELEMENTS // min(width, 16), 4 * _BLOCK_ELEMENTS // width))
 
 
 class _Accumulator:
     """Running sum / sum-of-squares reduced in a fixed order: each call of
-    :meth:`add` takes one sum block of a chunk's values (`_SUM_BLOCK` of
-    them, the chunk's last block the rest), reduces it by one ``np.sum`` and
-    adds that to the chunk's partial sum, block by block from 0.0.  The
-    partial sums are added in the order the chunks are closed by
-    :meth:`end_chunk`, which every estimator does in ascending chunk order."""
+    :meth:`add` takes one chunk's values, reduces them by one ``np.sum`` and
+    adds that to the running sum, chunk by chunk from 0.0, which every
+    estimator does in ascending chunk order."""
 
     def __init__(self) -> None:
         self.s1 = 0.0
         self.s2 = 0.0
         self.n = 0
-        self._chunk_s1 = 0.0
-        self._chunk_s2 = 0.0
 
     def add(self, values: np.ndarray) -> None:
-        self._chunk_s1 += float(np.sum(values))
-        self._chunk_s2 += float(np.sum(values * values))
+        self.s1 += float(np.sum(values))
+        self.s2 += float(np.sum(values * values))
         self.n += values.size
-
-    def end_chunk(self) -> None:
-        self.s1 += self._chunk_s1
-        self.s2 += self._chunk_s2
-        self._chunk_s1 = self._chunk_s2 = 0.0
 
     def estimate(self, seed: int) -> McEstimate:
         mean = self.s1 / self.n
@@ -129,25 +107,22 @@ class _Accumulator:
         return McEstimate(mean, math.sqrt(var / self.n), self.n, seed)
 
 
-def _chunks(
-    seed: int, n_samples: int, rows: int
-) -> Iterator[tuple[np.random.Generator, int, int]]:
-    """Yield ``(rng, start, m)`` for consecutive chunks of `rows` samples (the
-    last one partial) covering `n_samples`; chunk ``i`` draws from
-    ``substream(seed, i)``."""
-    for index, start in enumerate(range(0, n_samples, rows)):
-        yield substream(seed, index), start, min(rows, n_samples - start)
+def _chunks(seed: int, n_samples: int) -> Iterator[tuple[np.random.Generator, int]]:
+    """Yield ``(rng, m)`` for the consecutive chunks of `_SUM_BLOCK` samples
+    (the last one partial) covering `n_samples`; chunk ``i`` holds the
+    samples from ``i * _SUM_BLOCK`` on and draws from ``substream(seed, i)``."""
+    for index, start in enumerate(range(0, n_samples, _SUM_BLOCK)):
+        yield substream(seed, index), min(_SUM_BLOCK, n_samples - start)
 
 
 def _row_blocks(
     seed: int,
     n_samples: int,
-    rows: int,
     width: int,
     accs: tuple[_Accumulator, ...] = (),
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Walk the chunks of ``_chunks(seed, n_samples, rows)`` one row block at
-    a time, drawing each block's normals; the one place that draws.
+    """Walk the chunks of ``_chunks(seed, n_samples)`` one row block at a
+    time, drawing each block's normals; the one place that draws.
 
     A sample is `width` standard normals.  For each row block of `k` samples
     this yields ``(z, free, out)``: `z` is the ``(width, k)`` transpose of the
@@ -156,29 +131,25 @@ def _row_blocks(
     the ``(len(accs), k)`` rows into which the caller writes each sample's
     value for ``accs[i]``.  `z` and `free` are views of two buffers made once
     per call; the caller may overwrite both.  Row blocks hold at most
-    ``_block_rows(width)`` rows and end at each sum-block edge of the chunk:
-    a sum block's values gather in one buffer per chunk and reach the
-    accumulators whole, and each chunk is closed by ``end_chunk``.  Drawing
-    k1 rows and then k2 rows gives the values of one draw of k1 + k2 rows, so
-    the blocks draw what one ``(m, width)`` draw per chunk would.
+    ``_block_rows(width)`` rows and end at each chunk edge: a chunk's values
+    gather in one buffer, also made once per call, and reach each accumulator
+    in one ``add``.  Drawing k1 rows and then k2 rows gives the values of one
+    draw of k1 + k2 rows, so the blocks draw what one ``(m, width)`` draw per
+    chunk would.
     """
     step = _block_rows(width)
-    drawn, transposed = np.empty((2, width * min(n_samples, rows, step)))
-    for rng, _, m in _chunks(seed, n_samples, rows):
-        buf = np.empty((len(accs), min(_SUM_BLOCK, m)))
-        for w0 in range(0, m, _SUM_BLOCK):
-            size = min(_SUM_BLOCK, m - w0)
-            for lo in range(0, size, step):
-                k = min(step, size - lo)
-                draw = drawn[: width * k].reshape(k, width)
-                z = transposed[: width * k].reshape(width, k)
-                rng.standard_normal(out=draw)
-                np.copyto(z, draw.T)
-                yield z, draw.reshape(width, k), buf[:, lo : lo + k]
-            for acc, values in zip(accs, buf):
-                acc.add(values[:size])
-        for acc in accs:
-            acc.end_chunk()
+    drawn, transposed = np.empty((2, width * min(n_samples, _SUM_BLOCK, step)))
+    buf = np.empty((len(accs), min(n_samples, _SUM_BLOCK)))
+    for rng, m in _chunks(seed, n_samples):
+        for lo in range(0, m, step):
+            k = min(step, m - lo)
+            draw = drawn[: width * k].reshape(k, width)
+            z = transposed[: width * k].reshape(width, k)
+            rng.standard_normal(out=draw)
+            np.copyto(z, draw.T)
+            yield z, draw.reshape(width, k), buf[:, lo : lo + k]
+        for acc, values in zip(accs, buf):
+            acc.add(values[:m])
 
 
 def _wiener_paths(z: np.ndarray, step_std: float) -> np.ndarray:
@@ -223,8 +194,7 @@ def estimate_F_moments(params: ChannelParams, n_samples: int, rng_seed: int) -> 
     big_l = params.oversampling
     scale = math.sqrt(params.freq_noise_var / big_l)
     accs = acc_m2, acc_m4, acc_re = _Accumulator(), _Accumulator(), _Accumulator()
-    blocks = _row_blocks(rng_seed, n_samples, _chunk_rows(big_l), big_l - 1, accs)
-    for z, free, (mag2, mag4, re) in blocks:
+    for z, free, (mag2, mag4, re) in _row_blocks(rng_seed, n_samples, big_l - 1, accs):
         theta = _wiener_paths(z, scale)  # points 1 to L - 1; point 0 is 0.0
         _column_sums(np.cos(theta, out=free), 1.0, re)
         re /= big_l
@@ -264,8 +234,7 @@ def simulate_fading_integral(
     amp = math.sqrt(sigma2_over_L)
     step_std = math.sqrt(1.0 / n_time_steps)
     accs = acc_re, acc_im = _Accumulator(), _Accumulator()
-    blocks = _row_blocks(rng_seed, n_samples, _chunk_rows(n_time_steps + 1), n_time_steps, accs)
-    for z, free, (re, im) in blocks:
+    for z, free, (re, im) in _row_blocks(rng_seed, n_samples, n_time_steps, accs):
         theta = _wiener_paths(z, step_std)  # points 1 to n; point 0 is 0.0
         theta *= amp
         _trapezoid(np.cos(theta, out=free), 1.0, n_time_steps, re)
@@ -295,7 +264,7 @@ def estimate_log_abs_sq(power: float, n_samples: int, rng_seed: int) -> McEstima
         raise ValueError("n_samples must be >= 1")
     acc = _Accumulator()
     half = math.sqrt(power / 2.0)
-    for z, _, (out,) in _row_blocks(rng_seed, n_samples, _chunk_rows(2), 2, (acc,)):
+    for z, _, (out,) in _row_blocks(rng_seed, n_samples, 2, (acc,)):
         z *= half
         z *= z
         np.add(z[0], z[1], out=out)

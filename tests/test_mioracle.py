@@ -13,7 +13,6 @@ from _memory import traced_peak_mib
 from owpnlab.bounds import lower_partially_coherent, upper_outer
 from owpnlab._amplitude_bins import _LEVELS, _EdgeBins, _norm_edges
 from owpnlab.mioracle import (
-    _CHUNK,
     MI_ALLOWANCE_NATS,
     MiEstimate,
     _amplitude_blocks,
@@ -129,8 +128,8 @@ def test_equal_mass_bins_are_stable_rank_bins(seed, n_bins, extra, kind):
     assert np.array_equal(_equal_mass_bins(x, n_bins), _stable_rank_bins(x, n_bins))
 
 
-# The oracles in complex arithmetic, each chunk drawn at once as one (m, k)
-# array of standard normals, one row per sample; X + W formed as complex
+# The oracles in complex arithmetic, each 8192-sample chunk drawn at once as
+# one (m, k) array of standard normals, one row per sample; X + W formed as complex
 # arrays, |.|^2 by np.abs and angles by np.angle, and binned by
 # np.searchsorted against mpmath quantiles or as circular bins.  The
 # row-blocked real-arithmetic oracles must reproduce them exactly.
@@ -170,7 +169,8 @@ def _reference_amplitude_mi(params, n_samples, seed, n_bins=64):
     x2 = np.empty(n_samples)
     ynorm = np.empty(n_samples)
     amp = math.sqrt(per_symbol_power(params) / 2.0)
-    for rng, start, m in _chunks(seed, n_samples, max(1, _CHUNK // big_l)):
+    for index, (rng, m) in enumerate(_chunks(seed, n_samples)):
+        start = index * 8192
         z = rng.standard_normal((m, 2 + 2 * big_l))
         x = (z[:, 0] + 1j * z[:, 1]) * amp
         noise = z[:, 2 : 2 + big_l] + 1j * z[:, 2 + big_l :]
@@ -191,7 +191,8 @@ def _reference_phase_mi(params, n_samples, seed, n_bins=64):
     inc_std = math.sqrt(params.freq_noise_var / big_l)
     angles = np.empty(n_samples)
     psi = np.empty(n_samples)
-    for rng, start, m in _chunks(seed, n_samples, _CHUNK):
+    for index, (rng, m) in enumerate(_chunks(seed, n_samples)):
+        start = index * 8192
         z = rng.standard_normal((m, 9))
         x0 = (z[:, 0] + 1j * z[:, 1]) * amp
         x1 = (z[:, 2] + 1j * z[:, 3]) * amp
@@ -211,7 +212,7 @@ _REFERENCE_POINTS = [(20.0, 4, 0.5), (100.0, 1, 0.01), (3.0, 16, 2.0), (0.5, 1, 
 @pytest.mark.parametrize("p,big_l,s2", _REFERENCE_POINTS)
 @pytest.mark.parametrize("seed", [3, 40])
 def test_amplitude_mi_matches_complex_reference(p, big_l, s2, seed):
-    # 50,000 samples: 4 chunks at L = 4, 7 at L = 16
+    # 50,000 samples: 6 whole chunks and a partial seventh
     params = ChannelParams(p, big_l, s2)
     got = amplitude_channel_mi(params, 50_000, seed)
     want = _reference_amplitude_mi(params, 50_000, seed)
@@ -221,9 +222,9 @@ def test_amplitude_mi_matches_complex_reference(p, big_l, s2, seed):
 @pytest.mark.parametrize("p,big_l,s2", _REFERENCE_POINTS)
 @pytest.mark.parametrize("seed", [3, 40])
 def test_phase_mi_matches_complex_reference(p, big_l, s2, seed):
-    # two chunks, the second one partial
+    # two whole chunks and a partial third
     params = ChannelParams(p, big_l, s2)
-    n = _CHUNK + 20_000
+    n = 2 * 8192 + 1_234
     got = phase_channel_mi(params, n, seed)
     want = _reference_phase_mi(params, n, seed)
     assert got == want  # value and std_error included
@@ -231,10 +232,9 @@ def test_phase_mi_matches_complex_reference(p, big_l, s2, seed):
 
 # The whole channel, simulated in test code: a uniform start phase, a Wiener
 # path of N(0, sigma2/L) steps and Y = X e^{j Theta} + W in complex
-# arithmetic, in chunks of _LAW_ROWS rows.  The oracles simulate only the law
-# of their statistics; the MI they report must match the one measured on these
+# arithmetic, in 8192-sample chunks.  The oracles simulate only the law of
+# their statistics; the MI they report must match the one measured on these
 # samples.
-_LAW_ROWS = 1 << 14
 _LAW_SAMPLES = 200_000
 
 
@@ -245,7 +245,8 @@ def _full_channel_amplitude(params, n_samples, seed):
     step_std = math.sqrt(params.freq_noise_var / big_l)
     x2 = np.empty(n_samples)
     ynorm = np.empty(n_samples)
-    for rng, start, m in _chunks(seed, n_samples, _LAW_ROWS):
+    for index, (rng, m) in enumerate(_chunks(seed, n_samples)):
+        start = index * 8192
         xr = amp * rng.standard_normal((m, 1))
         xi = amp * rng.standard_normal((m, 1))
         theta = rng.uniform(0.0, TWO_PI, (m, 1))
@@ -265,7 +266,8 @@ def _full_channel_phase(params, n_samples, seed):
     step_std = math.sqrt(params.freq_noise_var / big_l)
     angles = np.empty(n_samples)
     psi = np.empty(n_samples)
-    for rng, start, m in _chunks(seed, n_samples, _LAW_ROWS):
+    for index, (rng, m) in enumerate(_chunks(seed, n_samples)):
+        start = index * 8192
         # column 0: X_0 and its last output sample; column 1: X_1 and its first
         xr = amp * rng.standard_normal((m, 2))
         xi = amp * rng.standard_normal((m, 2))
@@ -369,8 +371,8 @@ class TestAmplitudeChannelMi:
         assert est.value == 0.0 and est.degenerate
 
     @pytest.mark.parametrize("big_l, value, std_error", [
-        (1, 4.157401056347984, 0.00038515783691338686),
-        (4, 4.157609380433099, 0.00035681085561540296),
+        (1, 4.156988545828582, 0.0004357313479173716),
+        (4, 4.1571418421785244, 0.00041597009832587646),
     ])
     def test_samples_that_overflow_raise_no_warning(self, big_l, value, std_error):
         # at P = 3e307 the ||Y||^2 edges are finite, but |X|^2, the squares
@@ -498,33 +500,31 @@ class TestPhaseChannelMi:
 
 class TestRowBlockSize:
     """The row-block size is not part of the reproducibility key: with row
-    blocks of `SMALL` elements, whose row counts divide no chunk, every field
-    of each estimate is unchanged.  Each budget spans two whole chunks and a
-    partial third."""
+    blocks of `SMALL` elements, whose row counts do not divide a chunk, every
+    field of each estimate is unchanged.  Each budget spans two whole chunks
+    and a partial third."""
 
     SMALL = 1000
+    N = 2 * 8192 + 1_234
 
-    def small_blocks(self, monkeypatch, chunk, width):
+    def small_blocks(self, monkeypatch, width):
         monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", self.SMALL)
         rows = sim._block_rows(width)
-        assert chunk % rows and 0 < rows < chunk
+        assert 8192 % rows and 0 < rows < 8192
 
     @pytest.mark.parametrize("big_l", [1, 4, 16])
     def test_amplitude(self, big_l, monkeypatch):
         params = ChannelParams(20.0, big_l, 0.5)
-        chunk = _CHUNK // big_l
-        n = 2 * chunk + 12_345
-        want = amplitude_channel_mi(params, n, rng_seed=17)
-        self.small_blocks(monkeypatch, chunk, 2 + 2 * big_l)
-        assert amplitude_channel_mi(params, n, rng_seed=17) == want
+        want = amplitude_channel_mi(params, self.N, rng_seed=17)
+        self.small_blocks(monkeypatch, 2 + 2 * big_l)
+        assert amplitude_channel_mi(params, self.N, rng_seed=17) == want
 
     @pytest.mark.parametrize("big_l", [1, 4, 16])
     def test_phase(self, big_l, monkeypatch):
         params = ChannelParams(20.0, big_l, 0.5)
-        n = 2 * _CHUNK + 12_345
-        want = phase_channel_mi(params, n, rng_seed=18)
-        self.small_blocks(monkeypatch, _CHUNK, 9)
-        assert phase_channel_mi(params, n, rng_seed=18) == want
+        want = phase_channel_mi(params, self.N, rng_seed=18)
+        self.small_blocks(monkeypatch, 9)
+        assert phase_channel_mi(params, self.N, rng_seed=18) == want
 
 
 class TestSandwichAgainstOuterBound:

@@ -78,8 +78,9 @@ def test_benchmark_entry_points(monkeypatch, tmp_path):
 
 def test_only_the_engine_draws():
     # every normal is drawn by sim._row_blocks from a generator of
-    # sim.substream, so every estimator shares one draw layout and one key
-    calls = {"standard_normal": set(), "default_rng": set()}
+    # sim.substream, which only sim._chunks calls, and only sim._row_blocks
+    # walks the chunks, so every estimator shares one draw layout and one key
+    calls = {"standard_normal": set(), "default_rng": set(), "substream": set(), "_chunks": set()}
     for path in sorted(Path(owpnlab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
@@ -92,4 +93,9 @@ def test_only_the_engine_draws():
                 while scope in parents and not isinstance(scope, ast.FunctionDef):
                     scope = parents[scope]
                 calls[name].add(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
-    assert calls == {"standard_normal": {"sim._row_blocks"}, "default_rng": {"sim.substream"}}
+    assert calls == {
+        "standard_normal": {"sim._row_blocks"},
+        "default_rng": {"sim.substream"},
+        "substream": {"sim._chunks"},
+        "_chunks": {"sim._row_blocks"},
+    }

@@ -25,14 +25,14 @@ EULER_MASCHERONI = 0.57721566490153286061
 
 class TestChunks:
     def test_sizes_and_substreams(self):
-        chunks = list(_chunks(7, 10, 4))
-        assert [(start, m) for _, start, m in chunks] == [(0, 4), (4, 4), (8, 2)]
-        for index, (rng, _, _) in enumerate(chunks):
+        chunks = list(_chunks(7, 2 * 8192 + 10))
+        assert [m for _, m in chunks] == [8192, 8192, 10]
+        for index, (rng, _) in enumerate(chunks):
             assert rng.standard_normal() == substream(7, index).standard_normal()
 
     def test_no_empty_last_chunk(self):
-        assert [m for _, _, m in _chunks(1, 8, 4)] == [4, 4]
-        assert [m for _, _, m in _chunks(1, 3, 4)] == [3]
+        assert [m for _, m in _chunks(1, 2 * 8192)] == [8192, 8192]
+        assert [m for _, m in _chunks(1, 3)] == [3]
 
     def test_wiener_paths(self):
         # one path per column, built in place from the walker's layout
@@ -44,20 +44,20 @@ class TestChunks:
 
 
 class TestRowBlocks:
-    """The walker's contract: over two whole chunks and a partial third, the
-    `z` blocks of chunk i, side by side, are the transposed
-    ``standard_normal((m, width))`` draw of ``substream(seed, i)``, at any
-    row-block size; `free` shares no memory with `z`."""
+    """The walker's contract: over two whole chunks of 8192 samples and a
+    partial third, the `z` blocks of chunk i, side by side, are the
+    transposed ``standard_normal((m, width))`` draw of ``substream(seed, i)``,
+    at any row-block size; `free` shares no memory with `z`."""
 
     @pytest.mark.parametrize("small", [False, True], ids=["default_blocks", "small_blocks"])
     @pytest.mark.parametrize("width", [0, 1, 2, 9, 10, 15, 64])
     def test_draws_each_chunk(self, width, small, monkeypatch):
         if small:
             monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 1000)
-        rows = sim._SUM_BLOCK + 1_000  # a chunk of two sum blocks, the second partial
+        rows = 8192
         n = 2 * rows + 1_234
         blocks = []
-        for z, free, out in sim._row_blocks(41, n, rows, width):
+        for z, free, out in sim._row_blocks(41, n, width):
             assert z.shape == free.shape == (width, out.shape[1]) and out.shape[0] == 0
             assert z.flags.c_contiguous
             drawn = z.copy()
@@ -65,9 +65,9 @@ class TestRowBlocks:
             assert np.array_equal(z, drawn)
             blocks.append(drawn)
         got = np.split(np.concatenate(blocks, axis=1), [rows, 2 * rows], axis=1)
-        chunks = list(_chunks(41, n, rows))
+        chunks = list(_chunks(41, n))
         assert len(got) == len(chunks) == 3
-        for z, (rng, _, m) in zip(got, chunks):
+        for z, (rng, m) in zip(got, chunks):
             assert np.array_equal(z, rng.standard_normal((m, width)).T)
 
 
@@ -157,10 +157,10 @@ class TestFadingIntegral:
 
 
 # The two path estimators as they were written before row blocks: each chunk
-# of 2^20 // width rows drawn at once through rng.normal, each row's points
-# summed left to right (np.cumsum along the row, sequential by definition),
-# and the per-row values reduced by one left-to-right sum of 8192-element
-# blocks.  The row-blocked estimators must reproduce them exactly.
+# of 8192 rows drawn at once through rng.normal, each row's points summed
+# left to right (np.cumsum along the row, sequential by definition), each
+# chunk's per-row values reduced by one np.sum and the chunk sums added left
+# to right.  The row-blocked estimators must reproduce them exactly.
 
 
 class _ReferenceAccumulator:
@@ -169,8 +169,8 @@ class _ReferenceAccumulator:
         self.n = 0
 
     def add(self, values):  # one whole chunk
-        self.s1 += left_to_right_blocks(values)
-        self.s2 += left_to_right_blocks(values * values)
+        self.s1 += float(np.sum(values))
+        self.s2 += float(np.sum(values * values))
         self.n += values.size
 
     def estimate(self, seed):
@@ -194,7 +194,7 @@ def _reference_f_moments(params, n_samples, seed):
     big_l = params.oversampling
     scale = math.sqrt(params.freq_noise_var / big_l)
     acc_m2, acc_m4, acc_re = _ReferenceAccumulator(), _ReferenceAccumulator(), _ReferenceAccumulator()
-    for rng, _, m in _chunks(seed, n_samples, max(1, (1 << 20) // big_l)):
+    for rng, m in _chunks(seed, n_samples):
         theta = _reference_wiener_rows(rng, m, big_l, scale)
         re = _row_sums(np.cos(theta)) / big_l
         im = _row_sums(np.sin(theta)) / big_l
@@ -208,7 +208,7 @@ def _reference_f_moments(params, n_samples, seed):
 def _reference_fading_integral(sigma2_over_L, n_steps, n_samples, seed):
     amp = math.sqrt(sigma2_over_L)
     acc_re, acc_im = _ReferenceAccumulator(), _ReferenceAccumulator()
-    for rng, _, m in _chunks(seed, n_samples, max(1, (1 << 20) // (n_steps + 1))):
+    for rng, m in _chunks(seed, n_samples):
         theta = _reference_wiener_rows(rng, m, n_steps + 1, math.sqrt(1.0 / n_steps))
         theta *= amp
         for acc, values in ((acc_re, np.cos(theta)), (acc_im, np.sin(theta))):
@@ -223,21 +223,21 @@ def _bits(estimates):
 
 class TestRowBlocksKeepBits:
     """Every McEstimate field equals the unblocked estimator's, over budgets
-    of two whole chunks and a third that ends in a partial row block."""
+    of whole 8192-sample chunks and a partial last one."""
 
     @pytest.mark.parametrize("big_l, s2, n_samples", [
-        (1, 0.7, 2 * 2**20 + 12_345),
-        (2, 4.0 * math.log(2.0), 2 * 2**19 + 12_345),
-        (2, 0.0, 2 * 2**19 + 12_345),
-        (16, 0.1, 2 * 2**16 + 12_345),
-        (65, 3.0, 2 * (2**20 // 65) + 1_234),
+        (1, 0.7, 2_109_497),  # 257 whole chunks and a partial one
+        (2, 4.0 * math.log(2.0), 1_060_921),  # 129 and a partial one
+        (2, 0.0, 1_060_921),
+        (16, 0.1, 143_417),  # 17 and a partial one
+        (65, 3.0, 33_496),  # 4 and a partial one
         # where numpy's pairwise row sum changes its order (under 8 points,
         # exactly 8, one past 8, one past 128), which the left-to-right path
-        # sums must not follow; one whole chunk and a partial one
-        (4, 1.0, 2**20 // 4 + 12_345),
-        (8, 2.0, 2**20 // 8 + 12_345),
-        (9, 0.3, 2**20 // 9 + 12_345),
-        (129, 5.0, 2**20 // 129 + 1_234),
+        # sums must not follow
+        (4, 1.0, 274_489),  # 33 and a partial one
+        (8, 2.0, 143_417),
+        (9, 0.3, 128_853),  # 15 and a partial one
+        (129, 5.0, 9_362),  # 1 and a partial one
     ])
     def test_f_moments(self, big_l, s2, n_samples):
         params = ChannelParams(1.0, big_l, s2)
@@ -245,9 +245,9 @@ class TestRowBlocksKeepBits:
         assert _bits(got) == _bits(_reference_f_moments(params, n_samples, 31))
 
     @pytest.mark.parametrize("a, n_samples", [
-        (2.0, 2 * (2**20 // 65) + 1_234),
-        (0.0, 2 * (2**20 // 65) + 1),
-        (8.0, 3_000),
+        (2.0, 33_496),  # 4 whole chunks and a partial one
+        (0.0, 32_263),  # 3 and a partial one
+        (8.0, 3_000),  # one partial chunk
     ])
     def test_fading_integral(self, a, n_samples):
         got = simulate_fading_integral(a, 64, n_samples, rng_seed=32)
@@ -256,8 +256,8 @@ class TestRowBlocksKeepBits:
     @pytest.mark.parametrize("n_steps", [7, 8, 128])
     def test_fading_integral_at_order_seams(self, n_steps):
         # 8, 9 and 129 path points, where numpy's pairwise row sum changes
-        # its order; one whole chunk and a partial one
-        n_samples = 2**20 // (n_steps + 1) + 1_234
+        # its order; two whole chunks and a partial third
+        n_samples = 2 * 8192 + 1_234
         got = simulate_fading_integral(1.5, n_steps, n_samples, rng_seed=33)
         assert _bits(got) == _bits(_reference_fading_integral(1.5, n_steps, n_samples, 33))
 
@@ -276,7 +276,7 @@ class TestRowBlocksKeepBits:
 
 class TestWorkingMemory:
     """Traced peak memory stays below bounds that the whole-chunk estimators
-    (2^20-element chunks, ~27-32 MiB traced) exceed."""
+    (chunks of 2^20 normals, ~27-32 MiB traced) exceeded."""
 
     def test_fading_integral(self):
         assert traced_peak_mib(simulate_fading_integral, 2.0, 64, 100_000, 1) < 4.0
@@ -309,14 +309,16 @@ class TestWorkingMemory:
 
 class TestBlockRows:
     """A row block holds 2^14 normals, but rows of more than 16 values get at
-    least 1024 rows, and no block holds more than 2^16 normals or 8192 rows."""
+    least 1024 rows, and no block holds more than 2^16 normals or the 8192
+    rows of its chunk."""
 
     @pytest.mark.parametrize("width, rows", [
         (1, 8192), (2, 8192), (4, 4096), (9, 1820), (10, 1638), (16, 1024),
         (17, 1024), (65, 1008), (130, 504), (1025, 63),
     ])
     def test_rows(self, width, rows):
-        assert sim._block_rows(width) == rows
+        z, _, _ = next(sim._row_blocks(0, 2 * 8192, width))
+        assert z.shape == (width, rows)
 
 
 class TestColumnSums:
@@ -363,17 +365,17 @@ class TestLogAbsSq:
             estimate_log_abs_sq(0.0, 10_000, rng_seed=0)
 
     def test_row_block_size_leaves_the_key(self, monkeypatch):
-        # 1000-element row blocks (500 rows, which divide neither a chunk nor
-        # a sum window) over two whole 2^19-row chunks and a partial third
-        n = 2 * 2**19 + 12_345
+        # 1000-element row blocks (500 rows, which do not divide a chunk)
+        # over two whole chunks and a partial third
+        n = 2 * 8192 + 1_234
         want = estimate_log_abs_sq(4.0, n, rng_seed=19)
         monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 1000)
         assert _bits([estimate_log_abs_sq(4.0, n, rng_seed=19)]) == _bits([want])
 
 
 def left_to_right_blocks(values):
-    """The fixed reduction order of a chunk: np.sum of each consecutive
-    8192-value block, the block sums added left to right from 0.0."""
+    """The fixed reduction order: np.sum of each consecutive 8192-value
+    chunk, the chunk sums added left to right from 0.0."""
     total = 0.0
     for start in range(0, values.size, 8192):
         total += float(np.sum(values[start : start + 8192]))
@@ -381,19 +383,19 @@ def left_to_right_blocks(values):
 
 
 class TestBlockedSum:
-    """The reduction order inside a chunk is part of the reproducibility key:
-    8192-element blocks, each summed by np.sum, block sums added left to
-    right.  numpy >= 2.3 sums a whole long array in one pairwise pass, which
-    differs from this order in the last ulp on the input below."""
+    """The reduction order is part of the reproducibility key: 8192-sample
+    chunks, each summed by np.sum, chunk sums added left to right.  numpy
+    >= 2.3 sums a whole long array in one pairwise pass, which differs from
+    this order in the last ulp on the input below."""
 
     N = 100_000
 
     @classmethod
     def log_abs_sq_samples(cls):
-        # the one chunk behind estimate_log_abs_sq(4.0, 100_000, 343), which is
+        # the chunks behind estimate_log_abs_sq(4.0, 100_000, 343), which is
         # the power=4 row of `verify --seed 42`: one row (re, im) per sample
-        rng = substream(343, 0)
-        z = rng.standard_normal((cls.N, 2)) * math.sqrt(4.0 / 2.0)
+        z = np.concatenate([rng.standard_normal((m, 2)) for rng, m in _chunks(343, cls.N)])
+        z *= math.sqrt(4.0 / 2.0)
         re, im = z[:, 0], z[:, 1]
         return np.log(re * re + im * im)
 
@@ -410,43 +412,31 @@ class TestBlockedSum:
 
 
 class TestSumBlocks:
-    """The engine's one contract with its accumulators: every call of
-    `_Accumulator.add` takes one sum block of `_SUM_BLOCK` values, except a
-    chunk's last call, which takes the rest of the chunk.  Over two whole
-    chunks and a partial third, also with 1000-element row blocks, whose row
-    counts divide neither a sum block nor a chunk."""
+    """The engine's one contract with its accumulators: `_Accumulator.add` is
+    called once per chunk, with the chunk's values, 8192 of them or, for the
+    last chunk, the rest.  Over two whole chunks and a partial third, also
+    with 1000-element row blocks, whose row counts do not divide a chunk."""
 
     @pytest.mark.parametrize("small", [False, True], ids=["default_blocks", "small_blocks"])
-    # a chunk holds 2^20 // row_width rows of `width` normals each
-    @pytest.mark.parametrize("row_width, width, n_accs, estimate", [
-        (16, 15, 3, lambda n: estimate_F_moments(ChannelParams(1.0, 16, 0.1), n, rng_seed=36)),
-        (65, 64, 2, lambda n: simulate_fading_integral(2.0, 64, n, rng_seed=37)),
-        (2, 2, 1, lambda n: estimate_log_abs_sq(4.0, n, rng_seed=38)),
+    @pytest.mark.parametrize("width, n_accs, estimate", [
+        (15, 3, lambda n: estimate_F_moments(ChannelParams(1.0, 16, 0.1), n, rng_seed=36)),
+        (64, 2, lambda n: simulate_fading_integral(2.0, 64, n, rng_seed=37)),
+        (2, 1, lambda n: estimate_log_abs_sq(4.0, n, rng_seed=38)),
     ], ids=["f_moments", "fading_integral", "log_abs_sq"])
-    def test_one_sum_block_per_add(self, row_width, width, n_accs, estimate, small, monkeypatch):
-        rows = sim._chunk_rows(row_width)
+    def test_one_sum_block_per_add(self, width, n_accs, estimate, small, monkeypatch):
         if small:
             monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 1000)
-            assert sim._SUM_BLOCK % sim._block_rows(width) and rows % sim._block_rows(width)
+            assert 8192 % sim._block_rows(width)
         calls = {}
-        add, end_chunk = sim._Accumulator.add, sim._Accumulator.end_chunk
+        add = sim._Accumulator.add
 
         def spy_add(acc, values):
             calls.setdefault(id(acc), []).append(values.size)
             add(acc, values)
 
-        def spy_end_chunk(acc):
-            calls.setdefault(id(acc), []).append("end")
-            end_chunk(acc)
-
         monkeypatch.setattr(sim._Accumulator, "add", spy_add)
-        monkeypatch.setattr(sim._Accumulator, "end_chunk", spy_end_chunk)
-        estimate(2 * rows + 12_345)
-        want = []
-        for m in (rows, rows, 12_345):
-            whole, rest = divmod(m, sim._SUM_BLOCK)
-            want += [sim._SUM_BLOCK] * whole + [rest] * (rest > 0) + ["end"]
-        assert list(calls.values()) == [want] * n_accs
+        estimate(2 * 8192 + 1_234)
+        assert list(calls.values()) == [[8192, 8192, 1_234]] * n_accs
 
 
 class TestHadamardIdentity:
