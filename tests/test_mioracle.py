@@ -129,8 +129,8 @@ def test_equal_mass_bins_are_stable_rank_bins(seed, n_bins, extra, kind):
 
 
 # The oracles in complex arithmetic, each 8192-sample chunk drawn at once as
-# one (m, k) array of standard normals, one row per sample; X + W formed as complex
-# arrays, |.|^2 by np.abs and angles by np.angle, and binned by
+# one (m, k) array of standard normals, one row per sample; X + W formed as
+# complex arrays, |.|^2 by np.abs and angles by np.angle, and binned by
 # np.searchsorted against mpmath quantiles or as circular bins.  The
 # row-blocked real-arithmetic oracles must reproduce them exactly.
 

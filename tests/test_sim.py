@@ -156,11 +156,11 @@ class TestFadingIntegral:
             simulate_fading_integral(1.0, 1, 1_000, rng_seed=0)
 
 
-# The two path estimators as they were written before row blocks: each chunk
-# of 8192 rows drawn at once through rng.normal, each row's points summed
-# left to right (np.cumsum along the row, sequential by definition), each
-# chunk's per-row values reduced by one np.sum and the chunk sums added left
-# to right.  The row-blocked estimators must reproduce them exactly.
+# The two path estimators written without row blocks: each chunk of 8192
+# rows drawn at once through rng.normal, each row's points summed left to
+# right (np.cumsum along the row, sequential by definition), each chunk's
+# per-row values reduced by one np.sum and the chunk sums added left to
+# right.  The row-blocked estimators must reproduce them exactly.
 
 
 class _ReferenceAccumulator:
