@@ -253,65 +253,42 @@ def _grid(args, axes) -> Iterator[list[np.ndarray]]:
     return blocks()
 
 
-_BOUNDS_KERNELS = (
-    bounds_mod._upper_outer,
-    bounds_mod._lower_partially_coherent,
-    bounds_mod._lower_coherent_combining,
-)
+def _grid_command(axes, header: list[str], cells) -> Callable[..., int]:
+    """The function of a grid subcommand over `axes`: it writes the grid's
+    CSV, whose header is the axis names followed by `header`, and whose cells
+    ``cells(args, block)`` gives for each block of axis columns."""
+    def command(args) -> int:  # the axes are parsed before the output is opened
+        _write_grid(args.out, [*(name for name, _ in axes), *header], _grid(args, axes),
+                    lambda block: cells(args, block))
+        return EXIT_OK
+
+    return command
 
 
-def cmd_bounds(args) -> int:
-    blocks = _grid(args, _PLS_AXES)
-
-    def cells(grid):  # total, amplitude, phase of each kernel, in nats
-        columns = [column for kernel in _BOUNDS_KERNELS for column in kernel(*grid)]
-        undefined = np.flatnonzero(~np.isfinite(columns).all(axis=0))
-        for i in undefined[:1]:  # every bound is finite on its whole input domain
-            p, big_l, s2 = (_fmt(g[i]) for g in grid)
-            raise RuntimeError(f"a bound is not finite at (P={p}, L={big_l}, sigma2={s2})")
-        return [*(convert_rate(c, args.units) for c in columns), [args.units.value] * grid[0].size]
-
-    header = [
-        "P", "L", "sigma2",
-        "upper_total", "upper_amp", "upper_phase",
-        "pc_total", "pc_amp", "pc_phase",
-        "cc_total", "cc_amp", "cc_phase",
-        "units",
-    ]
-    _write_grid(args.out, header, blocks, cells)
-    return EXIT_OK
+_BOUNDS_KERNELS = (bounds_mod._upper_outer, bounds_mod._lower_partially_coherent,
+                   bounds_mod._lower_coherent_combining)
 
 
-def cmd_gdof(args) -> int:
-    blocks = _grid(args, _GDOF_AXES)
-
-    def cells(grid):  # each family's total; d_exact is nan, so blank, where no regime applies
-        *families, regimes = gdof_mod._regions(*grid)
-        return [*(total for total, _, _ in families), regimes]
-
-    header = [
-        "alpha", "beta",
-        "d_outer", "d_inner_pc", "d_inner_cc", "d_inner_combined",
-        "d_exact", "regime_of_exactness",
-    ]
-    _write_grid(args.out, header, blocks, cells)
-    return EXIT_OK
+def _bounds_cells(args, grid):  # total, amplitude, phase of each kernel, in nats
+    columns = [column for kernel in _BOUNDS_KERNELS for column in kernel(*grid)]
+    undefined = np.flatnonzero(~np.isfinite(columns).all(axis=0))
+    for i in undefined[:1]:  # every bound is finite on its whole input domain
+        p, big_l, s2 = (_fmt(g[i]) for g in grid)
+        raise RuntimeError(f"a bound is not finite at (P={p}, L={big_l}, sigma2={s2})")
+    return [*(convert_rate(c, args.units) for c in columns), [args.units.value] * grid[0].size]
 
 
-def cmd_regimes(args) -> int:
-    blocks = _grid(args, _PLS_AXES)
-    names = [regime.value for regime in gdof_mod._REGIMES]
-    # each entry's guaranteed gap; nan, so blank, for "general"
+def _gdof_cells(args, grid):  # each family's total; d_exact is nan (blank) outside every regime
+    *families, regimes = gdof_mod._regions(*grid)
+    return [*(total for total, _, _ in families), regimes]
+
+
+def _regimes_cells(args, grid):  # each point's regime and its guaranteed gap, blank for "general"
+    which = gdof_mod._classify(*grid)
     gaps = convert_rate(np.array([gdof_mod.regime_gap_nats(r) for r in gdof_mod._REGIMES]),
                         args.units)
-
-    def cells(grid):
-        which = gdof_mod._classify(*grid)
-        return [[names[i] for i in which.tolist()], gaps[which], [args.units.value] * which.size]
-
-    header = ["P", "L", "sigma2", "regime", "gap", "units"]
-    _write_grid(args.out, header, blocks, cells)
-    return EXIT_OK
+    return [[gdof_mod._REGIMES[i].value for i in which.tolist()], gaps[which],
+            [args.units.value] * which.size]
 
 
 def cmd_riccati(args) -> int:
@@ -485,22 +462,28 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _axis(name: str) -> tuple[str, dict]:
-    return f"--{name}", {"help": f"{name} axis: 'v1,v2,...' or 'log:start:stop:n'"}
-
-
 _UNITS = ("--units", {"type": Units, "default": "nats", "metavar": "{nats,bits}",
                       "help": "rate unit, applied at emission (default: nats)"})
 
+
+def _axis_flags(axes) -> tuple:
+    return tuple((f"--{name}", {"help": f"{name} axis: 'v1,v2,...' or 'log:start:stop:n'"})
+                 for name, _ in axes)
+
+
 # Each subcommand's function, help line and the options it reads, as
-# (flag, add_argument keywords).  An option without a default is a required
+# (flag, add_argument keywords); a grid subcommand's axes give its first
+# options and header columns.  An option without a default is a required
 # input, given by a flag or a config line.  Every subcommand also takes
 # --out and --config.
 _COMMANDS = {
-    "bounds": (cmd_bounds, "capacity bounds over a (P, L, sigma2) grid",
-               (_axis("P"), _axis("L"), _axis("sigma2"), _UNITS)),
-    "gdof": (cmd_gdof, "GDoF regions over an (alpha, beta) grid",
-             (_axis("alpha"), _axis("beta"))),
+    "bounds": (_grid_command(_PLS_AXES, ["upper_total", "upper_amp", "upper_phase",
+                                         "pc_total", "pc_amp", "pc_phase",
+                                         "cc_total", "cc_amp", "cc_phase", "units"], _bounds_cells),
+               "capacity bounds over a (P, L, sigma2) grid", (*_axis_flags(_PLS_AXES), _UNITS)),
+    "gdof": (_grid_command(_GDOF_AXES, ["d_outer", "d_inner_pc", "d_inner_cc", "d_inner_combined",
+                                        "d_exact", "regime_of_exactness"], _gdof_cells),
+             "GDoF regions over an (alpha, beta) grid", _axis_flags(_GDOF_AXES)),
     "verify": (cmd_verify, "Monte-Carlo vs closed-form verification suite", (
         ("--seed", {"type": int, "default": 42, "help": "base seed, >= 0 (default: 42)"}),
         ("--samples", {"type": int, "default": 100_000,
@@ -514,8 +497,9 @@ _COMMANDS = {
         ("--ratio", {"type": float, "help": "L / sigma2"}),
         ("--max-iter", {"type": int, "default": 10**6, "help": "iteration cap, >= 1"}),
     )),
-    "regimes": (cmd_regimes, "regime classification over a (P, L, sigma2) grid",
-                (_axis("P"), _axis("L"), _axis("sigma2"), _UNITS)),
+    "regimes": (_grid_command(_PLS_AXES, ["regime", "gap", "units"], _regimes_cells),
+                "regime classification over a (P, L, sigma2) grid",
+                (*_axis_flags(_PLS_AXES), _UNITS)),
 }
 
 

@@ -277,7 +277,8 @@ def classify_regime(params: ChannelParams) -> Regime:
 
 def channel_at_power(point: GdofPoint, avg_power: float) -> ChannelParams:
     """Channel parameters on the (alpha, beta) ray at power P:
-    L = floor(P^alpha) (capped at 2^62), sigma2 = P^beta."""
+    L = floor(P^alpha) (capped at 2^62), sigma2 = P^beta.  Raises ValueError
+    unless P >= 1, and where L exceeds the cap or sigma2 overflows."""
     if avg_power < 1.0:
         raise ValueError("avg_power must be >= 1 on a GDoF ray")
     if point.alpha * math.log2(avg_power) > 62.0:
@@ -285,7 +286,11 @@ def channel_at_power(point: GdofPoint, avg_power: float) -> ChannelParams:
             f"floor(P^alpha) exceeds 2^62 at P={avg_power}, alpha={point.alpha}"
         )
     big_l = max(int(math.floor(avg_power**point.alpha)), 1)
-    return ChannelParams(avg_power, big_l, avg_power**point.beta)
+    try:
+        sigma2 = avg_power**point.beta
+    except OverflowError:
+        raise ValueError(f"P^beta overflows at P={avg_power}, beta={point.beta}") from None
+    return ChannelParams(avg_power, big_l, sigma2)
 
 
 def empirical_prelog(

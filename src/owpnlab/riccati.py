@@ -152,10 +152,18 @@ def immse_entropy_quadrature(prior_std: float) -> float:
     (2 pi e - 1/s)/(2 rho_max).  The exact value is h(N(0, s)) = (1/2) ln(2 pi e s).
     The grid is made and summed one block of 8192 trapezoid terms at a time,
     with the same points and the same sum as the whole grid.
+
+    The fixed grid meets verify's 1e-3 tolerance for 4e-3 <= prior_std <=
+    5e3 (error 2.3e-3 at 10^-2.5, 0.15 nats at 1e-3, 0.028 at 1e4); far
+    outside it the value is meaningless (2.5e291 at 1e150, where h is 346.8).
+    Raises ValueError unless prior_std > 0 and s is a normal float such that
+    s rho_max does not overflow (s < 1.797e302).
     """
-    if not 0.0 < prior_std < math.inf:
-        raise ValueError(f"prior_std must be finite and > 0, got {prior_std}")
-    s = prior_std * prior_std
+    s = float(prior_std) * float(prior_std)  # a Python float overflows without a warning
+    # s rho_max is finite exactly for s below max / rho_max as rounded
+    if not (prior_std > 0.0 and np.finfo(float).tiny <= s < np.finfo(float).max / _RHO_MAX):
+        raise ValueError(f"prior_std must be > 0 with prior_std^2 a normal float < 1.797e302, "
+                         f"got {prior_std}")
     two_pi_e = 2.0 * math.pi * math.e
     body = 0.0
     for rho in _quadrature_blocks():

@@ -53,6 +53,7 @@ a "resample to smaller L" helper would be unsound and is deliberately absent.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -69,6 +70,11 @@ _SUM_BLOCK = 8192
 # large enough that per-block Python calls stay negligible.  Not part of the
 # reproducibility key.
 _BLOCK_ELEMENTS = 1 << 14
+# Largest power estimate_log_abs_sq takes.  numpy's ziggurat draws no normal
+# beyond 13.71 in magnitude (its tail sample is r - ln(u)/r, r = 3.654,
+# u >= 2^-53); with the margin |z| <= 16, a sample's |X|^2 = (power/2)
+# (z_re^2 + z_im^2) is at most 256 power.
+_LOG_ABS_SQ_POWER_MAX = sys.float_info.max / 256.0
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -257,9 +263,12 @@ def estimate_log_abs_sq(power: float, n_samples: int, rng_seed: int) -> McEstima
 
     The analytic value is ln(power) - gamma with gamma the Euler-Mascheroni
     constant.  Each sample is one row ``(re, im)`` of standard normals.
+    Raises ValueError unless power / 2 is a normal float and power is at
+    most 7.022e305, where no sample's |X|^2 can overflow.
     """
-    if not 0.0 < power < math.inf:
-        raise ValueError(f"power must be finite and > 0, got {power}")
+    if not (sys.float_info.min <= power / 2.0 and power <= _LOG_ABS_SQ_POWER_MAX):
+        raise ValueError(f"power must have power/2 a normal float and be <= "
+                         f"{_LOG_ABS_SQ_POWER_MAX:.4g}, got {power}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     acc = _Accumulator()

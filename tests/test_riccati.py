@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -232,6 +233,15 @@ class TestImmseQuadrature:
     @pytest.mark.parametrize("prior_std", [1.0, 0.3, 3.0, 1e-3, 1e3, 1e-150, 1e150])
     def test_blocks_equal_the_whole_grid(self, prior_std):
         assert immse_entropy_quadrature(prior_std) == self.whole_grid(prior_std)
+
+    @pytest.mark.parametrize("prior_std", [1e-200, 2e-162, 1e155, 1e200])
+    def test_refuses_variance_out_of_float_range(self, prior_std):
+        # prior_std^2 underflows to 0 (ZeroDivisionError), is subnormal
+        # (-inf), or overflows (nan, with RuntimeWarnings)
+        with warnings.catch_warnings(), pytest.raises(ValueError) as refusal:
+            warnings.simplefilter("error")
+            immse_entropy_quadrature(prior_std)
+        assert "\n" not in str(refusal.value)
 
     def test_working_memory(self):
         # one block of 8192 terms at a time; the whole grid traced 3.05 MiB

@@ -1,6 +1,8 @@
 import functools
 import math
 import operator
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -363,6 +365,23 @@ class TestLogAbsSq:
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
             estimate_log_abs_sq(0.0, 10_000, rng_seed=0)
+
+    @pytest.mark.parametrize("power", [5e-324, 1.7e308])
+    def test_refuses_samples_out_of_float_range(self, power):
+        # power / 2 underflows to 0, or a sample's |X|^2 can overflow
+        with warnings.catch_warnings(), pytest.raises(ValueError) as refusal:
+            warnings.simplefilter("error")
+            estimate_log_abs_sq(power, 10_000, rng_seed=0)
+        assert "\n" not in str(refusal.value)
+
+    @pytest.mark.parametrize("power", [1e-300, 1e300, 2.0 * sys.float_info.min,
+                                       sys.float_info.max / 256.0])
+    def test_power_at_the_float_range_ends(self, power):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_log_abs_sq(power, 20_000, rng_seed=12)
+        expected = math.log(power) - EULER_MASCHERONI
+        assert abs(est.mean - expected) <= 4.0 * est.std_error
 
     def test_row_block_size_leaves_the_key(self, monkeypatch):
         # 1000-element row blocks (500 rows, which do not divide a chunk)
