@@ -50,6 +50,14 @@ from . import gdof as gdof_mod
 from . import mioracle, riccati, sim
 from .model import ChannelParams, Units, convert_rate, derive_constants
 
+# `owpnlab --help`'s text: what the tool does and how it exits, without the
+# implementation notes of this module's docstring
+_DESCRIPTION = (
+    "Evaluate bounds, GDoF regions, regime classifications and the "
+    "Monte-Carlo-vs-closed-form verification suite over parameter grids, and "
+    "write the results as CSV. Exit codes: 0 success, 1 usage error, "
+    "2 verification failure, 3 I/O error."
+)
 GRID_CAP = 10**7
 # Rows of a grid block, made and computed at a time, and rows of a slice of
 # a block, formatted, joined and written at a time.
@@ -509,7 +517,7 @@ def _dest(flag: str) -> str:
 
 def build_parser() -> _Parser:
     """The owpnlab parser; `parser.commands` maps each subcommand to its parser."""
-    parser = _Parser(prog="owpnlab", description=__doc__)
+    parser = _Parser(prog="owpnlab", description=_DESCRIPTION)
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_line, options) in _COMMANDS.items():
         sub = parser.commands[name] = subs.add_parser(name, help=help_line)

@@ -19,10 +19,12 @@ target, so the lower-bound inequality direction is preserved.
 Both oracles simulate only the law their statistic depends on.  The noise
 is circularly symmetric and independent of the phase, so noise rotated by
 the phase is again i.i.d. CN(0, 2): the block norm ||Y||^2 has the law of
-sum_k |X + W_k|^2, and in the two-sample phase statistic the absolute phase
-cancels.  Neither oracle draws a uniform phase, builds a phase path or calls
-``cos``/``sin``; the amplitude oracle needs no sigma2 at all.  |X|^2 is
-xr^2 + xi^2, the block norm the row sum of yr^2 + yi^2, and each angle
+sum_k |X + W_k|^2, which is that of |sqrt(L) X + W'|^2 + 2 G with
+G ~ Gamma(L - 1, 1), and in the two-sample phase statistic the absolute
+phase cancels.  Neither oracle draws a uniform phase, builds a phase path or
+calls ``cos``/``sin``; the amplitude oracle needs no sigma2 at all, and draws
+4 normals and (for L > 1) one gamma per sample, whatever L is.  |X|^2 is
+xr^2 + xi^2, the block norm yr^2 + yi^2 + 2 G, and each angle
 ``arctan2(imag, real)``.  An estimate depends on its samples only through
 bin indices (and, in :func:`histogram_mi`, ranks), so it is byte-stable
 under last-ulp changes in ``arctan2`` except where such a change moves a
@@ -30,7 +32,7 @@ sample across a bin edge or reorders two samples at an edge.  ``exp``,
 ``log`` and ``lgamma`` enter the amplitude oracle only through its edges.
 
 Memory: each oracle reads its statistics from one generator over its law
-(:func:`_amplitude_blocks`, :func:`_phase_blocks`), whose normals come from
+(:func:`_amplitude_blocks`, :func:`_phase_blocks`), whose draws come from
 the Monte Carlo engine :func:`owpnlab.sim._row_blocks` one row block of at
 most ``sim._block_rows(width)`` samples at a time, one sample per column;
 :func:`_binned_mi` adds every block to the joint histogram and keeps no
@@ -175,19 +177,22 @@ def amplitude_channel_mi(params: ChannelParams, n_samples: int, rng_seed: int) -
     L samples of the block.  The noise is circularly symmetric and independent
     of the phase, so W_k e^{-j theta_k} is again i.i.d. CN(0, 2) and
     ||Y||^2 = sum_k |X + W_k e^{-j theta_k}|^2 has the law of
-    sum_k |X + W_k|^2, whatever sigma2 is; only that law is simulated.  A
-    sample's normals are one row of 2 + 2L: the input's real and imaginary
-    parts, the L noise real parts and the L noise imaginary parts.
+    sum_k |X + W_k|^2, whatever sigma2 is.  Rotating the noise along
+    (1, ..., 1)/sqrt(L) gives ||Y||^2 = |sqrt(L) X + W'|^2 + 2 G, with
+    W' ~ CN(0, 2) and G ~ Gamma(L - 1, 1) independent of X and of each
+    other: Exp(mean P + 2) plus Gamma(L - 1, scale 2).  Only that law is
+    simulated, so a sample costs the same at any L: one row of 4 normals
+    (the real and imaginary parts of X, then those of W') and, for L > 1,
+    one gamma, drawn with the rest of its chunk's gammas at the chunk's
+    start; at L = 1 nothing but the normals is drawn.
 
     Both statistics take DEFAULT_BINS equal-mass bins of their exact laws
     (:mod:`owpnlab._amplitude_bins`), and the histogram is accumulated row
-    block by row block.  |X|^2 is Exp(mean P/L).  Rotating the noise along
-    (1, ..., 1)/sqrt(L), ||Y||^2 = |sqrt(L) X + W'|^2 + (L - 1 further
-    |CN(0, 2)|^2): Exp(mean P + 2) plus Gamma(L - 1, scale 2).  Below a
-    normal P/L, |X|^2 underflows and the estimate is degenerate, as at
-    P = 0; where the ||Y||^2 edges overflow (P above about 3.7e307),
-    ValueError.  Below that, from about 1.3e307, a sample's |X|^2 or
-    ||Y||^2 may overflow to inf, which lands in the top bin, silently.
+    block by row block.  |X|^2 is Exp(mean P/L).  Below a normal P/L,
+    |X|^2 underflows and the estimate is degenerate, as at P = 0; where the
+    ||Y||^2 edges overflow (P above about 3.7e307), ValueError.  Below that,
+    from about 1.3e307, a sample's |X|^2 or ||Y||^2 may overflow to inf,
+    which lands in the top bin, silently.
     """
     # imported here: compiled at every start-up, its code raised the peak
     # RSS of `verify`, which peaks before its MI rows, by about 0.06 MB
@@ -205,23 +210,26 @@ def amplitude_channel_mi(params: ChannelParams, n_samples: int, rng_seed: int) -
 
 def _amplitude_blocks(params: ChannelParams, n_samples: int, rng_seed: int):
     """Yield |X|^2 and ||Y||^2 of the samples of :func:`amplitude_channel_mi`,
-    one row block of :func:`owpnlab.sim._row_blocks` at a time."""
+    one row block of :func:`owpnlab.sim._row_blocks` at a time, each in an
+    array of its own."""
     big_l = params.oversampling
     amp = math.sqrt(per_symbol_power(params) / 2.0)
+    root_l = math.sqrt(big_l)
     # one sample per column: every part below is a contiguous row
-    for z, _, _ in _row_blocks(rng_seed, n_samples, 2 + 2 * big_l):
+    for z, free, _ in _row_blocks(rng_seed, n_samples, 4, gamma_shape=big_l - 1):
         z[:2] *= amp
-        xr, xi = z[0], z[1]
-        yr, yi = z[2 : 2 + big_l], z[2 + big_l :]
+        xr, xi, yr, yi = z[:4]
+        x2 = xr * xr
+        x2 += np.multiply(xi, xi, out=free[0])
+        xr *= root_l
+        xi *= root_l
         yr += xr
         yi += xi
-        x2 = xr * xr
-        xi *= xi
-        x2 += xi
-        yr *= yr
-        yi *= yi
-        yr += yi
-        yield x2, np.sum(yr, axis=0)
+        norm = yr * yr
+        norm += np.multiply(yi, yi, out=yi)
+        if big_l > 1:
+            norm += np.multiply(z[4], 2.0, out=z[4])
+        yield x2, norm
 
 
 def phase_channel_mi(params: ChannelParams, n_samples: int, rng_seed: int) -> MiEstimate:

@@ -207,6 +207,9 @@ class TestWholeFloatRange:
         (5e-324, 2, 5e-324, "upper_phase", 0.4189385332046727),
         # half^2 (...) in 1 - kappa underflows to 0, which would give 210.82
         (1e284, 1e15, 1e-168, "cc_phase", 193.44246939724425),
+        # the cc denominator overflows, and its log-domain sum is dominated by
+        # ln(pi^2 (1 - kappa) L P): ln(pi^2) 1% too large gives -0.67827
+        (1e300, 2**53 - 1, 1e3, "cc_phase", -0.666824593480196),
     ])
     def test_where_the_direct_form_leaves_the_float_range(self, p, big_l, s2, column, want):
         i = COLUMNS.index(column)

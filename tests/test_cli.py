@@ -870,3 +870,14 @@ def test_readme_lists_each_subcommands_options():
         for name, sub in build_parser().commands.items()
     }
     assert listed == declared
+
+
+def test_top_level_help_holds_no_developer_notes(capsys):
+    # the help text says what the tool does; the module's implementation
+    # notes, which name private identifiers such as _ROW_BLOCK, stay out
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    assert "verification" in text and "Exit codes" in text
+    assert not re.findall(r"(?<![\w-])_\w+", text)

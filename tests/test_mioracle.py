@@ -165,18 +165,20 @@ def _mp_amplitude_edges(p, big_l):
 
 
 def _reference_amplitude_mi(params, n_samples, seed, n_bins=64):
+    # ||Y||^2 = |sqrt(L) X + W'|^2 + 2 G, G ~ Gamma(L - 1, 1): per chunk, its
+    # m gammas (none at L = 1), then one row (X, W') of 4 normals per sample
     big_l = params.oversampling
     x2 = np.empty(n_samples)
     ynorm = np.empty(n_samples)
     amp = math.sqrt(per_symbol_power(params) / 2.0)
     for index, (rng, m) in enumerate(_chunks(seed, n_samples)):
         start = index * 8192
-        z = rng.standard_normal((m, 2 + 2 * big_l))
+        gamma = rng.standard_gamma(big_l - 1, m) if big_l > 1 else np.zeros(m)
+        z = rng.standard_normal((m, 4))
         x = (z[:, 0] + 1j * z[:, 1]) * amp
-        noise = z[:, 2 : 2 + big_l] + 1j * z[:, 2 + big_l :]
-        y = x[:, None] + noise
+        y = math.sqrt(big_l) * x + (z[:, 2] + 1j * z[:, 3])
         x2[start : start + m] = np.abs(x) ** 2
-        ynorm[start : start + m] = np.sum(np.abs(y) ** 2, axis=1)
+        ynorm[start : start + m] = np.abs(y) ** 2 + 2.0 * gamma
     x2_edges, norm_edges = _mp_amplitude_edges(params.avg_power, big_l)
     return _reference_plugin_mi(
         np.searchsorted(x2_edges, x2, side="right"),
@@ -294,7 +296,7 @@ _LAW_POINTS = [(20.0, 4, 0.5), (100.0, 1, 0.01), (3.0, 16, 2.0)]
 
 
 class TestLawAgainstFullChannel:
-    @pytest.mark.parametrize("p,big_l,s2", _LAW_POINTS)
+    @pytest.mark.parametrize("p,big_l,s2", _LAW_POINTS + [(1e3, 64, 0.1)])
     def test_amplitude(self, p, big_l, s2):
         params = ChannelParams(p, big_l, s2)
         got = amplitude_channel_mi(params, _LAW_SAMPLES, rng_seed=31)
@@ -371,13 +373,13 @@ class TestAmplitudeChannelMi:
         assert est.value == 0.0 and est.degenerate
 
     @pytest.mark.parametrize("big_l, value, std_error", [
-        (1, 4.156988545828582, 0.0004357313479173716),
-        (4, 4.1571418421785244, 0.00041597009832587646),
+        pytest.param(1, 4.157244324931996, 0.00040347961837752057, id="L=1"),
+        pytest.param(4, 4.157012302366536, 0.0004315045547516564, id="L=4"),
     ])
     def test_samples_that_overflow_raise_no_warning(self, big_l, value, std_error):
-        # at P = 3e307 the ||Y||^2 edges are finite, but |X|^2, the squares
-        # of Y and their row sum overflow to inf for some samples, which land
-        # in the top bin
+        # at P = 3e307 the ||Y||^2 edges are finite, but the squares of
+        # sqrt(L) X + W' (56 samples at L = 1, 45 at L = 4) and, at L = 1,
+        # |X|^2 (56 samples) overflow to inf, which lands in the top bin
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = amplitude_channel_mi(ChannelParams(3e307, big_l, 0.5), 20_000, rng_seed=1)
@@ -512,11 +514,11 @@ class TestRowBlockSize:
         rows = sim._block_rows(width)
         assert 8192 % rows and 0 < rows < 8192
 
-    @pytest.mark.parametrize("big_l", [1, 4, 16])
+    @pytest.mark.parametrize("big_l", [1, 4, 16, 64])
     def test_amplitude(self, big_l, monkeypatch):
         params = ChannelParams(20.0, big_l, 0.5)
         want = amplitude_channel_mi(params, self.N, rng_seed=17)
-        self.small_blocks(monkeypatch, 2 + 2 * big_l)
+        self.small_blocks(monkeypatch, 4)
         assert amplitude_channel_mi(params, self.N, rng_seed=17) == want
 
     @pytest.mark.parametrize("big_l", [1, 4, 16])

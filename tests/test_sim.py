@@ -72,6 +72,23 @@ class TestRowBlocks:
         for z, (rng, m) in zip(got, chunks):
             assert np.array_equal(z, rng.standard_normal((m, width)).T)
 
+    @pytest.mark.parametrize("small", [False, True], ids=["default_blocks", "small_blocks"])
+    @pytest.mark.parametrize("width, shape", [(4, 0.5), (4, 63.0), (9, 3.0)])
+    def test_gammas_come_first_in_each_chunk(self, width, shape, small, monkeypatch):
+        # with gamma_shape > 0, z gains one row: the block's slice of its
+        # chunk's one standard_gamma(shape, m) draw, made before the normals
+        if small:
+            monkeypatch.setattr(sim, "_BLOCK_ELEMENTS", 1000)
+        n = 2 * 8192 + 1_234
+        blocks = []
+        for z, free, _ in sim._row_blocks(42, n, width, gamma_shape=shape):
+            assert z.shape == free.shape == (width + 1, z.shape[1])
+            blocks.append(z.copy())
+        got = np.split(np.concatenate(blocks, axis=1), [8192, 2 * 8192], axis=1)
+        for z, (rng, m) in zip(got, _chunks(42, n)):
+            assert np.array_equal(z[-1], rng.standard_gamma(shape, m))
+            assert np.array_equal(z[:-1], rng.standard_normal((m, width)).T)
+
 
 class TestFMoments:
     def test_half_coherence_point(self):
